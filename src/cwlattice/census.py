@@ -14,7 +14,6 @@ JSON, and parse back losslessly.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import formulas, sets
@@ -190,13 +189,44 @@ def _family_for_tags(tags: list[str]) -> str:
 # structural checks
 # ---------------------------------------------------------------------------
 
+# The components of each union set, keyed by the labels the reports use.
+_UNION_PARTS = {
+    NamedSet.CWDD: dict(zip("abc", FAMILY_SETS["cwdd"][:3])),
+    NamedSet.RA: dict(zip("abcd", FAMILY_SETS["ra"][:4])),
+}
+
+
+class _PointSets(dict):
+    """The named sets at one n as Python sets, each enumerated on first use.
+
+    A union is built from its components, so no component is enumerated
+    twice for the same n.
+    """
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, set_id: NamedSet) -> set:
+        if set_id in _UNION_PARTS:
+            points = set().union(*self.parts(set_id).values())
+        else:
+            points = set(sets.ENUMERATORS[set_id](self.n))
+        self[set_id] = points
+        return points
+
+    def parts(self, union: NamedSet) -> dict[str, set]:
+        return {label: self[part] for label, part in _UNION_PARTS[union].items()}
+
+
 @dataclass(frozen=True)
 class DisjointnessReport:
     """Pairwise intersections among the census components at one n.
 
     Keys are component pairs like "ab".  Passes when the pair census
     overlap is exactly {(2, 2)} at n = 5 (components a and b) and empty
-    everywhere else, and every tuple-census intersection is empty.
+    everywhere else, and every tuple-census intersection is empty.  A
+    census left out of the check has no keys.
     """
 
     n: int
@@ -205,12 +235,10 @@ class DisjointnessReport:
 
     @property
     def ok(self) -> bool:
-        expected_ab = ((2, 2),) if self.n == 5 else ()
-        if self.cwdd_overlaps["ab"] != expected_ab:
-            return False
-        if self.cwdd_overlaps["ac"] or self.cwdd_overlaps["bc"]:
-            return False
-        return not any(self.ra_overlaps.values())
+        allowed = {"ab": ((2, 2),)} if self.n == 5 else {}
+        return all(
+            overlap == allowed.get(pair, ()) for pair, overlap in self.cwdd_overlaps.items()
+        ) and not any(self.ra_overlaps.values())
 
 
 def _pairwise_overlaps(parts: dict[str, set]) -> dict[str, tuple]:
@@ -223,43 +251,52 @@ def _pairwise_overlaps(parts: dict[str, set]) -> dict[str, tuple]:
     return out
 
 
-def check_disjointness(n: int) -> DisjointnessReport:
-    """Report every pairwise component intersection at n (n >= 5)."""
+def check_disjointness(
+    n: int,
+    cwdd_parts: dict[str, set] | None = None,
+    ra_parts: dict[str, set] | None = None,
+) -> DisjointnessReport:
+    """Report every pairwise component intersection at n (n >= 5).
+
+    Called with n alone, it enumerates the components of both censuses.
+    The census passes the component sets it has already built, keyed "a",
+    "b", ... as in the report; an empty dict leaves that census out.
+    """
     if n < 5:
         raise DomainError(f"disjointness checks need n >= 5, got {n}")
-    cw = {
-        "a": set(sets.enumerate_cwdd_a(n)),
-        "b": set(sets.enumerate_cwdd_b(n)),
-        "c": set(sets.enumerate_cwdd_c(n)),
-    }
-    ra = {
-        "a": set(sets.enumerate_ra_a(n)),
-        "b": set(sets.enumerate_ra_b(n)),
-        "c": set(sets.enumerate_ra_c(n)),
-        "d": set(sets.enumerate_ra_d(n)),
-    }
+    points = _PointSets(n)
     return DisjointnessReport(
         n=n,
-        cwdd_overlaps=_pairwise_overlaps(cw),
-        ra_overlaps=_pairwise_overlaps(ra),
+        cwdd_overlaps=_pairwise_overlaps(
+            points.parts(NamedSet.CWDD) if cwdd_parts is None else cwdd_parts),
+        ra_overlaps=_pairwise_overlaps(
+            points.parts(NamedSet.RA) if ra_parts is None else ra_parts),
     )
 
 
-def check_cross_projection(n: int) -> bool:
+def check_cross_projection(
+    n: int,
+    cwdd_parts: dict[str, set] | None = None,
+    ra_parts: dict[str, set] | None = None,
+) -> bool:
     """Consistency between the tuple census and the pair census.
 
     Every tuple (a, r, d, h) with a >= 3 must project to a pair (a, d) in
-    the pair census, and every depth-2 tuple must project into the pair
-    census's depth-2 component.  Vacuously true below n = 5.
+    the pair census, and every depth-2 tuple (component a) must project
+    into the pair census's depth-2 component.  Vacuously true below n = 5.
+    Called with n alone, it enumerates both censuses; the census passes
+    the component sets it has already built, keyed as in
+    check_disjointness.
     """
     if n < 5:
         return True
-    cw = set(sets.enumerate_cwdd(n))
-    cw_a = set(sets.enumerate_cwdd_a(n))
-    for tup in sets.enumerate_ra(n):
-        if tup[0] >= 3 and (tup[0], tup[2]) not in cw:
-            return False
-    return all((tup[0], tup[2]) in cw_a for tup in sets.enumerate_ra_a(n))
+    points = _PointSets(n)
+    cw = points.parts(NamedSet.CWDD) if cwdd_parts is None else cwdd_parts
+    ra = points.parts(NamedSet.RA) if ra_parts is None else ra_parts
+    cw_union = set().union(*cw.values())
+    return all(
+        (tup[0], tup[2]) in cw_union for part in ra.values() for tup in part if tup[0] >= 3
+    ) and all((tup[0], tup[2]) in cw["a"] for tup in ra["a"])
 
 
 # ---------------------------------------------------------------------------
@@ -269,94 +306,42 @@ def check_cross_projection(n: int) -> bool:
 def _compute_record(n: int, family: str) -> CensusRecord:
     key = formulas.residue_decompose(n)
     members = FAMILY_SETS[family]
-    want_cwdd = family in ("cwdd", "all")
-    want_ra = family in ("ra", "all")
-    want_bounds = family in ("bounds", "all")
-
-    cw_parts = {
-        "a": set(sets.enumerate_cwdd_a(n)),
-        "b": set(sets.enumerate_cwdd_b(n)),
-        "c": set(sets.enumerate_cwdd_c(n)),
+    points = _PointSets(n)
+    # Pair sets first, the O(n^3) tuple sets last: once those exist, every
+    # garbage collection that a new allocation sets off traverses them.  The
+    # tuple census's projection check reads the pair census.
+    uses = members + FAMILY_SETS["cwdd"] if NamedSet.RA in members else members
+    sizes = {
+        set_id: len(points[set_id])
+        for set_id in sorted(uses, key=lambda s: s.arity)
+        if set_id is not NamedSet.BETA or n >= 4  # beta is undefined at n = 3
     }
-    cw_union = cw_parts["a"] | cw_parts["b"] | cw_parts["c"]
-
-    ra_parts = {}
-    ra_union: set = set()
-    if want_ra:
-        ra_parts = {
-            "a": set(sets.enumerate_ra_a(n)),
-            "b": set(sets.enumerate_ra_b(n)),
-            "c": set(sets.enumerate_ra_c(n)),
-            "d": set(sets.enumerate_ra_d(n)),
-        }
-        ra_union = ra_parts["a"] | ra_parts["b"] | ra_parts["c"] | ra_parts["d"]
-
-    cplus_set = set(sets.enumerate_c_plus(n)) if (want_bounds or want_cwdd) else set()
-    cminus_set = set(sets.enumerate_c_minus(n)) if want_bounds else set()
-    beta_set = set(sets.enumerate_beta(n)) if (want_bounds and n >= 4) else None
-
-    enumerated: dict[NamedSet, int | None] = {
-        NamedSet.CWDD_A: len(cw_parts["a"]),
-        NamedSet.CWDD_B: len(cw_parts["b"]),
-        NamedSet.CWDD_C: len(cw_parts["c"]),
-        NamedSet.CWDD: len(cw_union),
+    counts: dict[str, tuple[int | None, int | None]] = {
+        member.value: (sizes[member], SIZE_BY_SET[member](n))
+        if member in sizes else (None, None)
+        for member in members
     }
-    if want_ra:
-        enumerated.update({
-            NamedSet.RA_A: len(ra_parts["a"]),
-            NamedSet.RA_B: len(ra_parts["b"]),
-            NamedSet.RA_C: len(ra_parts["c"]),
-            NamedSet.RA_D: len(ra_parts["d"]),
-            NamedSet.RA: len(ra_union),
-        })
-    if want_bounds:
-        enumerated[NamedSet.C_PLUS] = len(cplus_set)
-        enumerated[NamedSet.C_MINUS] = len(cminus_set)
-        enumerated[NamedSet.BETA] = None if beta_set is None else len(beta_set)
 
-    counts: dict[str, tuple[int | None, int | None]] = {}
-    for member in members:
-        if member is NamedSet.BETA and n < 4:
-            counts[member.value] = (None, None)
-            continue
-        counts[member.value] = (enumerated[member], SIZE_BY_SET[member](n))
+    # each census checks its own components; bounds has none
+    cwdd_parts = points.parts(NamedSet.CWDD) if NamedSet.CWDD in members else {}
+    ra_parts = points.parts(NamedSet.RA) if NamedSet.RA in members else {}
+    disjointness_ok = n < 5 or check_disjointness(n, cwdd_parts, ra_parts).ok
 
-    # component overlaps: only {(2, 2)} in the pair census at n = 5 is allowed
-    disjointness_ok = True
-    if n >= 5:
-        if want_cwdd:
-            expected_ab = {(2, 2)} if n == 5 else set()
-            disjointness_ok = (
-                cw_parts["a"] & cw_parts["b"] == expected_ab
-                and not cw_parts["a"] & cw_parts["c"]
-                and not cw_parts["b"] & cw_parts["c"]
-            )
-        if want_ra and disjointness_ok:
-            labels = ["a", "b", "c", "d"]
-            disjointness_ok = not any(
-                ra_parts[x] & ra_parts[y]
-                for idx, x in enumerate(labels)
-                for y in labels[idx + 1:]
-            )
-
-    # sandwich envelope on |cwdd| (defined for n > 5)
+    # sandwich envelope on |cwdd| (defined for n > 5), a fact about the pair
+    # census and its bounding polytopes
     sandwich_ok = True
-    if n > 5 and (want_cwdd or want_bounds):
+    if n > 5 and (NamedSet.CWDD in members or NamedSet.C_PLUS in members):
         lo, hi = sandwich_bounds_cwdd(n)
         sandwich_ok = lo <= size_cwdd(n) <= hi
 
-    containment_ok = True
-    if want_cwdd:
-        containment_ok = cw_union <= cplus_set
-    if want_ra and containment_ok and n >= 5:
-        cw_a = cw_parts["a"]
-        containment_ok = all(
-            (tup[0], tup[2]) in cw_union for tup in ra_union if tup[0] >= 3
-        ) and all((tup[0], tup[2]) in cw_a for tup in ra_parts["a"])
-    if want_bounds and containment_ok:
-        containment_ok = cminus_set <= cplus_set and (
-            beta_set is None or beta_set <= cminus_set
-        )
+    containment_ok = (
+        (NamedSet.CWDD not in members or points[NamedSet.CWDD] <= points[NamedSet.C_PLUS])
+        and (NamedSet.RA not in members
+             or check_cross_projection(n, points.parts(NamedSet.CWDD), ra_parts))
+        and (NamedSet.C_MINUS not in members
+             or points[NamedSet.C_MINUS] <= points[NamedSet.C_PLUS]
+             and (n < 4 or points[NamedSet.BETA] <= points[NamedSet.C_MINUS]))
+    )
 
     return CensusRecord(
         n=n,
@@ -369,13 +354,11 @@ def _compute_record(n: int, family: str) -> CensusRecord:
     )
 
 
-def run_census(
-    n_lo: int, n_hi: int, family: str = "all", workers: int | None = None
-) -> CensusReport:
-    """Cross-verify the family over n_lo..n_hi inclusive.
+def run_census(n_lo: int, n_hi: int, family: str = "all") -> CensusReport:
+    """Cross-verify the family over n_lo..n_hi inclusive, in ascending n.
 
-    Records for distinct n are independent; with workers > 1 they are
-    computed in a thread pool but always emitted in ascending n order.
+    Each record enumerates the family's sets at its n once and runs every
+    structural check on those sets.
     """
     if family not in FAMILY_SETS:
         raise DomainError(f"unknown family {family!r}; choose from {sorted(FAMILY_SETS)}")
@@ -383,10 +366,5 @@ def run_census(
         raise DomainError(f"census starts at n >= 3, got {n_lo}")
     if n_lo > n_hi:
         raise DomainError(f"empty range: {n_lo} > {n_hi}")
-    ns = range(n_lo, n_hi + 1)
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda n: _compute_record(n, family), ns))
-    else:
-        records = [_compute_record(n, family) for n in ns]
+    records = [_compute_record(n, family) for n in range(n_lo, n_hi + 1)]
     return CensusReport(family=family, n_lo=n_lo, n_hi=n_hi, records=records)

@@ -176,21 +176,20 @@ def enumerate_ra_d(n: int) -> list[Point4]:
 def enumerate_ra(n: int) -> list[Point4]:
     """All (depth, reg, dim, deg h) tuples achieved on n vertices.
 
-    The four components are provably pairwise disjoint, so the union size
-    must equal the sum of the component sizes; this is re-checked at
-    runtime and a failure raises InternalInconsistencyError (it would mean
-    an enumeration bug, not bad input).
+    The four components are provably pairwise disjoint, so their sorted
+    concatenation has no adjacent duplicates; this is re-checked at
+    runtime and a repeated point raises InternalInconsistencyError (it
+    would mean an enumeration bug, not bad input).
     """
-    parts = [enumerate_ra_a(n), enumerate_ra_b(n), enumerate_ra_c(n), enumerate_ra_d(n)]
-    union: set[Point4] = set()
-    for part in parts:
-        union.update(part)
-    if len(union) != sum(len(part) for part in parts):
+    points = sorted(
+        enumerate_ra_a(n) + enumerate_ra_b(n) + enumerate_ra_c(n) + enumerate_ra_d(n)
+    )
+    repeated = next((p for p, q in zip(points, points[1:]) if p == q), None)
+    if repeated is not None:
         raise InternalInconsistencyError(
-            f"ra components overlap at n={n}: union {len(union)} != "
-            f"sum {sum(len(p) for p in parts)}"
+            f"ra components overlap at n={n}: {repeated} is in two of them"
         )
-    return sorted(union)
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +268,14 @@ def _in_cwdd(n: int, p: Point2) -> bool:
 
 
 def _in_ra_a(n: int, p: Point4) -> bool:
-    return n >= 5 and p in set(enumerate_ra_a(n))
+    if n < 5:
+        return False
+    a, r, d, h = p
+    if a != 2 or d != h:
+        return False
+    if r == 2 and (d == n - 2 or d == n - 3):
+        return True
+    return n % 2 == 1 and r == d and 2 * d == n - 1
 
 
 def _in_ra_b(n: int, p: Point4) -> bool:
@@ -334,12 +340,17 @@ def contains(set_id: NamedSet, n: int, point: tuple[int, ...]) -> bool:
     Evaluates the set's defining inequalities directly, so it agrees with
     membership in the corresponding enumeration without materializing it.
     Raises ArityMismatchError when the point's coordinate count does not
-    match the set, and DomainError for c-minus/c-plus below n = 3 and
-    beta below n = 4 (where those sets are undefined).
+    match the set, TypeError when a coordinate is not an int, and
+    DomainError for c-minus/c-plus below n = 3 and beta below n = 4 (where
+    those sets are undefined).
     """
     if len(point) != set_id.arity:
         raise ArityMismatchError(
             f"{set_id.value} expects {set_id.arity}-coordinate points, "
             f"got {len(point)} coordinates"
         )
-    return _PREDICATES[set_id](n, tuple(point))
+    coords = tuple(point)
+    for coord in coords:
+        if not isinstance(coord, int):
+            raise TypeError(f"{set_id.value} coordinates must be ints, got {coord!r}")
+    return _PREDICATES[set_id](n, coords)

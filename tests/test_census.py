@@ -7,6 +7,10 @@ from cwlattice import (
     DomainError,
     check_cross_projection,
     check_disjointness,
+    enumerate_cwdd_a,
+    enumerate_cwdd_b,
+    enumerate_ra_b,
+    enumerate_ra_d,
     run_census,
 )
 from cwlattice.census import FAMILY_SETS
@@ -85,6 +89,18 @@ def test_check_cross_projection():
     assert check_cross_projection(3)  # vacuous below 5
 
 
+def test_checks_on_prebuilt_component_sets():
+    cw = {"a": set(enumerate_cwdd_a(12)), "b": set(enumerate_cwdd_b(12)), "c": set()}
+    assert not check_cross_projection(12, cwdd_parts=cw)
+    ra = {"b": set(enumerate_ra_b(12)), "d": set(enumerate_ra_d(12))}
+    ra["b"].add(enumerate_ra_d(12)[0])
+    rep = check_disjointness(12, cwdd_parts={}, ra_parts=ra)
+    assert rep.cwdd_overlaps == {}
+    assert rep.ra_overlaps == {"bd": (enumerate_ra_d(12)[0],)}
+    assert not rep.ok
+    assert check_disjointness(5, cwdd_parts={}).ok
+
+
 @pytest.mark.parametrize("family", sorted(FAMILY_SETS))
 def test_csv_round_trip(family):
     report = run_census(3, 20, family)
@@ -103,13 +119,6 @@ def test_census_deterministic():
     assert a == b
     assert a.to_csv() == b.to_csv()
     assert a.to_json() == b.to_json()
-
-
-def test_parallel_census_matches_serial():
-    serial = run_census(5, 40, "all")
-    parallel = run_census(5, 40, "all", workers=4)
-    assert serial == parallel
-    assert serial.to_csv() == parallel.to_csv()
 
 
 def test_csv_shape():

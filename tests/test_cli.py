@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cwlattice import CensusReport, NamedSet, census, sets, size_ra_d
 from cwlattice.cli import main
 
 from conftest import CHORDED_HEXAGON_EDGES
@@ -107,6 +108,52 @@ def test_verify_pass_and_fail_free(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "12")
     assert code == 0
     assert "verdict: pass" in out
+
+
+def replace_enumerator(monkeypatch, set_id, fn):
+    """Swap a set's enumerator under its module name and in the ENUMERATORS table."""
+    monkeypatch.setattr(sets, sets.ENUMERATORS[set_id].__name__, fn)
+    monkeypatch.setitem(sets.ENUMERATORS, set_id, fn)
+
+
+def test_closed_form_fault_fails_census_and_verify(capsys, monkeypatch):
+    monkeypatch.setitem(census.SIZE_BY_SET, NamedSet.RA_D, lambda n: size_ra_d(n) + 1)
+    code, _, _ = run_cli(capsys, "census", "--from", "5", "--to", "12", "--family", "ra")
+    assert code == 1
+    code, out, _ = run_cli(capsys, "verify", "--n", "12")
+    assert code == 1
+    size = size_ra_d(12)
+    assert f"ra-d: enumerated {size}, closed form {size + 1} [MISMATCH]" in out.splitlines()
+    assert out.splitlines()[-1] == "verdict: FAIL"
+
+
+@pytest.mark.parametrize("family, victim, donor", [
+    ("cwdd", NamedSet.CWDD_C, NamedSet.CWDD_B),
+    ("ra", NamedSet.RA_B, NamedSet.RA_D),
+])
+def test_repeated_component_point_fails_disjointness(capsys, monkeypatch, family, victim,
+                                                    donor):
+    enumerate_victim = sets.ENUMERATORS[victim]
+    repeated = sets.ENUMERATORS[donor](12)[0]
+    replace_enumerator(monkeypatch, victim, lambda n: enumerate_victim(n) + [repeated])
+    code, out, _ = run_cli(capsys, "census", "--from", "12", "--to", "12", "--family", family)
+    assert code == 1
+    assert out.splitlines()[0].endswith("disjointness_ok,sandwich_ok,containment_ok")
+    assert not CensusReport.from_csv(out).records[0].disjointness_ok
+
+
+def test_verify_enumerates_ra_d_once(capsys, monkeypatch):
+    calls = []
+    enumerate_ra_d = sets.enumerate_ra_d
+
+    def counted(n):
+        calls.append(n)
+        return enumerate_ra_d(n)
+
+    replace_enumerator(monkeypatch, NamedSet.RA_D, counted)
+    code, _, _ = run_cli(capsys, "verify", "--n", "12")
+    assert code == 0
+    assert calls == [12]
 
 
 def test_bounds_text(capsys):
@@ -217,21 +264,6 @@ def test_byte_deterministic_output(capsys):
     first = run_cli(capsys, "census", "--from", "5", "--to", "30", "--family", "all")
     second = run_cli(capsys, "census", "--from", "5", "--to", "30", "--family", "all")
     assert first == second
-
-
-def test_threads_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("CW_CENSUS_THREADS", "3")
-    with_threads = run_cli(capsys, "census", "--from", "5", "--to", "30")
-    monkeypatch.delenv("CW_CENSUS_THREADS")
-    without = run_cli(capsys, "census", "--from", "5", "--to", "30")
-    assert with_threads == without
-
-
-def test_threads_env_var_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("CW_CENSUS_THREADS", "zero")
-    code, _, err = run_cli(capsys, "census", "--from", "5", "--to", "10")
-    assert code == 2
-    assert "CW_CENSUS_THREADS" in err
 
 
 def test_module_entry_point():

@@ -5,6 +5,7 @@ import pytest
 from cwlattice import (
     ArityMismatchError,
     DomainError,
+    InternalInconsistencyError,
     NamedSet,
     contains,
     enumerate_beta,
@@ -21,6 +22,7 @@ from cwlattice import (
     enumerate_ra_d,
     enumerate_set,
 )
+from cwlattice import sets
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +236,10 @@ def test_contains_agrees_with_enumeration_tuple_sets(n):
         for d in range(r + 1, n - r)
     }
     boxes = {
-        NamedSet.RA_A: set(enumerate_ra_a(n)) | {(2, 2, n, n), (1, 1, 1, 1)},
+        NamedSet.RA_A: set(enumerate_ra_a(n)) | {(2, 2, n, n), (1, 1, 1, 1)} | {
+            (2, r, d, h) for r in (2, 3, half - 1, half) for d in (half, n - 3, n - 2)
+            for h in (half, n - 3, n - 2)
+        },
         NamedSet.RA_B: b_box,
         NamedSet.RA_C: c_box,
         NamedSet.RA_D: d_box,
@@ -251,6 +256,20 @@ def test_contains_rejects_malformed_tuple_shapes():
     assert not contains(NamedSet.RA_C, 12, (3, 4, 7, 7))
     assert not contains(NamedSet.RA_D, 12, (3, 4, 7, 6))
     assert not contains(NamedSet.CWDD_A, 4, (2, 2))
+
+
+def test_contains_rejects_non_integer_coordinates():
+    with pytest.raises(TypeError):
+        contains(NamedSet.CWDD_B, 12, (5.0, 5.0))
+    with pytest.raises(TypeError):
+        contains(NamedSet.CWDD_C, 12, (3.5, 7))
+
+
+def test_enumerate_ra_rejects_overlapping_components(monkeypatch):
+    repeated = enumerate_ra_d(12)[0]
+    monkeypatch.setattr(sets, "enumerate_ra_b", lambda n: enumerate_ra_b(n) + [repeated])
+    with pytest.raises(InternalInconsistencyError, match="overlap"):
+        enumerate_ra(12)
 
 
 def test_contains_arity_mismatch():
