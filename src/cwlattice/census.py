@@ -1,11 +1,13 @@
-"""Batch cross-verification of enumerations against closed forms.
+"""Batch cross-verification of the lattice sets against closed forms.
 
-For each n in a range the census enumerates the selected family of lattice
-sets, evaluates the matching closed-form sizes, and checks the structural
-facts (component disjointness, the sandwich envelope on the pair census,
-and the containment/projection relations between the sets).  Failures are
-recorded and the run continues, so one bad polynomial branch produces a
-complete diagnostic map across residues instead of a single abort.
+For each n in a range the census builds the rows of the selected family of
+lattice sets, counts their points by summing row lengths, evaluates the
+matching closed-form sizes, and checks the structural facts (component
+disjointness, the sandwich envelope on the pair census, and the
+containment/projection relations between the sets) as interval tests on
+the rows.  Failures are recorded and the run continues, so one bad
+polynomial branch produces a complete diagnostic map across residues
+instead of a single abort.
 
 Reports serialize to CSV (one row per n; the diffable golden format) and
 JSON, and parse back losslessly.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import formulas, sets
 from .errors import DomainError
@@ -186,37 +189,25 @@ def _family_for_tags(tags: list[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# structural checks
+# structural checks, on the sets' rows
 # ---------------------------------------------------------------------------
 
-# The components of each union set, keyed by the labels the reports use.
-_UNION_PARTS = {
-    NamedSet.CWDD: dict(zip("abc", FAMILY_SETS["cwdd"][:3])),
-    NamedSet.RA: dict(zip("abcd", FAMILY_SETS["ra"][:4])),
-}
-
-
-class _PointSets(dict):
-    """The named sets at one n as Python sets, each enumerated on first use.
-
-    A union is built from its components, so no component is enumerated
-    twice for the same n.
-    """
+class _Rows(dict):
+    """The rows of the named sets at one n, each built on first use; a
+    union's rows merge its components' rows, so no set is built twice."""
 
     def __init__(self, n: int):
         super().__init__()
         self.n = n
 
-    def __missing__(self, set_id: NamedSet) -> set:
-        if set_id in _UNION_PARTS:
-            points = set().union(*self.parts(set_id).values())
-        else:
-            points = set(sets.ENUMERATORS[set_id](self.n))
-        self[set_id] = points
-        return points
+    def __missing__(self, set_id: NamedSet) -> list[sets.Row]:
+        rows = self[set_id] = (sets.union_rows(set_id, self) if set_id in sets.UNION_PARTS
+                               else sets.rows(set_id, self.n))
+        return rows
 
-    def parts(self, union: NamedSet) -> dict[str, set]:
-        return {label: self[part] for label, part in _UNION_PARTS[union].items()}
+
+def _subset(xs: list[sets.Row], ys: list[sets.Row]) -> bool:
+    return sets.count_rows(sets.intersect_rows(xs, ys)) == sets.count_rows(xs)
 
 
 @dataclass(frozen=True)
@@ -241,91 +232,68 @@ class DisjointnessReport:
         ) and not any(self.ra_overlaps.values())
 
 
-def _pairwise_overlaps(parts: dict[str, set]) -> dict[str, tuple]:
-    labels = sorted(parts)
-    out = {}
-    for x in range(len(labels)):
-        for y in range(x + 1, len(labels)):
-            key = labels[x] + labels[y]
-            out[key] = tuple(sorted(parts[labels[x]] & parts[labels[y]]))
-    return out
+def _disjointness(n: int, built: _Rows, members: tuple[NamedSet, ...]) -> DisjointnessReport:
+    """The component intersections of the unions among members, from their rows."""
+
+    def overlaps(union: NamedSet) -> dict[str, tuple[tuple[int, ...], ...]]:
+        if union not in members:
+            return {}
+        parts = zip("abcd", (built[part] for part in sets.UNION_PARTS[union]))
+        return {
+            x + y: tuple(sets.expand_rows(sets.intersect_rows(xs, ys)))
+            for (x, xs), (y, ys) in combinations(parts, 2)
+        }
+
+    return DisjointnessReport(n, overlaps(NamedSet.CWDD), overlaps(NamedSet.RA))
 
 
-def check_disjointness(
-    n: int,
-    cwdd_parts: dict[str, set] | None = None,
-    ra_parts: dict[str, set] | None = None,
-) -> DisjointnessReport:
-    """Report every pairwise component intersection at n (n >= 5).
+def _projects(built: _Rows) -> bool:
+    """check_cross_projection on built rows: a tuple row ((a, r), lo, hi)
+    projects to the pair row ((a,), lo, hi)."""
+    deep = sets.merge_rows(((a,), lo, hi) for (a, _), lo, hi in built[NamedSet.RA] if a >= 3)
+    depth2 = sets.merge_rows(((a,), lo, hi) for (a, _), lo, hi in built[NamedSet.RA_A])
+    return _subset(deep, built[NamedSet.CWDD]) and _subset(depth2, built[NamedSet.CWDD_A])
 
-    Called with n alone, it enumerates the components of both censuses.
-    The census passes the component sets it has already built, keyed "a",
-    "b", ... as in the report; an empty dict leaves that census out.
-    """
+
+def check_disjointness(n: int) -> DisjointnessReport:
+    """Report every pairwise component intersection at n (n >= 5)."""
     if n < 5:
         raise DomainError(f"disjointness checks need n >= 5, got {n}")
-    points = _PointSets(n)
-    return DisjointnessReport(
-        n=n,
-        cwdd_overlaps=_pairwise_overlaps(
-            points.parts(NamedSet.CWDD) if cwdd_parts is None else cwdd_parts),
-        ra_overlaps=_pairwise_overlaps(
-            points.parts(NamedSet.RA) if ra_parts is None else ra_parts),
-    )
+    return _disjointness(n, _Rows(n), (NamedSet.CWDD, NamedSet.RA))
 
 
-def check_cross_projection(
-    n: int,
-    cwdd_parts: dict[str, set] | None = None,
-    ra_parts: dict[str, set] | None = None,
-) -> bool:
+def check_cross_projection(n: int) -> bool:
     """Consistency between the tuple census and the pair census.
 
     Every tuple (a, r, d, h) with a >= 3 must project to a pair (a, d) in
     the pair census, and every depth-2 tuple (component a) must project
     into the pair census's depth-2 component.  Vacuously true below n = 5.
-    Called with n alone, it enumerates both censuses; the census passes
-    the component sets it has already built, keyed as in
-    check_disjointness.
     """
-    if n < 5:
-        return True
-    points = _PointSets(n)
-    cw = points.parts(NamedSet.CWDD) if cwdd_parts is None else cwdd_parts
-    ra = points.parts(NamedSet.RA) if ra_parts is None else ra_parts
-    cw_union = set().union(*cw.values())
-    return all(
-        (tup[0], tup[2]) in cw_union for part in ra.values() for tup in part if tup[0] >= 3
-    ) and all((tup[0], tup[2]) in cw["a"] for tup in ra["a"])
+    return _projects(_Rows(n))
 
 
 # ---------------------------------------------------------------------------
 # the census proper
 # ---------------------------------------------------------------------------
 
+# (subset, superset) pairs checked whenever the subset is in the family
+_SUBSETS = ((NamedSet.CWDD, NamedSet.C_PLUS), (NamedSet.C_MINUS, NamedSet.C_PLUS),
+            (NamedSet.BETA, NamedSet.C_MINUS))
+
+
 def _compute_record(n: int, family: str) -> CensusRecord:
     key = formulas.residue_decompose(n)
     members = FAMILY_SETS[family]
-    points = _PointSets(n)
-    # Pair sets first, the O(n^3) tuple sets last: once those exist, every
-    # garbage collection that a new allocation sets off traverses them.  The
-    # tuple census's projection check reads the pair census.
-    uses = members + FAMILY_SETS["cwdd"] if NamedSet.RA in members else members
-    sizes = {
-        set_id: len(points[set_id])
-        for set_id in sorted(uses, key=lambda s: s.arity)
-        if set_id is not NamedSet.BETA or n >= 4  # beta is undefined at n = 3
-    }
+    defined = [m for m in members if m is not NamedSet.BETA or n >= 4]  # beta needs n >= 4
+    built = _Rows(n)
     counts: dict[str, tuple[int | None, int | None]] = {
-        member.value: (sizes[member], SIZE_BY_SET[member](n))
-        if member in sizes else (None, None)
+        member.value: (sets.count_rows(built[member]), SIZE_BY_SET[member](n))
+        if member in defined else (None, None)
         for member in members
     }
 
     # each census checks its own components; bounds has none
-    cwdd_parts = points.parts(NamedSet.CWDD) if NamedSet.CWDD in members else {}
-    ra_parts = points.parts(NamedSet.RA) if NamedSet.RA in members else {}
-    disjointness_ok = n < 5 or check_disjointness(n, cwdd_parts, ra_parts).ok
+    disjointness_ok = n < 5 or _disjointness(n, built, members).ok
 
     # sandwich envelope on |cwdd| (defined for n > 5), a fact about the pair
     # census and its bounding polytopes
@@ -334,31 +302,20 @@ def _compute_record(n: int, family: str) -> CensusRecord:
         lo, hi = sandwich_bounds_cwdd(n)
         sandwich_ok = lo <= size_cwdd(n) <= hi
 
-    containment_ok = (
-        (NamedSet.CWDD not in members or points[NamedSet.CWDD] <= points[NamedSet.C_PLUS])
-        and (NamedSet.RA not in members
-             or check_cross_projection(n, points.parts(NamedSet.CWDD), ra_parts))
-        and (NamedSet.C_MINUS not in members
-             or points[NamedSet.C_MINUS] <= points[NamedSet.C_PLUS]
-             and (n < 4 or points[NamedSet.BETA] <= points[NamedSet.C_MINUS]))
-    )
+    containment_ok = all(
+        _subset(built[sub], built[sup]) for sub, sup in _SUBSETS if sub in defined
+    ) and (NamedSet.RA not in members or _projects(built))
 
-    return CensusRecord(
-        n=n,
-        k=key.k,
-        i=key.i,
-        counts=counts,
-        disjointness_ok=disjointness_ok,
-        sandwich_ok=sandwich_ok,
-        containment_ok=containment_ok,
-    )
+    return CensusRecord(n=n, k=key.k, i=key.i, counts=counts,
+                        disjointness_ok=disjointness_ok, sandwich_ok=sandwich_ok,
+                        containment_ok=containment_ok)
 
 
 def run_census(n_lo: int, n_hi: int, family: str = "all") -> CensusReport:
     """Cross-verify the family over n_lo..n_hi inclusive, in ascending n.
 
-    Each record enumerates the family's sets at its n once and runs every
-    structural check on those sets.
+    Each record builds the rows of the family's sets at its n once, counts
+    them and runs every structural check on them.
     """
     if family not in FAMILY_SETS:
         raise DomainError(f"unknown family {family!r}; choose from {sorted(FAMILY_SETS)}")

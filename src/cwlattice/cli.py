@@ -8,6 +8,7 @@ input errors, 3 unsupported realization, 4 graph over the search cap.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from .errors import (
     EdgeListParseError,
     GraphTooLargeError,
 )
-from .formulas import ratio_report, sandwich_bounds_cwdd, size_cwdd
+from .formulas import SIZE_BY_SET, ratio_report, sandwich_bounds_cwdd, size_cwdd
 from .graphs import (
     RealizationKind,
     build_graph,
@@ -38,6 +39,8 @@ from .graphs import (
 from .sets import NamedSet, enumerate_set
 
 DEFAULT_CENSUS_CAP = 300
+# the most points `enumerate` lists; every set fits for n <= 500
+ENUMERATE_LIMIT = 2_000_000
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -57,7 +60,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         raise DomainError(f"need 3 <= FROM <= TO, got {args.n_lo}..{args.n_hi}")
     if args.n_hi > DEFAULT_CENSUS_CAP and not args.force:
         raise DomainError(
-            f"census above n = {DEFAULT_CENSUS_CAP} is cubic-cost; pass --force to run it"
+            f"census above n = {DEFAULT_CENSUS_CAP} needs --force"
         )
     report = run_census(args.n_lo, args.n_hi, args.family)
     _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
@@ -66,12 +69,14 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     set_id = NamedSet(args.set)
+    size = SIZE_BY_SET[set_id](args.n)
+    if size > ENUMERATE_LIMIT:
+        raise DomainError(f"{set_id.value} has {size} points at n = {args.n}, "
+                          f"over the enumerate limit of {ENUMERATE_LIMIT}")
     points = enumerate_set(set_id, args.n)
     if args.format == "csv":
         text = "".join(",".join(str(c) for c in p) + "\n" for p in points)
     else:
-        import json
-
         text = json.dumps(
             {"set": set_id.value, "n": args.n, "points": [list(p) for p in points]},
             indent=2,
@@ -103,8 +108,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     lower, upper = sandwich_bounds_cwdd(n)
     ratios = ratio_report(n)
     if args.format == "json":
-        import json
-
         print(json.dumps({
             "n": n,
             "size_cwdd": size_cwdd(n),
@@ -136,8 +139,6 @@ def cmd_realize(args: argparse.Namespace) -> int:
         return 3
     cw = result.structure
     if args.format == "json":
-        import json
-
         payload = {
             "kind": result.kind.value,
             "n": cw.vertex_count,
@@ -182,8 +183,6 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     im = induced_matching_number(graph)
     verdict = is_cameron_walker(graph)
     if args.format == "json":
-        import json
-
         print(json.dumps({
             "cameron_walker": verdict,
             "matching_number": m,
@@ -203,8 +202,6 @@ def cmd_ideal(args: argparse.Namespace) -> int:
         graph, names = parse_edge_list(handle.read())
     generators = edge_ideal_generators(graph, names)
     if args.format == "json":
-        import json
-
         print(json.dumps({"generators": [list(g) for g in generators]}, indent=2))
     else:
         for a, b in generators:

@@ -14,7 +14,7 @@ because the counts are integers by construction.
 Each polynomial branch is pinned to the enumerations in
 :mod:`cwlattice.sets`: the test suite checks size_x(n) == len(enumerate_x(n))
 for every n up to 300, which over-determines a degree-3 polynomial per
-residue many times over.
+residue many times over.  Every size raises TypeError unless n is an int.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalInconsistencyError
-from .sets import NamedSet
+from .sets import NamedSet, _require_int
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,7 @@ class ResidueKey:
 
 def residue_decompose(n: int) -> ResidueKey:
     """Split n >= 0 as 6k + i with 0 <= i <= 5."""
+    _require_int(n)
     if n < 0:
         raise DomainError(f"residue decomposition needs n >= 0, got {n}")
     k, i = divmod(n, 6)
@@ -86,6 +87,7 @@ def _cubic_over_8(table: dict[int, tuple[int, int, int, int]], n: int) -> int:
 
 def size_cwdd_a(n: int) -> int:
     """|cwdd-a|: 2 when n is even or n = 5, else 3; 0 below n = 5."""
+    _require_int(n)
     if n < 5:
         return 0
     return 2 if (n % 2 == 0 or n == 5) else 3
@@ -93,6 +95,7 @@ def size_cwdd_a(n: int) -> int:
 
 def size_cwdd_b(n: int) -> int:
     """|cwdd-b|: with n = 6k + i this is k-1, k, or k+1 for i = 0, 1..4, 5."""
+    _require_int(n)
     if n < 5:
         return 0
     k, i = divmod(n, 6)
@@ -118,6 +121,7 @@ def size_cwdd_c(n: int) -> int:
     Counting b for fixed a: ceil((n-a)/2) choices while 3a <= n, and
     n - 2a choices for larger a; summing over a gives the table.
     """
+    _require_int(n)
     if n <= 5:
         return 0
     return _quad(_CWDD_C, n)
@@ -139,6 +143,7 @@ def size_cwdd(n: int) -> int:
     The components only overlap at n = 5 (in the single point (2, 2)),
     which is why that value is special-cased rather than summed.
     """
+    _require_int(n)
     if n < 5:
         return 0
     if n == 5:
@@ -173,6 +178,7 @@ def size_ra_b(n: int) -> int:
     and [a, floor((n-1)/2)] beyond; the two range-length formulas agree at
     the crossover, so the split introduces no tie corrections.
     """
+    _require_int(n)
     if n < 5:
         return 0
     k, i = divmod(n, 6)
@@ -200,6 +206,7 @@ def size_ra_c(n: int) -> int:
     bounds tie and the count at that a is a - 1, not a; the residue-2 and
     residue-5 constant terms carry that correction.
     """
+    _require_int(n)
     if n <= 5:
         return 0
     return _quad(_RA_C, n)
@@ -227,6 +234,7 @@ def size_ra_d(n: int) -> int:
     parity of k.  The branches are verified against the enumeration for
     every n <= 300 in the tests.
     """
+    _require_int(n)
     if n < 5:
         return 0
     return _cubic_over_8(_RA_D, n)
@@ -246,6 +254,7 @@ def size_ra(n: int) -> int:
     """|ra|: the four components are pairwise disjoint, so this is their sum,
     folded into one cubic per residue.  The residue-5 branch already yields
     the correct value 2 at n = 5 (k = 0)."""
+    _require_int(n)
     if n < 5:
         return 0
     return _cubic_over_8(_RA_TOTAL, n)
@@ -274,6 +283,7 @@ def _beta_value(n: int) -> int:
 
 def size_beta(n: int) -> int:
     """|beta| = sum over 1 <= a <= floor(n/2) of (n - a - 1).  n >= 4."""
+    _require_int(n)
     if n < 4:
         raise DomainError(f"beta is defined only for n >= 4, got {n}")
     return _beta_value(n)
@@ -281,6 +291,7 @@ def size_beta(n: int) -> int:
 
 def size_c_minus(n: int) -> int:
     """|c-minus| = |beta| + 1: the apex (1, n-1) always lies outside the slab."""
+    _require_int(n)
     if n < 3:
         raise DomainError(f"c-minus is defined only for n >= 3, got {n}")
     return _beta_value(n) + 1
@@ -288,6 +299,7 @@ def size_c_minus(n: int) -> int:
 
 def size_c_plus(n: int) -> int:
     """|c-plus| = n(n-1)/2, the full triangle 1 <= a <= b <= n-1."""
+    _require_int(n)
     if n < 3:
         raise DomainError(f"c-plus is defined only for n >= 3, got {n}")
     return _exact_div(n * (n - 1), 2)
@@ -407,28 +419,3 @@ def ra_breakdown(n: int) -> SizeBreakdown:
         overlap=0,
         total=size_ra(n),
     )
-
-
-__all__ = [
-    "ResidueKey",
-    "residue_decompose",
-    "size_cwdd_a",
-    "size_cwdd_b",
-    "size_cwdd_c",
-    "size_cwdd",
-    "size_ra_a",
-    "size_ra_b",
-    "size_ra_c",
-    "size_ra_d",
-    "size_ra",
-    "size_beta",
-    "size_c_minus",
-    "size_c_plus",
-    "SIZE_BY_SET",
-    "sandwich_bounds_cwdd",
-    "RatioReport",
-    "ratio_report",
-    "SizeBreakdown",
-    "cwdd_breakdown",
-    "ra_breakdown",
-]

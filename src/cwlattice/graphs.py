@@ -28,6 +28,7 @@ from .errors import (
     EdgeListParseError,
     GraphTooLargeError,
 )
+from .sets import _require_int
 
 MAX_BRUTE_FORCE_EDGES = 32
 
@@ -345,6 +346,7 @@ def realize(n: int, point: tuple[int, int]) -> RealizationResult:
     including the whole staircase block, is reported unsupported: no
     structural characterization of its realizing graphs is implemented.
     """
+    _require_int(n)
     if n < 5:
         raise DomainError(f"realization needs n >= 5, got {n}")
     if len(point) != 2:

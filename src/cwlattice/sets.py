@@ -1,11 +1,20 @@
-"""Exact enumeration of the lattice-point sets attached to Cameron-Walker graphs.
+"""The lattice-point sets attached to Cameron-Walker graphs, as rows.
 
 A Cameron-Walker graph on n vertices determines a pair
 (depth, dimension) and a tuple (depth, regularity, dimension, deg h) of
 invariants of its edge ideal.  The achievable points form finite sets cut
-out by linear inequalities in the coordinates and n.  This module
-enumerates those sets explicitly, together with the two convex polytopes
-that bound the all-graphs pair set.
+out by linear inequalities in the coordinates and n, so each set is a
+union of rows, a fixed prefix plus one interval in the last coordinate: a
+pair row ``((a,), lo, hi)`` holds the points (a, b) with lo <= b <= hi,
+and a tuple row ``((a, r), lo, hi)`` the points (a, r, d, d) with
+lo <= d <= hi (every tuple set has deg h = dim).
+
+Each base set is defined once, by a generator of its rows; the two unions
+merge their parts' rows.  A set's rows at n are sorted and do not overlap.
+Enumeration expands them, counting sums their lengths, and the census's
+structural checks intersect them prefix by prefix.  The membership
+predicates behind ``contains`` test the inequalities directly, an oracle
+independent of the rows.
 
 Two-coordinate sets, points (depth, dim):
 
@@ -33,14 +42,17 @@ No Cameron-Walker graph has fewer than 5 vertices, so every CW-specific
 set is empty below n = 5 (an empty census, not an error).
 
 All comparisons are exact integer comparisons: rational thresholds such as
-n/3 < b are multiplied through by the denominator (3b > n), so boundary
-cases like n = 3b can never be corrupted by floating point.  Enumerations
-return duplicate-free lists in ascending lexicographic order.
+n/3 < b are cleared of division (3b > n, or b > n // 3), so boundary cases
+like n = 3b can never be corrupted by floating point.  Every entry point
+that takes n raises TypeError unless n is an int.  Enumerations return
+duplicate-free lists in ascending lexicographic order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from enum import Enum, unique
+from itertools import chain, combinations
 
 from .errors import ArityMismatchError, DomainError, InternalInconsistencyError
 
@@ -72,167 +84,210 @@ class NamedSet(Enum):
 
 
 # ---------------------------------------------------------------------------
-# (depth, dim) sets
+# rows
 # ---------------------------------------------------------------------------
 
-def enumerate_cwdd_a(n: int) -> list[Point2]:
-    """Depth-2 pairs: {(2, n-2), (2, n-3)} plus (2, (n-1)/2) for odd n.
-
-    Empty below n = 5.  At n = 5 the odd-n point (2, 2) coincides with
-    (2, n-3); set semantics collapse the duplicate, leaving two points.
-    """
-    if n < 5:
-        return []
-    points = {(2, n - 2), (2, n - 3)}
-    if n % 2 == 1:
-        points.add((2, (n - 1) // 2))
-    return sorted(points)
+Row = tuple[tuple[int, ...], int, int]
 
 
-def enumerate_cwdd_b(n: int) -> list[Point2]:
-    """Diagonal points (b, b) with n/3 < b < n/2, i.e. 3b > n and 2b < n."""
-    return [(b, b) for b in range(1, max(n, 1)) if 3 * b > n and 2 * b < n]
+def _require_int(n: int) -> None:
+    if not isinstance(n, int):
+        raise TypeError(f"n must be an int, got {n!r}")
 
 
-def enumerate_cwdd_c(n: int) -> list[Point2]:
-    """Staircase points (a, b): 3 <= a <= floor((n-1)/2), max(a, (n-a)/2) < b <= n-a.
+def merge_rows(rows: Iterable[Row]) -> list[Row]:
+    """The rows of the union of ``rows``: sorted, with rows of one prefix
+    that overlap or touch joined into one."""
+    merged: list[Row] = []
+    for prefix, lo, hi in sorted(rows):
+        if merged and merged[-1][0] == prefix and lo <= merged[-1][2] + 1:
+            if hi > merged[-1][2]:
+                merged[-1] = (prefix, merged[-1][1], hi)
+        else:
+            merged.append((prefix, lo, hi))
+    return merged
 
-    The rational comparison (n-a)/2 < b is evaluated as n - a < 2b.
-    Empty for n <= 5 (the a-range is empty there).
-    """
+
+def intersect_rows(xs: list[Row], ys: list[Row]) -> list[Row]:
+    """The rows of the points in both of two non-overlapping row lists, in
+    the order of ``xs``."""
+    spans: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for prefix, lo, hi in ys:
+        spans.setdefault(prefix, []).append((lo, hi))
     return [
-        (a, b)
-        for a in range(3, (n - 1) // 2 + 1)
-        for b in range(a + 1, n - a + 1)
-        if n - a < 2 * b
+        (prefix, max(lo, ylo), min(hi, yhi))
+        for prefix, lo, hi in xs
+        for ylo, yhi in spans.get(prefix, ())
+        if lo <= yhi and ylo <= hi
     ]
 
 
-def enumerate_cwdd(n: int) -> list[Point2]:
-    """All (depth, dim) pairs achieved on n vertices: union of the A, B, C parts."""
-    points = set(enumerate_cwdd_a(n))
-    points.update(enumerate_cwdd_b(n))
-    points.update(enumerate_cwdd_c(n))
-    return sorted(points)
+def count_rows(rows: Iterable[Row]) -> int:
+    """The number of points in non-overlapping rows."""
+    return sum(hi - lo + 1 for _, lo, hi in rows)
+
+
+def expand_rows(rows: list[Row]) -> list[tuple[int, ...]]:
+    """The points of ``rows`` in row order: (a, b) for a pair row and
+    (a, r, d, d) for a tuple row."""
+    if rows and len(rows[0][0]) == 2:
+        return [(a, r, d, d) for (a, r), lo, hi in rows for d in range(lo, hi + 1)]
+    return [(a, b) for (a,), lo, hi in rows for b in range(lo, hi + 1)]
 
 
 # ---------------------------------------------------------------------------
-# (depth, reg, dim, deg h) sets
+# the ten base sets, each defined once by its rows (see the module docstring)
 # ---------------------------------------------------------------------------
 
-def enumerate_ra_a(n: int) -> list[Point4]:
-    """Depth-2 tuples (2, 2, n-2, n-2), (2, 2, n-3, n-3), and for odd n the
-    constant tuple (2, h, h, h) with h = (n-1)/2.  Empty below n = 5."""
+def _rows_cwdd_a(n: int) -> list[Row]:
+    # at n = 5 the odd-n point (2, (n-1)/2) is (2, n-3); the merge keeps it once
     if n < 5:
         return []
-    points = {(2, 2, n - 2, n - 2), (2, 2, n - 3, n - 3)}
-    if n % 2 == 1:
-        h = (n - 1) // 2
-        points.add((2, h, h, h))
-    return sorted(points)
+    odd = [((2,), n // 2, n // 2)] if n % 2 else []
+    return merge_rows([((2,), n - 3, n - 2)] + odd)
 
 
-def enumerate_ra_b(n: int) -> list[Point4]:
-    """Tuples (a, d, d, d) with 3 <= a <= d <= floor((n-1)/2) and n < a + 2d."""
+def _rows_cwdd_b(n: int) -> list[Row]:
+    # n/3 < b < n/2 is n // 3 < b <= (n - 1) // 2
+    return [((b,), b, b) for b in range(n // 3 + 1, (n - 1) // 2 + 1)]
+
+
+def _rows_cwdd_c(n: int) -> list[Row]:
+    # (n-a)/2 < b is b > (n - a) // 2
+    return [((a,), max(a + 1, (n - a) // 2 + 1), n - a) for a in range(3, (n - 1) // 2 + 1)]
+
+
+def _rows_ra_a(n: int) -> list[Row]:
+    # at n = 5 the odd-n tuple (2, h, h, h) is (2, 2, n-3, n-3); the merge keeps it once
+    if n < 5:
+        return []
+    odd = [((2, n // 2), n // 2, n // 2)] if n % 2 else []
+    return merge_rows([((2, 2), n - 3, n - 2)] + odd)
+
+
+def _rows_ra_b(n: int) -> list[Row]:
+    # one point per row, since r = d; n < a + 2d is d > (n - a) // 2
     top = (n - 1) // 2
     return [
-        (a, d, d, d)
+        ((a, d), d, d)
         for a in range(3, top + 1)
-        for d in range(a, top + 1)
-        if n < a + 2 * d
+        for d in range(max(a, (n - a) // 2 + 1), top + 1)
     ]
 
 
-def enumerate_ra_c(n: int) -> list[Point4]:
-    """Tuples (a, a, d, d) with 3 <= a < d <= n - a and n <= 2a + d - 1.
-
-    The bound a <= floor((n-1)/2) is forced by a < d <= n - a.
-    """
-    return [
-        (a, a, d, d)
-        for a in range(3, (n - 1) // 2 + 1)
-        for d in range(a + 1, n - a + 1)
-        if n <= 2 * a + d - 1
-    ]
+def _rows_ra_c(n: int) -> list[Row]:
+    # a < d <= n - a forces a <= floor((n-1)/2)
+    return [((a, a), max(a + 1, n - 2 * a + 1), n - a) for a in range(3, (n - 1) // 2 + 1)]
 
 
-def enumerate_ra_d(n: int) -> list[Point4]:
-    """Tuples (a, r, d, d) with 3 <= a < r < d < n - r and n + 2 <= a + r + d.
-
-    Loop bounds: r < d < n - r forces r <= floor(n/2) - 1 and hence
-    a <= floor(n/2) - 2; for fixed (a, r) the valid d form the contiguous
-    range max(r + 1, n - a - r + 2) .. n - r - 1.  A naive scan of the full
-    cube [1, n]^3 gives the same set (checked in the test suite).
-    """
+def _rows_ra_d(n: int) -> list[Row]:
+    """r < d < n - r forces r <= floor(n/2) - 1 and hence a <= floor(n/2) - 2;
+    for fixed (a, r) the valid d form the nonempty range
+    max(r + 1, n - a - r + 2) .. n - r - 1.  A naive scan of the full cube
+    [1, n]^3 gives the same set (checked in the test suite)."""
     half = n // 2
     return [
-        (a, r, d, d)
+        ((a, r), max(r + 1, n - a - r + 2), n - r - 1)
         for a in range(3, half - 1)
         for r in range(a + 1, half)
-        for d in range(max(r + 1, n - a - r + 2), n - r)
     ]
 
 
-def enumerate_ra(n: int) -> list[Point4]:
-    """All (depth, reg, dim, deg h) tuples achieved on n vertices.
-
-    The four components are provably pairwise disjoint, so their sorted
-    concatenation has no adjacent duplicates; this is re-checked at
-    runtime and a repeated point raises InternalInconsistencyError (it
-    would mean an enumeration bug, not bad input).
-    """
-    points = sorted(
-        enumerate_ra_a(n) + enumerate_ra_b(n) + enumerate_ra_c(n) + enumerate_ra_d(n)
-    )
-    repeated = next((p for p, q in zip(points, points[1:]) if p == q), None)
-    if repeated is not None:
-        raise InternalInconsistencyError(
-            f"ra components overlap at n={n}: {repeated} is in two of them"
-        )
-    return points
-
-
-# ---------------------------------------------------------------------------
-# bounding polytopes for arbitrary graphs
-# ---------------------------------------------------------------------------
-
-def enumerate_c_minus(n: int) -> list[Point2]:
-    """Lower bounding polytope: {(1, n-1)} plus the slab of ``beta``.  n >= 3."""
+def _rows_c_minus(n: int) -> list[Row]:
+    # the slab of beta, its row a = 1 extended by the apex (1, n-1)
     if n < 3:
         raise DomainError(f"c-minus is defined only for n >= 3, got {n}")
-    points = [(a, b) for a in range(1, n // 2 + 1) for b in range(a, n - 1)]
-    points.append((1, n - 1))
-    return sorted(points)
+    return [((a,), a, n - 1 if a == 1 else n - 2) for a in range(1, n // 2 + 1)]
 
 
-def enumerate_c_plus(n: int) -> list[Point2]:
-    """Upper bounding polytope: all (a, b) with 1 <= a <= b <= n-1.  n >= 3."""
+def _rows_c_plus(n: int) -> list[Row]:
     if n < 3:
         raise DomainError(f"c-plus is defined only for n >= 3, got {n}")
-    return [(a, b) for a in range(1, n) for b in range(a, n)]
+    return [((a,), a, n - 1) for a in range(1, n)]
 
 
-def enumerate_beta(n: int) -> list[Point2]:
-    """The slab 1 <= a <= floor(n/2), a <= b <= n-2.  n >= 4."""
+def _rows_beta(n: int) -> list[Row]:
     if n < 4:
         raise DomainError(f"beta is defined only for n >= 4, got {n}")
-    return [(a, b) for a in range(1, n // 2 + 1) for b in range(a, n - 1)]
+    return [((a,), a, n - 2) for a in range(1, n // 2 + 1)]
 
 
-ENUMERATORS = {
-    NamedSet.CWDD_A: enumerate_cwdd_a,
-    NamedSet.CWDD_B: enumerate_cwdd_b,
-    NamedSet.CWDD_C: enumerate_cwdd_c,
-    NamedSet.CWDD: enumerate_cwdd,
-    NamedSet.RA_A: enumerate_ra_a,
-    NamedSet.RA_B: enumerate_ra_b,
-    NamedSet.RA_C: enumerate_ra_c,
-    NamedSet.RA_D: enumerate_ra_d,
-    NamedSet.RA: enumerate_ra,
-    NamedSet.C_MINUS: enumerate_c_minus,
-    NamedSet.C_PLUS: enumerate_c_plus,
-    NamedSet.BETA: enumerate_beta,
+ROW_SOURCES = {
+    NamedSet.CWDD_A: _rows_cwdd_a,
+    NamedSet.CWDD_B: _rows_cwdd_b,
+    NamedSet.CWDD_C: _rows_cwdd_c,
+    NamedSet.RA_A: _rows_ra_a,
+    NamedSet.RA_B: _rows_ra_b,
+    NamedSet.RA_C: _rows_ra_c,
+    NamedSet.RA_D: _rows_ra_d,
+    NamedSet.C_MINUS: _rows_c_minus,
+    NamedSet.C_PLUS: _rows_c_plus,
+    NamedSet.BETA: _rows_beta,
 }
+
+# The components of the two union sets, in the order the reports label
+# them "a", "b", ...
+UNION_PARTS = {
+    NamedSet.CWDD: (NamedSet.CWDD_A, NamedSet.CWDD_B, NamedSet.CWDD_C),
+    NamedSet.RA: (NamedSet.RA_A, NamedSet.RA_B, NamedSet.RA_C, NamedSet.RA_D),
+}
+
+
+def union_rows(set_id: NamedSet, part_rows) -> list[Row]:
+    """The rows of a union set, merged from ``part_rows[part]`` for each of
+    its parts (a mapping from set to rows at one n)."""
+    return merge_rows(chain.from_iterable(part_rows[part] for part in UNION_PARTS[set_id]))
+
+
+def rows(set_id: NamedSet, n: int) -> list[Row]:
+    """The rows of the named set at n, sorted and non-overlapping.
+
+    The ra components are provably pairwise disjoint; a point in two of
+    them raises InternalInconsistencyError (an enumeration bug, not bad
+    input).
+    """
+    _require_int(n)
+    if set_id not in UNION_PARTS:
+        return ROW_SOURCES[set_id](n)
+    parts = {part: rows(part, n) for part in UNION_PARTS[set_id]}
+    if set_id is NamedSet.RA:
+        for x, y in combinations(parts.values(), 2):
+            common = intersect_rows(x, y)
+            if common:
+                raise InternalInconsistencyError(
+                    f"ra components overlap at n={n}: "
+                    f"{expand_rows(common)[0]} is in two of them"
+                )
+    return union_rows(set_id, parts)
+
+
+# ---------------------------------------------------------------------------
+# enumeration: the rows, expanded
+# ---------------------------------------------------------------------------
+
+def _enumerator(set_id: NamedSet):
+    def enumerate_points(n: int) -> list[tuple[int, ...]]:
+        return expand_rows(rows(set_id, n))
+
+    name = f"enumerate_{set_id.name.lower()}"
+    enumerate_points.__name__ = enumerate_points.__qualname__ = name
+    enumerate_points.__doc__ = f"The points of ``{set_id.value}`` at n, in ascending order."
+    return enumerate_points
+
+
+ENUMERATORS = {set_id: _enumerator(set_id) for set_id in NamedSet}
+enumerate_cwdd_a = ENUMERATORS[NamedSet.CWDD_A]
+enumerate_cwdd_b = ENUMERATORS[NamedSet.CWDD_B]
+enumerate_cwdd_c = ENUMERATORS[NamedSet.CWDD_C]
+enumerate_cwdd = ENUMERATORS[NamedSet.CWDD]
+enumerate_ra_a = ENUMERATORS[NamedSet.RA_A]
+enumerate_ra_b = ENUMERATORS[NamedSet.RA_B]
+enumerate_ra_c = ENUMERATORS[NamedSet.RA_C]
+enumerate_ra_d = ENUMERATORS[NamedSet.RA_D]
+enumerate_ra = ENUMERATORS[NamedSet.RA]
+enumerate_c_minus = ENUMERATORS[NamedSet.C_MINUS]
+enumerate_c_plus = ENUMERATORS[NamedSet.C_PLUS]
+enumerate_beta = ENUMERATORS[NamedSet.BETA]
 
 
 def enumerate_set(set_id: NamedSet, n: int) -> list[tuple[int, ...]]:
@@ -340,10 +395,11 @@ def contains(set_id: NamedSet, n: int, point: tuple[int, ...]) -> bool:
     Evaluates the set's defining inequalities directly, so it agrees with
     membership in the corresponding enumeration without materializing it.
     Raises ArityMismatchError when the point's coordinate count does not
-    match the set, TypeError when a coordinate is not an int, and
+    match the set, TypeError when n or a coordinate is not an int, and
     DomainError for c-minus/c-plus below n = 3 and beta below n = 4 (where
     those sets are undefined).
     """
+    _require_int(n)
     if len(point) != set_id.arity:
         raise ArityMismatchError(
             f"{set_id.value} expects {set_id.arity}-coordinate points, "

@@ -5,13 +5,13 @@ import pytest
 from cwlattice import (
     CensusReport,
     DomainError,
+    NamedSet,
     check_cross_projection,
     check_disjointness,
-    enumerate_cwdd_a,
-    enumerate_cwdd_b,
-    enumerate_ra_b,
     enumerate_ra_d,
+    enumerate_set,
     run_census,
+    sets,
 )
 from cwlattice.census import FAMILY_SETS
 
@@ -89,16 +89,46 @@ def test_check_cross_projection():
     assert check_cross_projection(3)  # vacuous below 5
 
 
-def test_checks_on_prebuilt_component_sets():
-    cw = {"a": set(enumerate_cwdd_a(12)), "b": set(enumerate_cwdd_b(12)), "c": set()}
-    assert not check_cross_projection(12, cwdd_parts=cw)
-    ra = {"b": set(enumerate_ra_b(12)), "d": set(enumerate_ra_d(12))}
-    ra["b"].add(enumerate_ra_d(12)[0])
-    rep = check_disjointness(12, cwdd_parts={}, ra_parts=ra)
-    assert rep.cwdd_overlaps == {}
-    assert rep.ra_overlaps == {"bd": (enumerate_ra_d(12)[0],)}
+def test_checks_on_faulty_row_sources(monkeypatch):
+    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.CWDD_C, lambda n: [])
+    assert not check_cross_projection(12)
+    monkeypatch.undo()
+    rows_ra_b = sets.ROW_SOURCES[NamedSet.RA_B]
+    repeated = sets.ROW_SOURCES[NamedSet.RA_D](12)[0]
+    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.RA_B,
+                        lambda n: sorted(rows_ra_b(n) + [repeated]))
+    rep = check_disjointness(12)
+    assert all(v == () for v in rep.cwdd_overlaps.values())
+    assert rep.ra_overlaps["bd"] == (enumerate_ra_d(12)[0],)
+    assert [pair for pair, v in rep.ra_overlaps.items() if v] == ["bd"]
     assert not rep.ok
-    assert check_disjointness(5, cwdd_parts={}).ok
+
+
+@pytest.mark.parametrize("family", ["cwdd", "bounds", "all"])
+def test_short_c_plus_row_fails_containment(monkeypatch, family):
+    rows_c_plus = sets.ROW_SOURCES[NamedSet.C_PLUS]
+
+    def cut_short(n):
+        rows = rows_c_plus(n)
+        prefix, lo, hi = rows[1]  # the row a = 2 ends at n - 1; cut it to n - 4
+        return [rows[0], (prefix, lo, hi - 3)] + rows[2:]
+
+    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.C_PLUS, cut_short)
+    record = run_census(12, 12, family).records[0]
+    assert not record.containment_ok
+    assert record.disjointness_ok and record.sandwich_ok
+    assert not record.passed
+
+
+@pytest.mark.parametrize("set_id", list(NamedSet))
+def test_census_counts_equal_enumeration_lengths(set_id):
+    family = next(f for f in ("cwdd", "ra", "bounds") if set_id in FAMILY_SETS[f])
+    for record in run_census(3, 60, family).records:
+        enum_count = record.counts[set_id.value][0]
+        if enum_count is None:
+            assert set_id is NamedSet.BETA and record.n == 3
+            continue
+        assert enum_count == len(enumerate_set(set_id, record.n)), record.n
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_SETS))

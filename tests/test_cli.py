@@ -96,6 +96,13 @@ def test_enumerate_json_round_trip(capsys):
     assert len(payload["points"]) == 11
 
 
+def test_enumerate_refuses_sets_over_the_limit(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--n", "100000", "--set", "ra")
+    assert code == 2
+    assert out == ""
+    assert "13887639013885" in err and "2000000" in err
+
+
 def test_enumerate_invalid_inputs(capsys):
     code, _, _ = run_cli(capsys, "enumerate", "--n", "12", "--set", "no-such-set")
     assert code == 2
@@ -108,12 +115,6 @@ def test_verify_pass_and_fail_free(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "12")
     assert code == 0
     assert "verdict: pass" in out
-
-
-def replace_enumerator(monkeypatch, set_id, fn):
-    """Swap a set's enumerator under its module name and in the ENUMERATORS table."""
-    monkeypatch.setattr(sets, sets.ENUMERATORS[set_id].__name__, fn)
-    monkeypatch.setitem(sets.ENUMERATORS, set_id, fn)
 
 
 def test_closed_form_fault_fails_census_and_verify(capsys, monkeypatch):
@@ -133,24 +134,24 @@ def test_closed_form_fault_fails_census_and_verify(capsys, monkeypatch):
 ])
 def test_repeated_component_point_fails_disjointness(capsys, monkeypatch, family, victim,
                                                     donor):
-    enumerate_victim = sets.ENUMERATORS[victim]
-    repeated = sets.ENUMERATORS[donor](12)[0]
-    replace_enumerator(monkeypatch, victim, lambda n: enumerate_victim(n) + [repeated])
+    victim_rows = sets.ROW_SOURCES[victim]
+    repeated = sets.ROW_SOURCES[donor](12)[0]
+    monkeypatch.setitem(sets.ROW_SOURCES, victim, lambda n: sorted(victim_rows(n) + [repeated]))
     code, out, _ = run_cli(capsys, "census", "--from", "12", "--to", "12", "--family", family)
     assert code == 1
     assert out.splitlines()[0].endswith("disjointness_ok,sandwich_ok,containment_ok")
     assert not CensusReport.from_csv(out).records[0].disjointness_ok
 
 
-def test_verify_enumerates_ra_d_once(capsys, monkeypatch):
+def test_verify_builds_ra_d_rows_once(capsys, monkeypatch):
     calls = []
-    enumerate_ra_d = sets.enumerate_ra_d
+    rows_ra_d = sets.ROW_SOURCES[NamedSet.RA_D]
 
     def counted(n):
         calls.append(n)
-        return enumerate_ra_d(n)
+        return rows_ra_d(n)
 
-    replace_enumerator(monkeypatch, NamedSet.RA_D, counted)
+    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.RA_D, counted)
     code, _, _ = run_cli(capsys, "verify", "--n", "12")
     assert code == 0
     assert calls == [12]

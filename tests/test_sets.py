@@ -21,8 +21,10 @@ from cwlattice import (
     enumerate_ra_c,
     enumerate_ra_d,
     enumerate_set,
+    realize,
 )
 from cwlattice import sets
+from cwlattice.formulas import SIZE_BY_SET
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +268,40 @@ def test_contains_rejects_non_integer_coordinates():
 
 
 def test_enumerate_ra_rejects_overlapping_components(monkeypatch):
-    repeated = enumerate_ra_d(12)[0]
-    monkeypatch.setattr(sets, "enumerate_ra_b", lambda n: enumerate_ra_b(n) + [repeated])
-    with pytest.raises(InternalInconsistencyError, match="overlap"):
+    rows_ra_b = sets.ROW_SOURCES[NamedSet.RA_B]
+    repeated = sets.ROW_SOURCES[NamedSet.RA_D](12)[0]
+    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.RA_B,
+                        lambda n: sorted(rows_ra_b(n) + [repeated]))
+    with pytest.raises(InternalInconsistencyError, match=r"overlap.*\(3, 4, 7, 7\)"):
         enumerate_ra(12)
+
+
+@pytest.mark.parametrize("n", [12.0, 13.5, "12", None])
+def test_non_integer_n_is_rejected(n):
+    for size in SIZE_BY_SET.values():
+        with pytest.raises(TypeError):
+            size(n)
+    for set_id in NamedSet:
+        with pytest.raises(TypeError):
+            enumerate_set(set_id, n)
+        with pytest.raises(TypeError):
+            contains(set_id, n, (5,) * set_id.arity)
+    with pytest.raises(TypeError):
+        realize(n, (5, 5))
+
+
+@pytest.mark.parametrize("n", range(3, 61))
+def test_rows_sorted_and_disjoint(n):
+    for set_id in NamedSet:
+        try:
+            rows = sets.rows(set_id, n)
+        except DomainError:
+            continue
+        assert rows == sorted(rows)
+        for (p, _, hi), (q, lo, _) in zip(rows, rows[1:]):
+            assert p != q or hi < lo, (set_id, n)
+        assert all(lo <= hi and len(p) == set_id.arity // 2 for p, lo, hi in rows)
+        assert sets.count_rows(rows) == len(enumerate_set(set_id, n))
 
 
 def test_contains_arity_mismatch():
