@@ -61,6 +61,7 @@ from .graphs import (
     is_star,
     is_star_triangle,
     matching_number,
+    not_cw_reason,
     parse_edge_list,
     parse_graph,
     realize,

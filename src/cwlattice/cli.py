@@ -8,6 +8,8 @@ input errors, 3 unsupported realization, 4 graph over the search cap.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -27,28 +29,29 @@ from .graphs import (
     edge_ideal_generators,
     format_edge_list,
     induced_matching_number,
-    is_cameron_walker,
-    is_connected,
-    is_star,
-    is_star_triangle,
     matching_number,
+    not_cw_reason,
     parse_edge_list,
     realize,
     structure_vertex_names,
 )
-from .sets import NamedSet, enumerate_set
+from .sets import NamedSet, enumerate_set, expand_rows, rows
 
 DEFAULT_CENSUS_CAP = 300
 # the most points `enumerate` lists; every set fits for n <= 500
 ENUMERATE_LIMIT = 2_000_000
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _output(out_path: str | None):
+    """A context giving the file to write to: out_path, or stdout left open."""
     if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(out_path, "w", encoding="utf-8")
+
+
+def _emit(text: str, out_path: str | None) -> None:
+    with _output(out_path) as handle:
+        handle.write(text)
 
 
 def _frac_json(value: Fraction) -> dict[str, int]:
@@ -73,15 +76,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if size > ENUMERATE_LIMIT:
         raise DomainError(f"{set_id.value} has {size} points at n = {args.n}, "
                           f"over the enumerate limit of {ENUMERATE_LIMIT}")
-    points = enumerate_set(set_id, args.n)
-    if args.format == "csv":
-        text = "".join(",".join(str(c) for c in p) + "\n" for p in points)
-    else:
-        text = json.dumps(
+    if args.format == "json":
+        points = enumerate_set(set_id, args.n)
+        _emit(json.dumps(
             {"set": set_id.value, "n": args.n, "points": [list(p) for p in points]},
             indent=2,
-        ) + "\n"
-    _emit(text, args.out)
+        ) + "\n", args.out)
+        return 0
+    # CSV is written one row at a time, so only one row's points are held
+    set_rows = rows(set_id, args.n)
+    with _output(args.out) as handle:
+        for row in set_rows:
+            handle.write("".join(",".join(map(str, p)) + "\n" for p in expand_rows([row])))
     return 0
 
 
@@ -164,36 +170,24 @@ def cmd_realize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _not_cw_reason(graph) -> str:
-    if not is_connected(graph):
-        return "disconnected"
-    if matching_number(graph) != induced_matching_number(graph):
-        return "m≠im"
-    if is_star(graph):
-        return "star"
-    if is_star_triangle(graph):
-        return "star triangle"
-    return ""
-
-
 def cmd_recognize(args: argparse.Namespace) -> int:
     with open(args.input, encoding="utf-8") as handle:
         graph, _ = parse_edge_list(handle.read())
     m = matching_number(graph)
     im = induced_matching_number(graph)
-    verdict = is_cameron_walker(graph)
+    reason = not_cw_reason(graph, m, im)
     if args.format == "json":
         print(json.dumps({
-            "cameron_walker": verdict,
+            "cameron_walker": not reason,
             "matching_number": m,
             "induced_matching_number": im,
-            "reason": None if verdict else _not_cw_reason(graph),
+            "reason": reason or None,
         }, indent=2))
     else:
-        if verdict:
-            print(f"CW: m={m} im={im}")
+        if reason:
+            print(f"not CW: m={m} im={im} ({reason})")
         else:
-            print(f"not CW: m={m} im={im} ({_not_cw_reason(graph)})")
+            print(f"CW: m={m} im={im}")
     return 0
 
 
@@ -207,6 +201,19 @@ def cmd_ideal(args: argparse.Namespace) -> int:
         for a, b in generators:
             print(f"{a}{b}")
     return 0
+
+
+# Subcommand name to handler.  main() looks the handler up here on every
+# call, so the parser it keeps holds no functions.
+COMMANDS = {
+    "census": cmd_census,
+    "enumerate": cmd_enumerate,
+    "verify": cmd_verify,
+    "bounds": cmd_bounds,
+    "realize": cmd_realize,
+    "recognize": cmd_recognize,
+    "ideal": cmd_ideal,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,23 +232,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
     p.add_argument("--force", action="store_true",
                    help=f"allow ranges past n = {DEFAULT_CENSUS_CAP}")
-    p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("enumerate", help="list the points of one lattice set")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", required=True, choices=[s.value for s in NamedSet])
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run every check at a single n")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", help="sandwich envelope and census ratios at n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("realize", help="realize a (depth, dim) point as a skeleton")
     p.add_argument("--n", type=int, required=True)
@@ -250,29 +253,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-graph", action="store_true",
                    help="also print the built graph's edge list")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("recognize", help="decide the Cameron-Walker property")
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("ideal", help="emit edge-ideal generators of a graph")
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_ideal)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of main() and then reused."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except GraphTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -12,9 +12,16 @@ graphs from it, decides matching invariants by exhaustive search, checks
 the Cameron-Walker property, emits edge-ideal generators, and realizes
 achievable (depth, dim) lattice points as skeletons.
 
-Matching searches are exact branch-and-bound over edge subsets and are
-capped at MAX_BRUTE_FORCE_EDGES edges; beyond the cap a
-GraphTooLargeError asks the caller to shrink the instance.
+Both matching searches are exact branch and bound on bitmasks.  The
+matching number branches over vertices: a live vertex of least live
+degree is matched to each live neighbour or left unmatched (a vertex with
+one live neighbour is simply matched to it), pruned when the live vertices
+cannot add enough pairs to beat the best so far.  The induced matching
+number is a largest conflict-free set of edges, where an edge conflicts
+with every edge touching its endpoints or their neighbours; the conflict
+masks are unions of per-vertex incidence masks.  Both are capped at
+MAX_BRUTE_FORCE_EDGES edges; beyond the cap a GraphTooLargeError asks
+the caller to shrink the instance.
 """
 
 from __future__ import annotations
@@ -126,35 +133,76 @@ def _check_size(g: Graph) -> list[tuple[int, int]]:
 
 
 def matching_number(g: Graph) -> int:
-    """Maximum size of a set of pairwise vertex-disjoint edges (exact)."""
-    edges = _check_size(g)
-    conflicts = [0] * len(edges)
-    for a, (u, v) in enumerate(edges):
-        for b in range(a + 1, len(edges)):
-            x, y = edges[b]
-            if u in (x, y) or v in (x, y):
-                conflicts[a] |= 1 << b
-                conflicts[b] |= 1 << a
-    return _largest_conflict_free(conflicts)
+    """Maximum size of a set of pairwise vertex-disjoint edges (exact).
+
+    Branch and bound over a bitmask of live vertices (unmatched and not
+    given up).  A node picks a live vertex of least live degree and either
+    matches it to each live neighbour in turn or leaves it unmatched; a
+    vertex with one live neighbour is matched to it outright, which some
+    maximum matching always does.  A node is pruned when even matching
+    every pair of live vertices cannot beat the incumbent.
+    """
+    _check_size(g)
+    adj = [0] * g.vertex_count  # bit w of adj[v] is set when vw is an edge
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    best = 0
+
+    def grow(live: int, size: int) -> None:
+        nonlocal best
+        if size > best:
+            best = size
+        pick, pick_nbrs, least = -1, 0, 0
+        scan = live
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            v = low.bit_length() - 1
+            nbrs = adj[v] & live
+            if not nbrs:
+                live ^= low  # no live neighbour left: it stays unmatched
+                continue
+            degree = nbrs.bit_count()
+            if pick < 0 or degree < least:
+                pick, pick_nbrs, least = v, nbrs, degree
+                if degree == 1:
+                    break
+        if pick < 0 or size + live.bit_count() // 2 <= best:
+            return
+        live &= ~(1 << pick)
+        while pick_nbrs:
+            low = pick_nbrs & -pick_nbrs
+            pick_nbrs ^= low
+            grow(live & ~low, size + 1)
+        if least > 1:
+            grow(live, size)
+
+    grow((1 << g.vertex_count) - 1, 0)
+    return best
 
 
 def induced_matching_number(g: Graph) -> int:
     """Maximum matching whose edges are also pairwise unjoined by any edge.
 
     Two chosen edges conflict when they share a vertex or when some edge of
-    the graph connects an endpoint of one to an endpoint of the other.
+    the graph connects an endpoint of one to an endpoint of the other: edge
+    uv conflicts with every edge at a vertex of N(u) | N(v), which holds u
+    and v.  So its conflict mask is the union of those vertices' incidence
+    masks (bit i for each edge i at the vertex).
     """
     edges = _check_size(g)
-    edge_set = g.edges
-    conflicts = [0] * len(edges)
-    for a, (u, v) in enumerate(edges):
-        for b in range(a + 1, len(edges)):
-            x, y = edges[b]
-            if {u, v} & {x, y} or any(
-                (min(s, t), max(s, t)) in edge_set for s in (u, v) for t in (x, y)
-            ):
-                conflicts[a] |= 1 << b
-                conflicts[b] |= 1 << a
+    incident = [0] * g.vertex_count
+    for index, (u, v) in enumerate(edges):
+        incident[u] |= 1 << index
+        incident[v] |= 1 << index
+    adj = g.adjacency()
+    conflicts = []
+    for index, (u, v) in enumerate(edges):
+        mask = 0
+        for w in adj[u] | adj[v]:
+            mask |= incident[w]
+        conflicts.append(mask & ~(1 << index))
     return _largest_conflict_free(conflicts)
 
 
@@ -205,14 +253,27 @@ def is_star_triangle(g: Graph) -> bool:
     return False
 
 
+def not_cw_reason(g: Graph, m: int, im: int) -> str:
+    """Why g, with matching number m and induced matching number im, is not
+    Cameron-Walker: "disconnected", "m≠im", "star" or "star triangle",
+    the first that applies; "" when it is Cameron-Walker."""
+    if not is_connected(g):
+        return "disconnected"
+    if m != im:
+        return "m≠im"
+    if is_star(g):
+        return "star"
+    if is_star_triangle(g):
+        return "star triangle"
+    return ""
+
+
 def is_cameron_walker(g: Graph) -> bool:
     """Connected, matching number equals induced matching number, and
     neither a star nor a star triangle."""
     if not is_connected(g):
         return False
-    if matching_number(g) != induced_matching_number(g):
-        return False
-    return not is_star(g) and not is_star_triangle(g)
+    return not not_cw_reason(g, matching_number(g), induced_matching_number(g))
 
 
 # ---------------------------------------------------------------------------

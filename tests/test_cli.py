@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from cwlattice import CensusReport, NamedSet, census, sets, size_ra_d
+from cwlattice import (CensusReport, NamedSet, census, cli, graphs, sets, size_ra,
+                       size_ra_d)
 from cwlattice.cli import main
 
 from conftest import CHORDED_HEXAGON_EDGES
@@ -221,6 +222,47 @@ def test_recognize_star_reason(capsys, tmp_path):
     assert out == "not CW: m=1 im=1 (star)\n"
 
 
+@pytest.mark.parametrize("text, m, im, reason", [
+    ("a b\nc d\n", 2, 2, "disconnected"),
+    ("a b\nb c\nc a\n", 1, 1, "star triangle"),
+])
+def test_recognize_reasons_text_and_json(capsys, tmp_path, text, m, im, reason):
+    path = tmp_path / "g.edges"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "recognize", "--input", str(path))
+    assert code == 0
+    assert out == f"not CW: m={m} im={im} ({reason})\n"
+    code, out, _ = run_cli(capsys, "recognize", "--input", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"cameron_walker": False, "matching_number": m,
+                               "induced_matching_number": im, "reason": reason}
+
+
+@pytest.mark.parametrize("text", [
+    "u0 v0\nu0 l0\nv0 w0\nv0 w1\nw0 w1\n",  # CW
+    "a b\nc d\n",                            # disconnected
+    "c a\nc b\nc d\n",                        # star
+])
+def test_recognize_runs_each_search_once(capsys, monkeypatch, tmp_path, text):
+    path = tmp_path / "g.edges"
+    path.write_text(text, encoding="utf-8")
+    calls = []
+    for name in ("matching_number", "induced_matching_number"):
+        search = getattr(graphs, name)
+
+        def counted(g, name=name, search=search):
+            calls.append(name)
+            return search(g)
+
+        monkeypatch.setattr(graphs, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    for fmt in ("text", "json"):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "recognize", "--input", str(path), "--format", fmt)
+        assert code == 0
+        assert sorted(calls) == ["induced_matching_number", "matching_number"]
+
+
 def test_recognize_missing_file_exit_2(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "recognize", "--input", str(tmp_path / "absent.edges"))
     assert code == 2
@@ -265,6 +307,41 @@ def test_byte_deterministic_output(capsys):
     first = run_cli(capsys, "census", "--from", "5", "--to", "30", "--family", "all")
     second = run_cli(capsys, "census", "--from", "5", "--to", "30", "--family", "all")
     assert first == second
+
+
+def test_parser_reuse_keeps_no_state(capsys, hexagon_file):
+    code, out, _ = run_cli(capsys, "census", "--from", "5", "--to", "6", "--format", "json")
+    assert code == 0 and out.startswith("{")
+    code, out, _ = run_cli(capsys, "census", "--from", "5", "--to", "6")
+    assert code == 0 and out.startswith("n,k,i,")
+    code, out, _ = run_cli(capsys, "recognize", "--input", hexagon_file, "--format", "json")
+    assert code == 0 and json.loads(out)["reason"] == "m≠im"
+    code, out, _ = run_cli(capsys, "recognize", "--input", hexagon_file)
+    assert code == 0 and out == "not CW: m=3 im=2 (m≠im)\n"
+
+
+def test_call_after_argument_error_matches_a_first_call(capsys):
+    def first_call(*argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        proc = subprocess.run([sys.executable, "-m", "cwlattice", *argv],
+                              capture_output=True, text=True, env=env)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    bad = ("enumerate", "--n", "5", "--set", "ra", "--format", "json", "--bogus")
+    good = ("enumerate", "--n", "5", "--set", "ra")
+    assert run_cli(capsys, *bad) == first_call(*bad)
+    assert run_cli(capsys, *bad)[0] == 2
+    assert run_cli(capsys, *good) == first_call(*good) == (0, "2,2,2,2\n2,2,3,3\n", "")
+
+
+def test_enumerate_csv_to_file_equals_stdout(capsys, tmp_path):
+    out_file = tmp_path / "points.csv"
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "40", "--set", "ra")
+    assert code == 0 and out.count("\n") == size_ra(40)
+    code, printed, _ = run_cli(capsys, "enumerate", "--n", "40", "--set", "ra",
+                               "--out", str(out_file))
+    assert code == 0 and printed == ""
+    assert out_file.read_text(encoding="utf-8") == out
 
 
 def test_module_entry_point():

@@ -1,5 +1,6 @@
 """Graph machinery tests: matching brute force, recognition, realization."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -27,6 +28,7 @@ from cwlattice import (
     is_star,
     is_star_triangle,
     matching_number,
+    not_cw_reason,
     parse_edge_list,
     parse_graph,
     realize,
@@ -148,6 +150,34 @@ def test_matching_matches_subset_oracle(g):
     assert im <= m <= g.vertex_count // 2
 
 
+def test_matching_matches_subset_oracle_up_to_14_edges():
+    rng = random.Random(20051)
+    for _ in range(120):
+        n = rng.randint(4, 16)
+        pairs = list(combinations(range(n), 2))
+        g = Graph.from_edges(n, rng.sample(pairs, rng.randint(1, min(14, len(pairs)))))
+        assert matching_number(g) == oracle_matching(g)
+        assert induced_matching_number(g) == oracle_induced_matching(g)
+
+
+def test_matching_numbers_at_the_cap():
+    cycle = Graph.from_edges(31, [(i, (i + 1) % 31) for i in range(31)])
+    assert (matching_number(cycle), induced_matching_number(cycle)) == (15, 10)
+    path = Graph.from_edges(33, [(i, i + 1) for i in range(32)])
+    assert (matching_number(path), induced_matching_number(path)) == (16, 11)
+    cw = CwStructure(2, 2, (3, 4), (3, 4))
+    skeleton = build_graph(cw)
+    assert len(skeleton.edges) == MAX_BRUTE_FORCE_EDGES
+    nu = cw.m + sum(cw.t)
+    assert (matching_number(skeleton), induced_matching_number(skeleton)) == (nu, nu)
+    # a forest: a comb (spine 0..15, tooth 16 + i on spine vertex i) and one
+    # more edge; every tooth is a leaf, so the search matches it outright
+    comb = [(i, i + 1) for i in range(15)] + [(i, 16 + i) for i in range(16)]
+    forest = Graph.from_edges(34, comb + [(32, 33)])
+    assert len(forest.edges) == MAX_BRUTE_FORCE_EDGES
+    assert (matching_number(forest), induced_matching_number(forest)) == (17, 9)
+
+
 def test_matching_size_cap():
     g = Graph.from_edges(34, [(i, i + 1) for i in range(33)])
     assert len(g.edges) == MAX_BRUTE_FORCE_EDGES + 1
@@ -183,6 +213,17 @@ def test_is_cameron_walker_examples(chorded_hexagon):
     assert not is_cameron_walker(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
     assert not is_cameron_walker(chorded_hexagon)  # m=3 vs im=2
     assert not is_cameron_walker(Graph.from_edges(4, [(0, 1), (2, 3)]))  # disconnected
+
+
+def test_not_cw_reasons(chorded_hexagon):
+    def reason(g):
+        return not_cw_reason(g, matching_number(g), induced_matching_number(g))
+
+    assert reason(build_graph(CwStructure(1, 1, (1,), (1,)))) == ""
+    assert reason(Graph.from_edges(4, [(0, 1), (2, 3)])) == "disconnected"
+    assert reason(chorded_hexagon) == "m≠im"
+    assert reason(Graph.from_edges(5, [(0, i) for i in range(1, 5)])) == "star"
+    assert reason(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])) == "star triangle"
 
 
 # ---------------------------------------------------------------------------
