@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from . import formulas, sets
 from .errors import DomainError
@@ -25,10 +24,9 @@ from .formulas import SIZE_BY_SET, sandwich_bounds_cwdd, size_cwdd
 from .sets import NamedSet
 
 FAMILY_SETS: dict[str, tuple[NamedSet, ...]] = {
-    "cwdd": (NamedSet.CWDD_A, NamedSet.CWDD_B, NamedSet.CWDD_C, NamedSet.CWDD),
-    "ra": (NamedSet.RA_A, NamedSet.RA_B, NamedSet.RA_C, NamedSet.RA_D, NamedSet.RA),
-    "bounds": (NamedSet.C_MINUS, NamedSet.C_PLUS, NamedSet.BETA),
+    union.value: (*parts, union) for union, parts in sets.UNION_PARTS.items()
 }
+FAMILY_SETS["bounds"] = (NamedSet.C_MINUS, NamedSet.C_PLUS, NamedSet.BETA)
 FAMILY_SETS["all"] = FAMILY_SETS["cwdd"] + FAMILY_SETS["ra"] + FAMILY_SETS["bounds"]
 
 _BOOL_FIELDS = ("disjointness_ok", "sandwich_ok", "containment_ok")
@@ -39,7 +37,8 @@ class CensusRecord:
     """Verification results for a single n.
 
     counts maps each set tag to (enumerated size, closed-form size); a
-    (None, None) pair marks a set undefined at this n (only beta at n = 3).
+    (None, None) pair marks a set undefined at this n (see sets.FIRST_N;
+    the census starts at n = 3, so only beta at n = 3).
     """
 
     n: int
@@ -238,11 +237,8 @@ def _disjointness(n: int, built: _Rows, members: tuple[NamedSet, ...]) -> Disjoi
     def overlaps(union: NamedSet) -> dict[str, tuple[tuple[int, ...], ...]]:
         if union not in members:
             return {}
-        parts = zip("abcd", (built[part] for part in sets.UNION_PARTS[union]))
-        return {
-            x + y: tuple(sets.expand_rows(sets.intersect_rows(xs, ys)))
-            for (x, xs), (y, ys) in combinations(parts, 2)
-        }
+        return {pair: tuple(sets.expand_rows(common))
+                for pair, common in sets.union_overlaps(union, built)}
 
     return DisjointnessReport(n, overlaps(NamedSet.CWDD), overlaps(NamedSet.RA))
 
@@ -284,7 +280,7 @@ _SUBSETS = ((NamedSet.CWDD, NamedSet.C_PLUS), (NamedSet.C_MINUS, NamedSet.C_PLUS
 def _compute_record(n: int, family: str) -> CensusRecord:
     key = formulas.residue_decompose(n)
     members = FAMILY_SETS[family]
-    defined = [m for m in members if m is not NamedSet.BETA or n >= 4]  # beta needs n >= 4
+    defined = [m for m in members if sets.is_defined(m, n)]
     built = _Rows(n)
     counts: dict[str, tuple[int | None, int | None]] = {
         member.value: (sets.count_rows(built[member]), SIZE_BY_SET[member](n))

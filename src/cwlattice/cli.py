@@ -35,10 +35,11 @@ from .graphs import (
     realize,
     structure_vertex_names,
 )
-from .sets import NamedSet, enumerate_set, expand_rows, rows
+from .sets import NamedSet, expand_rows, rows
 
 DEFAULT_CENSUS_CAP = 300
-# the most points `enumerate` lists; every set fits for n <= 500
+# the most points `enumerate` lists (every set fits for n <= 500), and the
+# most vertices `realize` builds
 ENUMERATE_LIMIT = 2_000_000
 
 
@@ -49,24 +50,22 @@ def _output(out_path: str | None):
     return open(out_path, "w", encoding="utf-8")
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    with _output(out_path) as handle:
-        handle.write(text)
-
-
 def _frac_json(value: Fraction) -> dict[str, int]:
     return {"num": value.numerator, "den": value.denominator}
 
 
+def _census(n_lo: int, n_hi: int, family: str, force: bool):
+    """run_census, refused above DEFAULT_CENSUS_CAP unless forced (its cost grows as n^3)."""
+    if n_hi > DEFAULT_CENSUS_CAP and not force:
+        raise DomainError(f"census above n = {DEFAULT_CENSUS_CAP} needs --force: "
+                          f"census --from {n_lo} --to {n_hi} --force")
+    return run_census(n_lo, n_hi, family)
+
+
 def cmd_census(args: argparse.Namespace) -> int:
-    if args.n_lo < 3 or args.n_lo > args.n_hi:
-        raise DomainError(f"need 3 <= FROM <= TO, got {args.n_lo}..{args.n_hi}")
-    if args.n_hi > DEFAULT_CENSUS_CAP and not args.force:
-        raise DomainError(
-            f"census above n = {DEFAULT_CENSUS_CAP} needs --force"
-        )
-    report = run_census(args.n_lo, args.n_hi, args.family)
-    _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
+    report = _census(args.n_lo, args.n_hi, args.family, args.force)
+    with _output(args.out) as handle:
+        handle.write(report.to_csv() if args.format == "csv" else report.to_json())
     return 0 if report.all_pass else 1
 
 
@@ -76,24 +75,30 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if size > ENUMERATE_LIMIT:
         raise DomainError(f"{set_id.value} has {size} points at n = {args.n}, "
                           f"over the enumerate limit of {ENUMERATE_LIMIT}")
-    if args.format == "json":
-        points = enumerate_set(set_id, args.n)
-        _emit(json.dumps(
-            {"set": set_id.value, "n": args.n, "points": [list(p) for p in points]},
-            indent=2,
-        ) + "\n", args.out)
-        return 0
-    # CSV is written one row at a time, so only one row's points are held
+    # written one row of the set at a time, so only one row's points are
+    # held; the JSON is byte for byte that of json.dumps(..., indent=2)
     set_rows = rows(set_id, args.n)
+    fields = ["{}"] * set_id.arity
+    if args.format == "json":
+        head, tail = json.dumps({"set": set_id.value, "n": args.n, "points": []},
+                                indent=2).split("[]")
+        point, between = "    [\n      " + ",\n      ".join(fields) + "\n    ]", ",\n"
+        start, end = ((head + "[\n", "\n  ]" + tail + "\n") if set_rows
+                      else (head + "[]" + tail + "\n", ""))
+    else:
+        point, between, start, end = ",".join(fields), "\n", "", "\n" if set_rows else ""
     with _output(args.out) as handle:
-        for row in set_rows:
-            handle.write("".join(",".join(map(str, p)) + "\n" for p in expand_rows([row])))
+        handle.write(start)
+        for index, row in enumerate(set_rows):
+            handle.write((between if index else "")
+                         + between.join(point.format(*p) for p in expand_rows([row])))
+        handle.write(end)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
-    report = run_census(n, n, "all")
+    report = _census(n, n, "all", force=False)
     record = report.records[0]
     print(f"n = {n} (k = {record.k}, i = {record.i})")
     for tag, (enum_count, closed_count) in record.counts.items():
@@ -113,28 +118,26 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     n = args.n
     lower, upper = sandwich_bounds_cwdd(n)
     ratios = ratio_report(n)
+    fields = {
+        "n": n,
+        "size_cwdd": size_cwdd(n),
+        "sandwich_lower": lower,
+        "sandwich_upper": upper,
+        "cwdd_over_cplus": ratios.cwdd_over_cplus,
+        "cwdd_over_cminus": ratios.cwdd_over_cminus,
+        "cwdd_over_nsq": ratios.cwdd_over_nsq,
+    }
     if args.format == "json":
-        print(json.dumps({
-            "n": n,
-            "size_cwdd": size_cwdd(n),
-            "sandwich_lower": _frac_json(lower),
-            "sandwich_upper": _frac_json(upper),
-            "cwdd_over_cplus": _frac_json(ratios.cwdd_over_cplus),
-            "cwdd_over_cminus": _frac_json(ratios.cwdd_over_cminus),
-            "cwdd_over_nsq": _frac_json(ratios.cwdd_over_nsq),
-        }, indent=2))
+        print(json.dumps(fields, indent=2, default=_frac_json))
     else:
-        print(f"n = {n}")
-        print(f"size_cwdd = {size_cwdd(n)}")
-        print(f"sandwich_lower = {lower}")
-        print(f"sandwich_upper = {upper}")
-        print(f"cwdd_over_cplus = {ratios.cwdd_over_cplus}")
-        print(f"cwdd_over_cminus = {ratios.cwdd_over_cminus}")
-        print(f"cwdd_over_nsq = {ratios.cwdd_over_nsq}")
+        for name, value in fields.items():
+            print(f"{name} = {value}")
     return 0
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
+    if args.n > ENUMERATE_LIMIT:
+        raise DomainError(f"realize needs n <= {ENUMERATE_LIMIT}, got {args.n}")
     result = realize(args.n, (args.depth, args.dim))
     if result.kind is RealizationKind.UNSUPPORTED:
         print(
@@ -154,12 +157,8 @@ def cmd_realize(args: argparse.Namespace) -> int:
             "t": list(cw.t),
         }
         if args.emit_graph:
-            graph = build_graph(cw)
-            names = structure_vertex_names(cw)
-            payload["edges"] = [
-                [a, b] for a, b in
-                sorted(tuple(sorted((names[u], names[v]))) for u, v in graph.edges)
-            ]
+            edges = edge_ideal_generators(build_graph(cw), structure_vertex_names(cw))
+            payload["edges"] = [list(edge) for edge in edges]
         print(json.dumps(payload, indent=2))
     else:
         s_txt = ",".join(str(x) for x in cw.s)

@@ -2,14 +2,16 @@
 
 Writing n = 6k + i with k >= 0 and 0 <= i <= 5 turns every set size into a
 polynomial in k selected by the residue i: degree <= 2 for the planar sets
-and degree 3 for the spatial ra components.  The same decomposition drives
-the sandwich bounds and ratio limits for the pair census.
+and degree 3 for the spatial ra components.  Each such size is a hand
+table, one polynomial over a fixed divisor per residue, and one evaluator
+reads them all.  The same decomposition drives the sandwich bounds and
+ratio limits for the pair census.
 
 Everything is computed in exact arithmetic.  Python integers are unbounded,
-so cubic terms can never overflow, and every fractional coefficient (the
-halves and eighths below) is applied as a division whose exactness is
-checked at runtime; an inexact division raises InternalInconsistencyError
-because the counts are integers by construction.
+so cubic terms can never overflow, and every fractional coefficient of a
+table (the halves and eighths below) is applied as a division whose
+exactness is checked at runtime; an inexact division raises
+InternalInconsistencyError because the counts are integers by construction.
 
 Each polynomial branch is pinned to the enumerations in
 :mod:`cwlattice.sets`: the test suite checks size_x(n) == len(enumerate_x(n))
@@ -23,27 +25,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalInconsistencyError
-from .sets import NamedSet, _require_int
+from .sets import UNION_PARTS, NamedSet, _require_defined, _require_int
 
 
 @dataclass(frozen=True)
 class ResidueKey:
-    """The decomposition n = 6k + i, with the parity of k recorded.
-
-    k_parity is redundant given k but is carried explicitly because it is
-    part of the indexing vocabulary of the piecewise formulas.
-    """
+    """The decomposition n = 6k + i."""
 
     k: int
     i: int
-    k_parity: str  # "even" or "odd"
 
     def __post_init__(self):
         if self.k < 0 or not 0 <= self.i <= 5:
             raise DomainError(f"invalid residue key (k={self.k}, i={self.i})")
-        expected = "even" if self.k % 2 == 0 else "odd"
-        if self.k_parity != expected:
-            raise DomainError(f"k_parity {self.k_parity!r} does not match k={self.k}")
+
+    @property
+    def k_parity(self) -> str:
+        """The parity of k, "even" or "odd", as the piecewise formulas name it."""
+        return "even" if self.k % 2 == 0 else "odd"
 
     @property
     def n(self) -> int:
@@ -56,29 +55,31 @@ def residue_decompose(n: int) -> ResidueKey:
     if n < 0:
         raise DomainError(f"residue decomposition needs n >= 0, got {n}")
     k, i = divmod(n, 6)
-    return ResidueKey(k=k, i=i, k_parity="even" if k % 2 == 0 else "odd")
+    return ResidueKey(k=k, i=i)
 
 
-def _exact_div(numerator: int, denominator: int) -> int:
-    q, r = divmod(numerator, denominator)
+ResidueTable = tuple[tuple[int, int, int, int, int], ...]
+
+
+def _residue_table(divisor: int, table: dict[int, tuple[int, ...]]) -> ResidueTable:
+    """A hand table {i: (coefficients of k, highest first)} of a polynomial
+    in k divided by divisor, as six rows (c3, c2, c1, c0, divisor) by i."""
+    return tuple((0,) * (4 - len(table[i])) + table[i] + (divisor,) for i in range(6))
+
+
+def _evaluate(table: ResidueTable, n: int) -> int:
+    """(c3 k^3 + c2 k^2 + c1 k + c0) / divisor from the row of i, for
+    n = 6k + i; the division is checked to be exact."""
+    k, i = divmod(n, 6)
+    c3, c2, c1, c0, divisor = table[i]
+    numerator = ((c3 * k + c2) * k + c1) * k + c0
+    q, r = divmod(numerator, divisor)
     if r:
         raise InternalInconsistencyError(
-            f"inexact division {numerator}/{denominator}; a closed-form "
+            f"inexact division {numerator}/{divisor}; a closed-form "
             "table entry must be wrong"
         )
     return q
-
-
-def _quad(table: dict[int, tuple[int, int, int]], n: int) -> int:
-    k, i = divmod(n, 6)
-    c2, c1, c0 = table[i]
-    return c2 * k * k + c1 * k + c0
-
-
-def _cubic_over_8(table: dict[int, tuple[int, int, int, int]], n: int) -> int:
-    k, i = divmod(n, 6)
-    c3, c2, c1, c0 = table[i]
-    return _exact_div(c3 * k ** 3 + c2 * k * k + c1 * k + c0, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +106,14 @@ def size_cwdd_b(n: int) -> int:
 
 
 # 6k^2 + c1*k + c0 per residue i
-_CWDD_C = {
+_CWDD_C = _residue_table(1, {
     0: (6, -7, 1),
     1: (6, -5, 0),
     2: (6, -3, -1),
     3: (6, -1, -1),
     4: (6, 1, -1),
     5: (6, 3, -1),
-}
+})
 
 
 def size_cwdd_c(n: int) -> int:
@@ -124,17 +125,17 @@ def size_cwdd_c(n: int) -> int:
     _require_int(n)
     if n <= 5:
         return 0
-    return _quad(_CWDD_C, n)
+    return _evaluate(_CWDD_C, n)
 
 
-_CWDD_TOTAL = {
+_CWDD_TOTAL = _residue_table(1, {
     0: (6, -6, 2),
     1: (6, -4, 3),
     2: (6, -2, 1),
     3: (6, 0, 2),
     4: (6, 2, 1),
     5: (6, 4, 3),
-}
+})
 
 
 def size_cwdd(n: int) -> int:
@@ -148,7 +149,7 @@ def size_cwdd(n: int) -> int:
         return 0
     if n == 5:
         return 2
-    return _quad(_CWDD_TOTAL, n)
+    return _evaluate(_CWDD_TOTAL, n)
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +162,14 @@ def size_ra_a(n: int) -> int:
 
 
 # (3k^2 + c1*k + c0) / 2 per residue i
-_RA_B = {
+_RA_B = _residue_table(2, {
     0: (3, -3, 0),
     1: (3, 1, -2),
     2: (3, -1, 0),
     3: (3, 3, -2),
     4: (3, 1, 0),
     5: (3, 5, 0),
-}
+})
 
 
 def size_ra_b(n: int) -> int:
@@ -181,20 +182,18 @@ def size_ra_b(n: int) -> int:
     _require_int(n)
     if n < 5:
         return 0
-    k, i = divmod(n, 6)
-    c2, c1, c0 = _RA_B[i]
-    return _exact_div(c2 * k * k + c1 * k + c0, 2)
+    return _evaluate(_RA_B, n)
 
 
 # 3k^2 + c1*k + c0 per residue i
-_RA_C = {
+_RA_C = _residue_table(1, {
     0: (3, 0, -3),
     1: (3, 1, -3),
     2: (3, 2, -3),
     3: (3, 3, -2),
     4: (3, 4, -2),
     5: (3, 5, -1),
-}
+})
 
 
 def size_ra_c(n: int) -> int:
@@ -209,18 +208,18 @@ def size_ra_c(n: int) -> int:
     _require_int(n)
     if n <= 5:
         return 0
-    return _quad(_RA_C, n)
+    return _evaluate(_RA_C, n)
 
 
 # (24k^3 + c2*k^2 + c1*k + c0) / 8 per residue i
-_RA_D = {
+_RA_D = _residue_table(8, {
     0: (24, -72, 72, -24),
     1: (24, -60, 44, -8),
     2: (24, -48, 32, -8),
     3: (24, -36, 12, 0),
     4: (24, -24, 8, 0),
     5: (24, -12, -4, 0),
-}
+})
 
 
 def size_ra_d(n: int) -> int:
@@ -237,17 +236,17 @@ def size_ra_d(n: int) -> int:
     _require_int(n)
     if n < 5:
         return 0
-    return _cubic_over_8(_RA_D, n)
+    return _evaluate(_RA_D, n)
 
 
-_RA_TOTAL = {
+_RA_TOTAL = _residue_table(8, {
     0: (24, -36, 60, -32),
     1: (24, -24, 56, -16),
     2: (24, -12, 44, -16),
     3: (24, 0, 48, 0),
     4: (24, 12, 44, 0),
     5: (24, 24, 56, 16),
-}
+})
 
 
 def size_ra(n: int) -> int:
@@ -257,7 +256,7 @@ def size_ra(n: int) -> int:
     _require_int(n)
     if n < 5:
         return 0
-    return _cubic_over_8(_RA_TOTAL, n)
+    return _evaluate(_RA_TOTAL, n)
 
 
 # ---------------------------------------------------------------------------
@@ -265,44 +264,36 @@ def size_ra(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 # (27k^2 + c1*k + c0) / 2 per residue i
-_BETA = {
+_BETA = _residue_table(2, {
     0: (27, -9, 0),
     1: (27, -3, 0),
     2: (27, 9, 0),
     3: (27, 15, 2),
     4: (27, 27, 6),
     5: (27, 33, 10),
-}
-
-
-def _beta_value(n: int) -> int:
-    k, i = divmod(n, 6)
-    c2, c1, c0 = _BETA[i]
-    return _exact_div(c2 * k * k + c1 * k + c0, 2)
+})
 
 
 def size_beta(n: int) -> int:
     """|beta| = sum over 1 <= a <= floor(n/2) of (n - a - 1).  n >= 4."""
     _require_int(n)
-    if n < 4:
-        raise DomainError(f"beta is defined only for n >= 4, got {n}")
-    return _beta_value(n)
+    _require_defined(NamedSet.BETA, n)
+    return _evaluate(_BETA, n)
 
 
 def size_c_minus(n: int) -> int:
     """|c-minus| = |beta| + 1: the apex (1, n-1) always lies outside the slab."""
     _require_int(n)
-    if n < 3:
-        raise DomainError(f"c-minus is defined only for n >= 3, got {n}")
-    return _beta_value(n) + 1
+    _require_defined(NamedSet.C_MINUS, n)
+    return _evaluate(_BETA, n) + 1
 
 
 def size_c_plus(n: int) -> int:
-    """|c-plus| = n(n-1)/2, the full triangle 1 <= a <= b <= n-1."""
+    """|c-plus| = n(n-1)/2, the full triangle 1 <= a <= b <= n-1 (one of n
+    and n - 1 is even, so the division is exact)."""
     _require_int(n)
-    if n < 3:
-        raise DomainError(f"c-plus is defined only for n >= 3, got {n}")
-    return _exact_div(n * (n - 1), 2)
+    _require_defined(NamedSet.C_PLUS, n)
+    return n * (n - 1) // 2
 
 
 SIZE_BY_SET = {
@@ -392,30 +383,20 @@ class SizeBreakdown:
             )
 
 
-def cwdd_breakdown(n: int) -> SizeBreakdown:
-    """Per-component sizes of the pair census; additivity is re-checked."""
+def _breakdown(union: NamedSet, n: int, overlap: int) -> SizeBreakdown:
     return SizeBreakdown(
         n=n,
-        components={
-            NamedSet.CWDD_A.value: size_cwdd_a(n),
-            NamedSet.CWDD_B.value: size_cwdd_b(n),
-            NamedSet.CWDD_C.value: size_cwdd_c(n),
-        },
-        overlap=1 if n == 5 else 0,
-        total=size_cwdd(n),
+        components={part.value: SIZE_BY_SET[part](n) for part in UNION_PARTS[union]},
+        overlap=overlap,
+        total=SIZE_BY_SET[union](n),
     )
+
+
+def cwdd_breakdown(n: int) -> SizeBreakdown:
+    """Per-component sizes of the pair census; additivity is re-checked."""
+    return _breakdown(NamedSet.CWDD, n, overlap=1 if n == 5 else 0)
 
 
 def ra_breakdown(n: int) -> SizeBreakdown:
     """Per-component sizes of the tuple census; components never overlap."""
-    return SizeBreakdown(
-        n=n,
-        components={
-            NamedSet.RA_A.value: size_ra_a(n),
-            NamedSet.RA_B.value: size_ra_b(n),
-            NamedSet.RA_C.value: size_ra_c(n),
-            NamedSet.RA_D.value: size_ra_d(n),
-        },
-        overlap=0,
-        total=size_ra(n),
-    )
+    return _breakdown(NamedSet.RA, n, overlap=0)

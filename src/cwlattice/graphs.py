@@ -479,9 +479,4 @@ def parse_graph(text: str) -> Graph:
 def format_edge_list(g: Graph, names: list[str] | None = None) -> str:
     """Canonical edge-list emission: per-line tokens in label order, lines
     sorted lexicographically, trailing newline."""
-    if names is None:
-        names = [f"x{i}" for i in range(g.vertex_count)]
-    if len(names) != g.vertex_count:
-        raise ValueError(f"got {len(names)} labels for {g.vertex_count} vertices")
-    lines = sorted(tuple(sorted((names[u], names[v]))) for u, v in g.edges)
-    return "".join(f"{a} {b}\n" for a, b in lines)
+    return "".join(f"{a} {b}\n" for a, b in edge_ideal_generators(g, names))

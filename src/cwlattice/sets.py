@@ -26,9 +26,9 @@ Two-coordinate sets, points (depth, dim):
 * ``cwdd``     the union of the three; the only overlap ever is
                {(2, 2)} = A intersect B at n = 5.
 * ``c-minus`` / ``c-plus``   lower and upper bounding polytopes for the
-               pair set of arbitrary graphs on n vertices (n >= 3).
+               pair set of arbitrary graphs on n vertices.
 * ``beta``     the slab 1 <= a <= floor(n/2), a <= b <= n-2; this is
-               ``c-minus`` without its apex (1, n-1) (n >= 4).
+               ``c-minus`` without its apex (1, n-1).
 
 Four-coordinate sets, points (depth, reg, dim, deg h):
 
@@ -39,7 +39,8 @@ Four-coordinate sets, points (depth, reg, dim, deg h):
 * ``ra``       the union of the four, which are pairwise disjoint.
 
 No Cameron-Walker graph has fewer than 5 vertices, so every CW-specific
-set is empty below n = 5 (an empty census, not an error).
+set is empty below n = 5 (an empty census, not an error).  Below the n in
+``FIRST_N`` a bounding polytope is undefined, and asking for it raises DomainError.
 
 All comparisons are exact integer comparisons: rational thresholds such as
 n/3 < b are cleared of division (3b > n, or b > n // 3), so boundary cases
@@ -77,10 +78,27 @@ class NamedSet(Enum):
     C_PLUS = "c-plus"
     BETA = "beta"
 
-    @property
-    def arity(self) -> int:
-        """Coordinate count of the set's points: 4 for the ra sets, else 2."""
-        return 4 if self.value.startswith("ra") else 2
+    def __init__(self, value: str):
+        # coordinate count of the set's points: 4 for the ra sets, else 2
+        self.arity = 4 if value.startswith("ra") else 2
+
+
+# The first n at which a bounding polytope (Hibi et al. 2021) is defined;
+# every other set is defined, though possibly empty, at every n.
+FIRST_N = {NamedSet.C_MINUS: 3, NamedSet.C_PLUS: 3, NamedSet.BETA: 4}
+_ALL_DEFINED = max(FIRST_N.values())  # every set is defined from here on
+
+
+def is_defined(set_id: NamedSet, n: int) -> bool:
+    """Whether the named set is defined at n (see FIRST_N)."""
+    return n >= FIRST_N.get(set_id, n)
+
+
+def _require_defined(set_id: NamedSet, n: int) -> None:
+    """Raise DomainError when the named set is undefined at n."""
+    if n < _ALL_DEFINED and not is_defined(set_id, n):  # the first test spares a call
+        raise DomainError(
+            f"{set_id.value} is defined only for n >= {FIRST_N[set_id]}, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -195,20 +213,14 @@ def _rows_ra_d(n: int) -> list[Row]:
 
 def _rows_c_minus(n: int) -> list[Row]:
     # the slab of beta, its row a = 1 extended by the apex (1, n-1)
-    if n < 3:
-        raise DomainError(f"c-minus is defined only for n >= 3, got {n}")
     return [((a,), a, n - 1 if a == 1 else n - 2) for a in range(1, n // 2 + 1)]
 
 
 def _rows_c_plus(n: int) -> list[Row]:
-    if n < 3:
-        raise DomainError(f"c-plus is defined only for n >= 3, got {n}")
     return [((a,), a, n - 1) for a in range(1, n)]
 
 
 def _rows_beta(n: int) -> list[Row]:
-    if n < 4:
-        raise DomainError(f"beta is defined only for n >= 4, got {n}")
     return [((a,), a, n - 2) for a in range(1, n // 2 + 1)]
 
 
@@ -239,6 +251,14 @@ def union_rows(set_id: NamedSet, part_rows) -> list[Row]:
     return merge_rows(chain.from_iterable(part_rows[part] for part in UNION_PARTS[set_id]))
 
 
+def union_overlaps(set_id: NamedSet, part_rows):
+    """(label, rows of the points in both) for each pair of a union's parts,
+    labelled "ab", "ac", ...; part_rows as in union_rows.  Lazy."""
+    labelled = zip("abcd", UNION_PARTS[set_id])
+    for (x, xs), (y, ys) in combinations(labelled, 2):
+        yield x + y, intersect_rows(part_rows[xs], part_rows[ys])
+
+
 def rows(set_id: NamedSet, n: int) -> list[Row]:
     """The rows of the named set at n, sorted and non-overlapping.
 
@@ -248,11 +268,11 @@ def rows(set_id: NamedSet, n: int) -> list[Row]:
     """
     _require_int(n)
     if set_id not in UNION_PARTS:
+        _require_defined(set_id, n)
         return ROW_SOURCES[set_id](n)
     parts = {part: rows(part, n) for part in UNION_PARTS[set_id]}
     if set_id is NamedSet.RA:
-        for x, y in combinations(parts.values(), 2):
-            common = intersect_rows(x, y)
+        for _, common in union_overlaps(set_id, parts):
             if common:
                 raise InternalInconsistencyError(
                     f"ra components overlap at n={n}: "
@@ -318,10 +338,6 @@ def _in_cwdd_c(n: int, p: Point2) -> bool:
     return 3 <= a <= (n - 1) // 2 and a < b <= n - a and n - a < 2 * b
 
 
-def _in_cwdd(n: int, p: Point2) -> bool:
-    return _in_cwdd_a(n, p) or _in_cwdd_b(n, p) or _in_cwdd_c(n, p)
-
-
 def _in_ra_a(n: int, p: Point4) -> bool:
     if n < 5:
         return False
@@ -348,45 +364,47 @@ def _in_ra_d(n: int, p: Point4) -> bool:
     return d == h and 3 <= a < r < d < n - r and n + 2 <= a + r + d
 
 
-def _in_ra(n: int, p: Point4) -> bool:
-    return _in_ra_a(n, p) or _in_ra_b(n, p) or _in_ra_c(n, p) or _in_ra_d(n, p)
-
-
 def _in_c_minus(n: int, p: Point2) -> bool:
-    if n < 3:
-        raise DomainError(f"c-minus is defined only for n >= 3, got {n}")
     a, b = p
     return (a, b) == (1, n - 1) or (1 <= a <= b <= n - 2 and a <= n // 2)
 
 
 def _in_c_plus(n: int, p: Point2) -> bool:
-    if n < 3:
-        raise DomainError(f"c-plus is defined only for n >= 3, got {n}")
     a, b = p
     return 1 <= a <= b <= n - 1
 
 
 def _in_beta(n: int, p: Point2) -> bool:
-    if n < 4:
-        raise DomainError(f"beta is defined only for n >= 4, got {n}")
     a, b = p
     return 1 <= a <= n // 2 and a <= b <= n - 2
+
+
+def _in_any(parts):
+    """The membership predicate of a union: that of any of its parts."""
+
+    def member(n: int, p: tuple[int, ...]) -> bool:
+        for part in parts:
+            if part(n, p):
+                return True
+        return False
+
+    return member
 
 
 _PREDICATES = {
     NamedSet.CWDD_A: _in_cwdd_a,
     NamedSet.CWDD_B: _in_cwdd_b,
     NamedSet.CWDD_C: _in_cwdd_c,
-    NamedSet.CWDD: _in_cwdd,
     NamedSet.RA_A: _in_ra_a,
     NamedSet.RA_B: _in_ra_b,
     NamedSet.RA_C: _in_ra_c,
     NamedSet.RA_D: _in_ra_d,
-    NamedSet.RA: _in_ra,
     NamedSet.C_MINUS: _in_c_minus,
     NamedSet.C_PLUS: _in_c_plus,
     NamedSet.BETA: _in_beta,
 }
+_PREDICATES.update({union: _in_any(tuple(_PREDICATES[part] for part in parts))
+                    for union, parts in UNION_PARTS.items()})
 
 
 def contains(set_id: NamedSet, n: int, point: tuple[int, ...]) -> bool:
@@ -396,8 +414,7 @@ def contains(set_id: NamedSet, n: int, point: tuple[int, ...]) -> bool:
     membership in the corresponding enumeration without materializing it.
     Raises ArityMismatchError when the point's coordinate count does not
     match the set, TypeError when n or a coordinate is not an int, and
-    DomainError for c-minus/c-plus below n = 3 and beta below n = 4 (where
-    those sets are undefined).
+    DomainError where the set is undefined (see FIRST_N).
     """
     _require_int(n)
     if len(point) != set_id.arity:
@@ -409,4 +426,5 @@ def contains(set_id: NamedSet, n: int, point: tuple[int, ...]) -> bool:
     for coord in coords:
         if not isinstance(coord, int):
             raise TypeError(f"{set_id.value} coordinates must be ints, got {coord!r}")
+    _require_defined(set_id, n)
     return _PREDICATES[set_id](n, coords)

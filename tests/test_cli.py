@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,24 @@ def test_enumerate_json_round_trip(capsys):
     assert len(payload["points"]) == 11
 
 
+@pytest.mark.parametrize("set_id", list(NamedSet))
+def test_enumerate_json_bytes_equal_json_dumps(capsys, tmp_path, set_id):
+    # n = 3 and 4 give empty CW sets, n = 5 an empty ra-d
+    for n in (3, 4, 5, 6, 13):
+        if not sets.is_defined(set_id, n):
+            continue
+        points = [list(p) for p in sets.enumerate_set(set_id, n)]
+        expected = json.dumps({"set": set_id.value, "n": n, "points": points}, indent=2) + "\n"
+        code, out, _ = run_cli(capsys, "enumerate", "--n", str(n), "--set", set_id.value,
+                               "--format", "json")
+        assert (code, out) == (0, expected), n
+    out_file = tmp_path / "points.json"
+    code, printed, _ = run_cli(capsys, "enumerate", "--n", "13", "--set", set_id.value,
+                               "--format", "json", "--out", str(out_file))
+    assert code == 0 and printed == ""
+    assert out_file.read_text(encoding="utf-8") == out
+
+
 def test_enumerate_refuses_sets_over_the_limit(capsys):
     code, out, err = run_cli(capsys, "enumerate", "--n", "100000", "--set", "ra")
     assert code == 2
@@ -116,6 +135,17 @@ def test_verify_pass_and_fail_free(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "12")
     assert code == 0
     assert "verdict: pass" in out
+
+
+def test_verify_refuses_n_above_the_census_cap(capsys, monkeypatch):
+    def refused(n):
+        raise AssertionError("a refused verify built rows")
+
+    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.RA_D, refused)
+    for n in (cli.DEFAULT_CENSUS_CAP + 1, 10**9):
+        code, out, err = run_cli(capsys, "verify", "--n", str(n))
+        assert (code, out) == (2, "")
+        assert f"census --from {n} --to {n} --force" in err
 
 
 def test_closed_form_fault_fails_census_and_verify(capsys, monkeypatch):
@@ -192,6 +222,35 @@ def test_realize_emit_graph(capsys):
     lines = out.splitlines()
     assert lines[0] == "m=1 p=1 s=1 t=1"
     assert lines[1:] == ["l0 u0", "u0 v0", "v0 w0", "v0 w1", "w0 w1"]
+
+
+def test_realize_emit_graph_json(capsys):
+    code, out, _ = run_cli(capsys, "realize", "--n", "5", "--depth", "2", "--dim", "2",
+                           "--emit-graph", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["edges"] == [["l0", "u0"], ["u0", "v0"], ["v0", "w0"],
+                                        ["v0", "w1"], ["w0", "w1"]]
+
+
+def test_realize_refuses_n_over_the_limit(capsys):
+    limit = cli.ENUMERATE_LIMIT
+    code, out, _ = run_cli(capsys, "realize", "--n", str(limit), "--depth", "2",
+                           "--dim", str(limit - 2))
+    assert (code, out) == (0, f"m=2 p=1 s={(limit - 2) // 2},{(limit - 3) // 2} t=0\n")
+    for n in (limit + 1, 10**9):
+        b = n // 2 - 1  # a diagonal point: the skeleton would have about n/2 parts
+        code, out, err = run_cli(capsys, "realize", "--n", str(n), "--depth", str(b),
+                                 "--dim", str(b), "--emit-graph")
+        assert (code, out) == (2, "")
+        assert str(limit) in err
+
+
+def test_bounds_text_and_json_carry_the_same_fields(capsys):
+    _, text, _ = run_cli(capsys, "bounds", "--n", "13")
+    _, out, _ = run_cli(capsys, "bounds", "--n", "13", "--format", "json")
+    payload = json.loads(out, object_hook=lambda d: Fraction(d["num"], d["den"])
+                         if "num" in d else d)
+    assert text == "".join(f"{name} = {value}\n" for name, value in payload.items())
 
 
 def test_realize_unsupported_exit_3(capsys):

@@ -6,7 +6,9 @@ import pytest
 
 from cwlattice import (
     DomainError,
+    InternalInconsistencyError,
     NamedSet,
+    ResidueKey,
     cwdd_breakdown,
     enumerate_set,
     ra_breakdown,
@@ -26,6 +28,7 @@ from cwlattice import (
     size_ra_c,
     size_ra_d,
 )
+from cwlattice import formulas
 from cwlattice.formulas import SIZE_BY_SET
 
 
@@ -44,6 +47,15 @@ def test_residue_decompose_round_trip():
         assert key.n == n
         assert 0 <= key.i <= 5
         assert key.k_parity == ("even" if key.k % 2 == 0 else "odd")
+
+
+def test_residue_key_parity_is_derived_from_k():
+    assert ResidueKey(k=3, i=2).k_parity == "odd"
+    assert ResidueKey(k=4, i=0).k_parity == "even"
+    with pytest.raises(TypeError):
+        ResidueKey(k=1, i=0, k_parity="odd")
+    with pytest.raises(DomainError):
+        ResidueKey(k=0, i=6)
 
 
 def test_residue_decompose_rejects_negative():
@@ -185,3 +197,11 @@ def test_bound_domain_errors():
         size_c_minus(2)
     with pytest.raises(DomainError):
         size_beta(3)
+
+
+def test_inexact_table_entry_is_an_internal_error(monkeypatch):
+    table = list(formulas._RA_B)
+    table[1] = (0, 3, 1, -1, 2)  # 3k^2 + k - 1 is odd at k = 2
+    monkeypatch.setattr(formulas, "_RA_B", tuple(table))
+    with pytest.raises(InternalInconsistencyError, match="inexact division 13/2"):
+        size_ra_b(13)

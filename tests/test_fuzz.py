@@ -1,0 +1,107 @@
+"""Property-based fuzzing of the two text entry points: the edge-list parser
+and the command line.
+
+Strategy.  ``parse_edge_list`` gets arbitrary text, and text built from
+lines of zero to three tokens drawn from a few vertex names, so that
+valid edges, loops, comments and malformed lines all occur.  ``main``
+gets either a subcommand with its required options and a random subset
+of its other options, in random order, or an arbitrary list of subcommands, options and values.
+Integer values are small (-5..64) or past the work guards (301 and up,
+or hugely negative); the others are set, family and format names (some
+invalid), file names and arbitrary text.  Each example runs in a fresh
+temporary directory that holds two edge-list files, and no token
+contains "/", so ``--out`` and ``--input`` only ever name files in that
+directory.  The small integers keep every accepted command cheap; the
+large ones reach the guards, which refuse them before any work.
+
+``--force`` (and its abbreviation ``--forc``) is the one excluded input:
+it lifts the census cap, and a forced census is documented as unbounded.
+"""
+
+import contextlib
+import io
+import os
+import tempfile
+
+from hypothesis import assume, event, given, settings, strategies as st
+
+from cwlattice import EdgeListParseError, Graph, NamedSet, parse_edge_list
+from cwlattice.cli import main
+
+VERTICES = st.sampled_from(["a", "b", "c", "v0", "#", "x y"])
+LINES = st.lists(VERTICES, max_size=3).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), st.lists(LINES, max_size=8).map("\n".join)))
+def test_parse_edge_list_returns_a_graph_or_a_parse_error(text):
+    try:
+        graph, names = parse_edge_list(text)
+    except EdgeListParseError:
+        return
+    assert isinstance(graph, Graph) and len(names) == graph.vertex_count
+
+
+FREE_TEXT = st.text(st.characters(exclude_characters="/\x00"), max_size=8)
+INTS = st.one_of(st.integers(-5, 64),
+                 st.sampled_from([301, 2_000_001, 10**9, 10**18, -10**18])).map(str)
+FORMATS = st.sampled_from(["csv", "json", "text"])
+FILES = st.sampled_from(["g.edges", "hexagon.edges", "out.txt", "absent.edges", ".", ""])
+REQUIRED = {"census": ("--from", "--to"), "enumerate": ("--n", "--set"), "verify": ("--n",),
+            "bounds": ("--n",), "realize": ("--n", "--depth", "--dim"),
+            "recognize": ("--input",), "ideal": ("--input",)}
+# each subcommand's options and the values they are given
+OPTIONS = {
+    "census": {"--from": INTS, "--to": INTS, "--format": FORMATS, "--out": FILES,
+               "--family": st.sampled_from(["cwdd", "ra", "bounds", "all", "none"])},
+    "enumerate": {"--n": INTS, "--set": st.sampled_from([s.value for s in NamedSet] + ["x"]),
+                  "--format": FORMATS, "--out": FILES},
+    "verify": {"--n": INTS},
+    "bounds": {"--n": INTS, "--format": FORMATS},
+    "realize": {"--n": INTS, "--depth": INTS, "--dim": INTS, "--format": FORMATS,
+                "--emit-graph": st.just(None)},
+    "recognize": {"--input": FILES, "--format": FORMATS},
+    "ideal": {"--input": FILES, "--format": FORMATS},
+}
+ALL_OPTIONS = sorted({option for options in OPTIONS.values() for option in options}
+                     | {"--version", "-h"})
+VALUES = st.one_of(INTS, FORMATS, FILES, FREE_TEXT)
+
+
+def _command(name: str):
+    """The subcommand with its required options and a random subset of the
+    others, in random order."""
+    required = {option: OPTIONS[name][option] for option in REQUIRED[name]}
+    optional = {option: value for option, value in OPTIONS[name].items()
+                if option not in required}
+    return st.fixed_dictionaries(required, optional=optional).flatmap(
+        lambda chosen: st.permutations(sorted(chosen.items()))).map(
+        lambda items: [name] + [token for pair in items for token in pair if token is not None])
+
+
+ARGV = st.one_of(
+    st.sampled_from(sorted(OPTIONS)).flatmap(_command),
+    st.lists(st.one_of(st.sampled_from(sorted(OPTIONS) + ALL_OPTIONS), VALUES), max_size=8),
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(ARGV)
+def test_main_exits_with_a_documented_code(argv):
+    assume(not any(token.startswith("--forc") for token in argv))
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open("g.edges", "w", encoding="utf-8") as handle:
+                handle.write("u0 v0\nu0 l0\nv0 w0\nv0 w1\nw0 w1\n")
+            with open("hexagon.edges", "w", encoding="utf-8") as handle:
+                handle.write("a b\nb c\nc d\nd e\ne f\nf a\nb f\nc e\n")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    event(f"exit code {code}")
+    assert code in (0, 1, 2, 3, 4), (argv, code)
+    assert "Traceback" not in err.getvalue()

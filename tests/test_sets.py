@@ -316,3 +316,45 @@ def test_ra_b_projects_into_pair_census(n):
     for a, d, _, _ in enumerate_ra_b(n):
         assert a >= 3
         assert contains(NamedSet.CWDD, n, (a, d))
+
+
+@pytest.mark.parametrize("set_id, first", list(sets.FIRST_N.items()))
+def test_polytope_domain_from_one_table(set_id, first):
+    message = f"{set_id.value} is defined only for n >= {first}, got {first - 1}"
+    for call in (lambda n: sets.rows(set_id, n), lambda n: contains(set_id, n, (1, 1)),
+                 SIZE_BY_SET[set_id]):
+        with pytest.raises(DomainError) as raised:
+            call(first - 1)
+        assert str(raised.value) == message
+        call(first)
+    assert not sets.is_defined(set_id, first - 1) and sets.is_defined(set_id, first)
+
+
+def test_every_other_set_is_defined_everywhere():
+    for set_id in set(NamedSet) - set(sets.FIRST_N):
+        for n in (-3, 0, 2):
+            assert sets.is_defined(set_id, n)
+            sets._require_defined(set_id, n)
+
+
+def test_contains_error_order():
+    # n type, then arity, then coordinate type, then the domain
+    with pytest.raises(TypeError):
+        contains(NamedSet.BETA, 3.0, (1,))
+    with pytest.raises(ArityMismatchError):
+        contains(NamedSet.BETA, 3, (1,))
+    with pytest.raises(TypeError):
+        contains(NamedSet.BETA, 3, (1.0, 2))
+    with pytest.raises(DomainError):
+        contains(NamedSet.BETA, 3, (1, 2))
+
+
+def test_union_overlaps_labels_the_part_pairs():
+    def overlaps(union, n):
+        built = {part: sets.rows(part, n) for part in sets.UNION_PARTS[union]}
+        return dict(sets.union_overlaps(union, built))
+
+    assert overlaps(NamedSet.CWDD, 5) == {"ab": [((2,), 2, 2)], "ac": [], "bc": []}
+    assert overlaps(NamedSet.CWDD, 12) == {"ab": [], "ac": [], "bc": []}
+    assert overlaps(NamedSet.RA, 12) == {pair: [] for pair in
+                                         ("ab", "ac", "ad", "bc", "bd", "cd")}
