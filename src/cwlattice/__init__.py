@@ -3,18 +3,20 @@
 The package enumerates the achievable (depth, dim) pairs and
 (depth, reg, dim, deg h) tuples on n vertices, evaluates their piecewise
 closed-form counts in exact integer arithmetic, cross-verifies the two,
-and realizes achievable points as explicit graph skeletons.
+checks the structural facts between the sets (one table of named checks,
+``CHECKS``, run one at a time by ``check(name, n)``), and realizes
+achievable points as explicit graph skeletons.
 """
 
 __version__ = "0.1.0"
 
 from .census import (
+    CHECKS,
     CensusRecord,
     CensusReport,
-    DisjointnessReport,
     FAMILY_SETS,
-    check_cross_projection,
-    check_disjointness,
+    Failure,
+    check,
     run_census,
 )
 from .errors import (
@@ -27,9 +29,6 @@ from .errors import (
 from .formulas import (
     RatioReport,
     ResidueKey,
-    SizeBreakdown,
-    cwdd_breakdown,
-    ra_breakdown,
     ratio_report,
     residue_decompose,
     sandwich_bounds_cwdd,

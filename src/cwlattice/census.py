@@ -2,20 +2,21 @@
 
 For each n in a range the census builds the rows of the selected family of
 lattice sets, counts their points by summing row lengths, evaluates the
-matching closed-form sizes, and checks the structural facts (component
-disjointness, the sandwich envelope on the pair census, and the
-containment/projection relations between the sets) as interval tests on
-the rows.  Failures are recorded and the run continues, so one bad
-polynomial branch produces a complete diagnostic map across residues
-instead of a single abort.
+matching closed-form sizes, and runs the entries of CHECKS that the family
+switches on: component disjointness, the sandwich envelope, containment
+and projection, each tested on the rows and each returning, on a failure,
+the sets, a witness point and n mod 6.  Failures are recorded and the run
+continues, so one bad polynomial branch produces a complete diagnostic map
+across residues instead of a single abort.
 
 Reports serialize to CSV (one row per n; the diffable golden format) and
-JSON, and parse back losslessly.
+JSON, with one boolean per kind of check, and parse back losslessly.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import formulas, sets
@@ -29,7 +30,8 @@ FAMILY_SETS: dict[str, tuple[NamedSet, ...]] = {
 FAMILY_SETS["bounds"] = (NamedSet.C_MINUS, NamedSet.C_PLUS, NamedSet.BETA)
 FAMILY_SETS["all"] = FAMILY_SETS["cwdd"] + FAMILY_SETS["ra"] + FAMILY_SETS["bounds"]
 
-_BOOL_FIELDS = ("disjointness_ok", "sandwich_ok", "containment_ok")
+KINDS = ("disjointness", "sandwich", "containment")  # of CHECKS; one boolean each
+_BOOL_FIELDS = tuple(f"{kind}_ok" for kind in KINDS)
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,8 @@ class CensusRecord:
 
     counts maps each set tag to (enumerated size, closed-form size); a
     (None, None) pair marks a set undefined at this n (see sets.FIRST_N;
-    the census starts at n = 3, so only beta at n = 3).
+    the census starts at n = 3, so only beta at n = 3).  failures, behind
+    the false booleans, is neither serialized nor compared.
     """
 
     n: int
@@ -48,6 +51,7 @@ class CensusRecord:
     disjointness_ok: bool
     sandwich_ok: bool
     containment_ok: bool
+    failures: tuple[Failure, ...] = field(default=(), compare=False)
 
     @property
     def passed(self) -> bool:
@@ -205,106 +209,131 @@ class _Rows(dict):
         return rows
 
 
-def _subset(xs: list[sets.Row], ys: list[sets.Row]) -> bool:
-    return sets.count_rows(sets.intersect_rows(xs, ys)) == sets.count_rows(xs)
+@dataclass(frozen=True)
+class Failure:
+    """A structural check that failed at one n: its name and kind, the sets
+    involved, a witness point that breaks it (for the sandwich, the
+    one-tuple (|cwdd|,) outside the envelope) and the residue n mod 6."""
+
+    check: str
+    kind: str
+    sets: tuple[NamedSet, ...]
+    witness: tuple[int, ...]
+    residue: int
+
+    def __str__(self) -> str:
+        tags = ", ".join(s.value for s in self.sets)
+        return f"{self.check} on {tags}: witness {self.witness}, n mod 6 = {self.residue}"
 
 
 @dataclass(frozen=True)
-class DisjointnessReport:
-    """Pairwise intersections among the census components at one n.
+class Check:
+    """An entry of CHECKS: its kind (the census boolean it feeds), the family
+    sets that switch it on, the first n it applies to, and find(n, rows),
+    which returns None when the check holds, else (sets involved, witness)."""
 
-    Keys are component pairs like "ab".  Passes when the pair census
-    overlap is exactly {(2, 2)} at n = 5 (components a and b) and empty
-    everywhere else, and every tuple-census intersection is empty.  A
-    census left out of the check has no keys.
-    """
-
-    n: int
-    cwdd_overlaps: dict[str, tuple[tuple[int, ...], ...]]
-    ra_overlaps: dict[str, tuple[tuple[int, ...], ...]]
-
-    @property
-    def ok(self) -> bool:
-        allowed = {"ab": ((2, 2),)} if self.n == 5 else {}
-        return all(
-            overlap == allowed.get(pair, ()) for pair, overlap in self.cwdd_overlaps.items()
-        ) and not any(self.ra_overlaps.values())
+    kind: str
+    on: tuple[NamedSet, ...]
+    first_n: int
+    find: Callable[[int, _Rows], tuple[tuple[NamedSet, ...], tuple[int, ...]] | None]
 
 
-def _disjointness(n: int, built: _Rows, members: tuple[NamedSet, ...]) -> DisjointnessReport:
-    """The component intersections of the unions among members, from their rows."""
-
-    def overlaps(union: NamedSet) -> dict[str, tuple[tuple[int, ...], ...]]:
-        if union not in members:
-            return {}
-        return {pair: tuple(sets.expand_rows(common))
-                for pair, common in sets.union_overlaps(union, built)}
-
-    return DisjointnessReport(n, overlaps(NamedSet.CWDD), overlaps(NamedSet.RA))
+# the one point two parts of a union share: (2, 2), in cwdd-a and cwdd-b at n = 5
+_SHARED = {(5, NamedSet.CWDD_A, NamedSet.CWDD_B): [(2, 2)]}
 
 
-def _projects(built: _Rows) -> bool:
-    """check_cross_projection on built rows: a tuple row ((a, r), lo, hi)
-    projects to the pair row ((a,), lo, hi)."""
-    deep = sets.merge_rows(((a,), lo, hi) for (a, _), lo, hi in built[NamedSet.RA] if a >= 3)
-    depth2 = sets.merge_rows(((a,), lo, hi) for (a, _), lo, hi in built[NamedSet.RA_A])
-    return _subset(deep, built[NamedSet.CWDD]) and _subset(depth2, built[NamedSet.CWDD_A])
+def _parts_disjoint(union: NamedSet) -> Check:
+    """No two parts of the union share a point, except as _SHARED allows;
+    it applies from n = 5, below which every CW set is empty."""
+
+    def find(n, built):
+        for pair, common in sets.union_overlaps(union, built):
+            points, shared = sets.expand_rows(common), _SHARED.get((n, *pair), [])
+            if points != shared:
+                return pair, next(p for p in points + shared if (p in points) != (p in shared))
+        return None
+
+    return Check("disjointness", (union,), 5, find)
 
 
-def check_disjointness(n: int) -> DisjointnessReport:
-    """Report every pairwise component intersection at n (n >= 5)."""
-    if n < 5:
-        raise DomainError(f"disjointness checks need n >= 5, got {n}")
-    return _disjointness(n, _Rows(n), (NamedSet.CWDD, NamedSet.RA))
+def _sandwich(n, built):
+    lo, hi = sandwich_bounds_cwdd(n)
+    size = size_cwdd(n)
+    return None if lo <= size <= hi else ((NamedSet.CWDD,), (size,))
 
 
-def check_cross_projection(n: int) -> bool:
-    """Consistency between the tuple census and the pair census.
+def _inside(sub: NamedSet, sup: NamedSet, min_depth: int | None = None) -> Check:
+    """sub lies in sup; with min_depth, sub is a tuple set whose tuples
+    (a, r, d, d) with a >= min_depth project to pairs (a, d) in sup.  It
+    applies from the census's first n, 3, or where a polytope is defined.
+    The witness is the first point of sub outside sup, looked for only
+    once the counts show that there is one."""
 
-    Every tuple (a, r, d, h) with a >= 3 must project to a pair (a, d) in
-    the pair census, and every depth-2 tuple (component a) must project
-    into the pair census's depth-2 component.  Vacuously true below n = 5.
-    """
-    return _projects(_Rows(n))
+    def find(n, built):
+        xs = built[sub]
+        if min_depth is not None:
+            xs = sets.merge_rows(((a,), lo, hi) for (a, _), lo, hi in xs if a >= min_depth)
+        common = sets.intersect_rows(xs, built[sup])
+        if sets.count_rows(common) == sets.count_rows(xs):
+            return None
+        inside = set(sets.expand_rows(common))
+        return (sub, sup), next(p for p in sets.expand_rows(xs) if p not in inside)
+
+    first_n = max(sets.FIRST_N.get(s, 3) for s in (sub, sup))
+    return Check("containment", (sub,), first_n, find)
+
+
+CHECKS = {
+    "cwdd parts disjoint": _parts_disjoint(NamedSet.CWDD),
+    "ra parts disjoint": _parts_disjoint(NamedSet.RA),
+    "cwdd sandwich": Check("sandwich", (NamedSet.CWDD, NamedSet.C_PLUS), 6, _sandwich),
+    "cwdd in c-plus": _inside(NamedSet.CWDD, NamedSet.C_PLUS),
+    "c-minus in c-plus": _inside(NamedSet.C_MINUS, NamedSet.C_PLUS),
+    "beta in c-minus": _inside(NamedSet.BETA, NamedSet.C_MINUS),
+    "ra projects into cwdd": _inside(NamedSet.RA, NamedSet.CWDD, min_depth=3),
+    "ra-a projects into cwdd-a": _inside(NamedSet.RA_A, NamedSet.CWDD_A, min_depth=2),
+}
+
+
+def _failure(name: str, n: int, built: _Rows) -> Failure | None:
+    entry = CHECKS[name]
+    found = entry.find(n, built)
+    return None if found is None else Failure(name, entry.kind, *found, n % 6)
+
+
+def check(name: str, n: int) -> Failure | None:
+    """Run the named entry of CHECKS at n on freshly built rows: None when
+    it holds, else its Failure.  Raises DomainError for an unknown name or
+    an n below the check's first n, and TypeError unless n is an int."""
+    sets._require_int(n)
+    if name not in CHECKS:
+        raise DomainError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
+    if n < CHECKS[name].first_n:
+        raise DomainError(f"{name} applies from n = {CHECKS[name].first_n}, got {n}")
+    return _failure(name, n, _Rows(n))
 
 
 # ---------------------------------------------------------------------------
 # the census proper
 # ---------------------------------------------------------------------------
 
-# (subset, superset) pairs checked whenever the subset is in the family
-_SUBSETS = ((NamedSet.CWDD, NamedSet.C_PLUS), (NamedSet.C_MINUS, NamedSet.C_PLUS),
-            (NamedSet.BETA, NamedSet.C_MINUS))
-
-
 def _compute_record(n: int, family: str) -> CensusRecord:
     key = formulas.residue_decompose(n)
     members = FAMILY_SETS[family]
-    defined = [m for m in members if sets.is_defined(m, n)]
     built = _Rows(n)
     counts: dict[str, tuple[int | None, int | None]] = {
         member.value: (sets.count_rows(built[member]), SIZE_BY_SET[member](n))
-        if member in defined else (None, None)
+        if sets.is_defined(member, n) else (None, None)
         for member in members
     }
-
-    # each census checks its own components; bounds has none
-    disjointness_ok = n < 5 or _disjointness(n, built, members).ok
-
-    # sandwich envelope on |cwdd| (defined for n > 5), a fact about the pair
-    # census and its bounding polytopes
-    sandwich_ok = True
-    if n > 5 and (NamedSet.CWDD in members or NamedSet.C_PLUS in members):
-        lo, hi = sandwich_bounds_cwdd(n)
-        sandwich_ok = lo <= size_cwdd(n) <= hi
-
-    containment_ok = all(
-        _subset(built[sub], built[sup]) for sub, sup in _SUBSETS if sub in defined
-    ) and (NamedSet.RA not in members or _projects(built))
-
-    return CensusRecord(n=n, k=key.k, i=key.i, counts=counts,
-                        disjointness_ok=disjointness_ok, sandwich_ok=sandwich_ok,
-                        containment_ok=containment_ok)
+    failures = tuple(
+        failure for name, entry in CHECKS.items()
+        if n >= entry.first_n and any(s in members for s in entry.on)
+        and (failure := _failure(name, n, built)) is not None
+    )
+    failed = {failure.kind for failure in failures}
+    return CensusRecord(n, key.k, key.i, counts, *(kind not in failed for kind in KINDS),
+                        failures=failures)
 
 
 def run_census(n_lo: int, n_hi: int, family: str = "all") -> CensusReport:

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .census import FAMILY_SETS, run_census
+from .census import FAMILY_SETS, KINDS, run_census
 from .errors import (
     ArityMismatchError,
     DomainError,
@@ -41,6 +41,9 @@ DEFAULT_CENSUS_CAP = 300
 # the most points `enumerate` lists (every set fits for n <= 500), and the
 # most vertices `realize` builds
 ENUMERATE_LIMIT = 2_000_000
+# the most edges `realize --emit-graph` builds: the skeleton's core is
+# K_{m,p}, so the edges grow as n^2 on the diagonal
+EMIT_EDGE_LIMIT = 500_000
 
 
 def _output(out_path: str | None):
@@ -66,6 +69,9 @@ def cmd_census(args: argparse.Namespace) -> int:
     report = _census(args.n_lo, args.n_hi, args.family, args.force)
     with _output(args.out) as handle:
         handle.write(report.to_csv() if args.format == "csv" else report.to_json())
+    for record in report.records:
+        for failure in record.failures:
+            print(f"census: n = {record.n}: {failure}", file=sys.stderr)
     return 0 if report.all_pass else 1
 
 
@@ -107,9 +113,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             continue
         mark = "ok" if enum_count == closed_count else "MISMATCH"
         print(f"{tag}: enumerated {enum_count}, closed form {closed_count} [{mark}]")
-    print(f"disjointness: {'ok' if record.disjointness_ok else 'FAIL'}")
-    print(f"sandwich: {'ok' if record.sandwich_ok else 'FAIL'}")
-    print(f"containment: {'ok' if record.containment_ok else 'FAIL'}")
+    for kind in KINDS:
+        failed = [str(failure) for failure in record.failures if failure.kind == kind]
+        print(f"{kind}: " + ("; ".join(["FAIL"] + failed) if failed else "ok"))
     print(f"verdict: {'pass' if record.passed else 'FAIL'}")
     return 0 if record.passed else 1
 
@@ -147,6 +153,9 @@ def cmd_realize(args: argparse.Namespace) -> int:
         )
         return 3
     cw = result.structure
+    if args.emit_graph and cw.edge_count > EMIT_EDGE_LIMIT:
+        raise DomainError(f"the graph has {cw.edge_count} edges, over the --emit-graph "
+                          f"limit of {EMIT_EDGE_LIMIT}")
     if args.format == "json":
         payload = {
             "kind": result.kind.value,

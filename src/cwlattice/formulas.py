@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalInconsistencyError
-from .sets import UNION_PARTS, NamedSet, _require_defined, _require_int
+from .sets import NamedSet, _require_defined, _require_int
 
 
 @dataclass(frozen=True)
@@ -313,7 +313,7 @@ SIZE_BY_SET = {
 
 
 # ---------------------------------------------------------------------------
-# sandwich bounds, ratios, breakdowns
+# sandwich bounds and ratios
 # ---------------------------------------------------------------------------
 
 def sandwich_bounds_cwdd(n: int) -> tuple[Fraction, Fraction]:
@@ -327,6 +327,7 @@ def sandwich_bounds_cwdd(n: int) -> tuple[Fraction, Fraction]:
     Both ends are attained (residue 0 hits the lower bound, residues 1 and
     5 the upper).
     """
+    _require_int(n)
     if n <= 5:
         raise DomainError(f"sandwich bounds are defined only for n > 5, got {n}")
     base = Fraction((n - 3) ** 2, 6)
@@ -349,6 +350,7 @@ def ratio_report(n: int) -> RatioReport:
     As n grows the first two tend to the envelope ends 1/3 and 4/9 and the
     third tends to 1/6.  Callers render decimals; nothing is rounded here.
     """
+    _require_int(n)
     if n <= 5:
         raise DomainError(f"ratio report is defined only for n > 5, got {n}")
     cw = size_cwdd(n)
@@ -358,45 +360,3 @@ def ratio_report(n: int) -> RatioReport:
         cwdd_over_cminus=Fraction(cw, size_c_minus(n)),
         cwdd_over_nsq=Fraction(cw, n * n),
     )
-
-
-@dataclass(frozen=True)
-class SizeBreakdown:
-    """Component sizes of a census union plus the union total.
-
-    Invariant: total = sum(components) - overlap, where overlap is nonzero
-    only for the pair census at n = 5.
-    """
-
-    n: int
-    components: dict[str, int]
-    overlap: int
-    total: int
-
-    def __post_init__(self):
-        if any(v < 0 for v in self.components.values()) or self.total < 0:
-            raise InternalInconsistencyError(f"negative size in breakdown at n={self.n}")
-        if self.total != sum(self.components.values()) - self.overlap:
-            raise InternalInconsistencyError(
-                f"breakdown at n={self.n} is not additive: {self.components} "
-                f"with overlap {self.overlap} vs total {self.total}"
-            )
-
-
-def _breakdown(union: NamedSet, n: int, overlap: int) -> SizeBreakdown:
-    return SizeBreakdown(
-        n=n,
-        components={part.value: SIZE_BY_SET[part](n) for part in UNION_PARTS[union]},
-        overlap=overlap,
-        total=SIZE_BY_SET[union](n),
-    )
-
-
-def cwdd_breakdown(n: int) -> SizeBreakdown:
-    """Per-component sizes of the pair census; additivity is re-checked."""
-    return _breakdown(NamedSet.CWDD, n, overlap=1 if n == 5 else 0)
-
-
-def ra_breakdown(n: int) -> SizeBreakdown:
-    """Per-component sizes of the tuple census; components never overlap."""
-    return _breakdown(NamedSet.RA, n, overlap=0)

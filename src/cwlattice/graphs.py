@@ -286,7 +286,7 @@ class CwStructure:
 
     m, p are the bipartite part sizes; s[i] >= 1 counts the leaves on u_i;
     t[j] >= 0 counts the pendant triangles on v_j.  The built graph has
-    m + p + sum(s) + 2 sum(t) vertices.
+    m + p + sum(s) + 2 sum(t) vertices and mp + sum(s) + 3 sum(t) edges.
     """
 
     m: int
@@ -311,6 +311,10 @@ class CwStructure:
     @property
     def vertex_count(self) -> int:
         return self.m + self.p + sum(self.s) + 2 * sum(self.t)
+
+    @property
+    def edge_count(self) -> int:
+        return self.m * self.p + sum(self.s) + 3 * sum(self.t)
 
 
 def build_graph(cw: CwStructure) -> Graph:

@@ -237,8 +237,7 @@ ROW_SOURCES = {
     NamedSet.BETA: _rows_beta,
 }
 
-# The components of the two union sets, in the order the reports label
-# them "a", "b", ...
+# The components of the two union sets
 UNION_PARTS = {
     NamedSet.CWDD: (NamedSet.CWDD_A, NamedSet.CWDD_B, NamedSet.CWDD_C),
     NamedSet.RA: (NamedSet.RA_A, NamedSet.RA_B, NamedSet.RA_C, NamedSet.RA_D),
@@ -252,11 +251,10 @@ def union_rows(set_id: NamedSet, part_rows) -> list[Row]:
 
 
 def union_overlaps(set_id: NamedSet, part_rows):
-    """(label, rows of the points in both) for each pair of a union's parts,
-    labelled "ab", "ac", ...; part_rows as in union_rows.  Lazy."""
-    labelled = zip("abcd", UNION_PARTS[set_id])
-    for (x, xs), (y, ys) in combinations(labelled, 2):
-        yield x + y, intersect_rows(part_rows[xs], part_rows[ys])
+    """((part, part), rows of the points in both) for each pair of a union's
+    parts, in UNION_PARTS order; part_rows as in union_rows.  Lazy."""
+    for x, y in combinations(UNION_PARTS[set_id], 2):
+        yield (x, y), intersect_rows(part_rows[x], part_rows[y])
 
 
 def rows(set_id: NamedSet, n: int) -> list[Row]:

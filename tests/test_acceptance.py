@@ -13,7 +13,7 @@ from cwlattice import (
     Graph,
     RealizationKind,
     build_graph,
-    check_disjointness,
+    check,
     edge_ideal_generators,
     enumerate_cwdd_a,
     enumerate_cwdd_b,
@@ -80,9 +80,10 @@ def test_criterion_2_oracle_equivalence(full_census):
 def test_criterion_3_disjointness(full_census):
     census, _ = full_census
     bad = [r.n for r in census.records if not r.disjointness_ok]
-    rep5 = check_disjointness(5)
-    content_ok = rep5.cwdd_overlaps["ab"] == ((2, 2),) and rep5.ok
-    sample_ok = all(check_disjointness(n).ok for n in range(5, 61))
+    # None at n = 5: cwdd-a and cwdd-b share exactly {(2, 2)}, nothing else overlaps
+    content_ok = check("cwdd parts disjoint", 5) is None and check("ra parts disjoint", 5) is None
+    sample_ok = all(check(name, n) is None for n in range(5, 61)
+                    for name in ("cwdd parts disjoint", "ra parts disjoint"))
     ok = not bad and content_ok and sample_ok
     report(3, ok, "component disjointness holds for n in [5,300], sole overlap {(2,2)} at n=5")
     assert ok, bad[:10]

@@ -3,17 +3,21 @@
 import pytest
 
 from cwlattice import (
+    CHECKS,
     CensusReport,
     DomainError,
+    Failure,
     NamedSet,
-    check_cross_projection,
-    check_disjointness,
+    check,
     enumerate_ra_d,
     enumerate_set,
     run_census,
     sets,
 )
 from cwlattice.census import FAMILY_SETS
+
+DISJOINTNESS = ("cwdd parts disjoint", "ra parts disjoint")
+PROJECTIONS = ("ra projects into cwdd", "ra-a projects into cwdd-a")
 
 
 def test_family_table_covers_twelve_sets():
@@ -68,40 +72,62 @@ def test_range_errors():
 
 
 def test_check_disjointness():
-    rep = check_disjointness(5)
-    assert rep.cwdd_overlaps["ab"] == ((2, 2),)
-    assert rep.cwdd_overlaps["ac"] == ()
-    assert rep.cwdd_overlaps["bc"] == ()
-    assert all(v == () for v in rep.ra_overlaps.values())
-    assert rep.ok
-    for n in (6, 60):
-        rep = check_disjointness(n)
-        assert all(v == () for v in rep.cwdd_overlaps.values())
-        assert all(v == () for v in rep.ra_overlaps.values())
-        assert rep.ok
-    with pytest.raises(DomainError):
-        check_disjointness(4)
+    # None at n = 5 means cwdd-a and cwdd-b share exactly {(2, 2)} and no
+    # other parts share a point
+    for n in (5, 6, 60):
+        for name in DISJOINTNESS:
+            assert check(name, n) is None
+    for name in DISJOINTNESS:
+        with pytest.raises(DomainError, match=f"{name} applies from n = 5, got 4"):
+            check(name, 4)
 
 
 def test_check_cross_projection():
     for n in (5, 7, 12, 40):
-        assert check_cross_projection(n)
-    assert check_cross_projection(3)  # vacuous below 5
+        for name in PROJECTIONS:
+            assert check(name, n) is None
+    for name in PROJECTIONS:
+        assert check(name, 3) is None  # vacuous below 5
+
+
+def test_check_rejects_unknown_names_and_non_int_n():
+    with pytest.raises(DomainError, match="unknown check"):
+        check("nonsense", 12)
+    with pytest.raises(DomainError, match="cwdd sandwich applies from n = 6, got 5"):
+        check("cwdd sandwich", 5)
+    for n in (12.0, "12"):
+        with pytest.raises(TypeError, match="n must be an int"):
+            check("cwdd parts disjoint", n)
+    assert [check(name, 12) for name in CHECKS] == [None] * len(CHECKS)
+    assert {entry.kind for entry in CHECKS.values()} == {"disjointness", "sandwich",
+                                                         "containment"}
 
 
 def test_checks_on_faulty_row_sources(monkeypatch):
     monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.CWDD_C, lambda n: [])
-    assert not check_cross_projection(12)
+    assert check("ra projects into cwdd", 12) == Failure(
+        "ra projects into cwdd", "containment", (NamedSet.RA, NamedSet.CWDD), (3, 5), 0)
     monkeypatch.undo()
     rows_ra_b = sets.ROW_SOURCES[NamedSet.RA_B]
     repeated = sets.ROW_SOURCES[NamedSet.RA_D](12)[0]
     monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.RA_B,
                         lambda n: sorted(rows_ra_b(n) + [repeated]))
-    rep = check_disjointness(12)
-    assert all(v == () for v in rep.cwdd_overlaps.values())
-    assert rep.ra_overlaps["bd"] == (enumerate_ra_d(12)[0],)
-    assert [pair for pair, v in rep.ra_overlaps.items() if v] == ["bd"]
-    assert not rep.ok
+    assert check("cwdd parts disjoint", 12) is None
+    failure = check("ra parts disjoint", 12)
+    assert failure == Failure("ra parts disjoint", "disjointness",
+                              (NamedSet.RA_B, NamedSet.RA_D), (3, 4, 7, 7), 0)
+    assert failure.witness == enumerate_ra_d(12)[0]
+    assert str(failure) == "ra parts disjoint on ra-b, ra-d: witness (3, 4, 7, 7), n mod 6 = 0"
+    record = run_census(12, 12, "ra").records[0]
+    assert record.failures == (failure,)
+    assert not record.disjointness_ok and record.containment_ok
+
+
+def test_cwdd_disjointness_names_a_missing_shared_point(monkeypatch):
+    # at n = 5 the check also fails when (2, 2) is no longer in both parts
+    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.CWDD_B, lambda n: [])
+    assert check("cwdd parts disjoint", 5) == Failure(
+        "cwdd parts disjoint", "disjointness", (NamedSet.CWDD_A, NamedSet.CWDD_B), (2, 2), 5)
 
 
 @pytest.mark.parametrize("family", ["cwdd", "bounds", "all"])
@@ -118,6 +144,12 @@ def test_short_c_plus_row_fails_containment(monkeypatch, family):
     assert not record.containment_ok
     assert record.disjointness_ok and record.sandwich_ok
     assert not record.passed
+    # (2, 9) is in cwdd and c-minus, and no longer in c-plus
+    subsets = {"cwdd": [NamedSet.CWDD], "bounds": [NamedSet.C_MINUS],
+               "all": [NamedSet.CWDD, NamedSet.C_MINUS]}[family]
+    assert record.failures == tuple(
+        Failure(f"{sub.value} in c-plus", "containment", (sub, NamedSet.C_PLUS), (2, 9), 0)
+        for sub in subsets)
 
 
 @pytest.mark.parametrize("set_id", list(NamedSet))

@@ -9,13 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from cwlattice import (CensusReport, NamedSet, census, cli, graphs, sets, size_ra,
-                       size_ra_d)
+from cwlattice import (CensusReport, NamedSet, census, cli, graphs, run_census, sets,
+                       size_ra, size_ra_d)
 from cwlattice.cli import main
 
 from conftest import CHORDED_HEXAGON_EDGES
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -37,6 +38,18 @@ def test_census_pass(capsys):
     lines = out.splitlines()
     assert len(lines) == 57  # header + 56 rows
     assert lines[1].startswith("5,0,5,")
+
+
+def test_census_matches_the_golden_files(capsys):
+    # pins the column order, the empty beta cells at n = 3 and the JSON keys
+    csv = (DATA_DIR / "census-all-3-40.csv").read_bytes().decode("utf-8")
+    js = (DATA_DIR / "census-all-3-8.json").read_bytes().decode("utf-8")
+    assert run_census(3, 40, "all").to_csv() == csv
+    assert run_census(3, 8, "all").to_json() == js
+    assert run_cli(capsys, "census", "--from", "3", "--to", "40", "--family", "all") == (
+        0, csv, "")
+    assert run_cli(capsys, "census", "--from", "3", "--to", "8", "--family", "all",
+                   "--format", "json") == (0, js, "")
 
 
 def test_census_single_row(capsys):
@@ -165,13 +178,21 @@ def test_closed_form_fault_fails_census_and_verify(capsys, monkeypatch):
 ])
 def test_repeated_component_point_fails_disjointness(capsys, monkeypatch, family, victim,
                                                     donor):
+    failure = {"cwdd": "cwdd parts disjoint on cwdd-b, cwdd-c: witness (5, 5), n mod 6 = 0",
+               "ra": "ra parts disjoint on ra-b, ra-d: witness (3, 4, 7, 7), n mod 6 = 0"}[family]
     victim_rows = sets.ROW_SOURCES[victim]
     repeated = sets.ROW_SOURCES[donor](12)[0]
     monkeypatch.setitem(sets.ROW_SOURCES, victim, lambda n: sorted(victim_rows(n) + [repeated]))
-    code, out, _ = run_cli(capsys, "census", "--from", "12", "--to", "12", "--family", family)
+    code, out, err = run_cli(capsys, "census", "--from", "12", "--to", "12", "--family", family)
     assert code == 1
     assert out.splitlines()[0].endswith("disjointness_ok,sandwich_ok,containment_ok")
+    assert out.splitlines()[1].endswith(",false,true,true")
     assert not CensusReport.from_csv(out).records[0].disjointness_ok
+    assert err == f"census: n = 12: {failure}\n"
+    code, out, _ = run_cli(capsys, "verify", "--n", "12")
+    assert code == 1
+    assert f"disjointness: FAIL; {failure}" in out.splitlines()
+    assert "containment: ok" in out.splitlines()
 
 
 def test_verify_builds_ra_d_rows_once(capsys, monkeypatch):
@@ -230,6 +251,49 @@ def test_realize_emit_graph_json(capsys):
     assert code == 0
     assert json.loads(out)["edges"] == [["l0", "u0"], ["u0", "v0"], ["v0", "w0"],
                                         ["v0", "w1"], ["w0", "w1"]]
+
+
+def test_realize_emit_graph_at_the_edge_limit(capsys, monkeypatch):
+    argv = ("realize", "--n", "10", "--depth", "4", "--dim", "4", "--emit-graph")
+    _, graph_text, _ = run_cli(capsys, *argv)
+    edges = len(graph_text.splitlines()) - 1  # K_{2,2}, two leaves, two triangles: 12
+    monkeypatch.setattr(cli, "EMIT_EDGE_LIMIT", edges)
+    assert run_cli(capsys, *argv) == (0, graph_text, "")
+    monkeypatch.setattr(cli, "EMIT_EDGE_LIMIT", edges - 1)
+    assert run_cli(capsys, *argv) == (
+        2, "", f"error: the graph has {edges} edges, over the --emit-graph limit of {edges - 1}\n")
+
+
+def test_realize_emit_graph_builds_just_under_the_edge_limit(capsys, monkeypatch):
+    class Built(Exception):
+        pass
+
+    def build(cw):
+        assert cw.edge_count == 499_997  # a diagonal point 3 edges under the limit
+        raise Built
+
+    monkeypatch.setattr(cli, "build_graph", build)
+    with pytest.raises(Built):
+        main(["realize", "--n", "3466", "--depth", "1421", "--dim", "1421", "--emit-graph"])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("n, b", [(3461, 1425), (cli.ENUMERATE_LIMIT, 800_000)])
+def test_realize_emit_graph_refuses_too_many_edges(capsys, monkeypatch, fmt, n, b):
+    def refused(cw):
+        raise AssertionError("a refused realize built the graph")
+
+    monkeypatch.setattr(cli, "build_graph", refused)
+    m, p = 3 * b - n, n - 2 * b  # the diagonal skeleton: core K_{m,p}, s = t = 1
+    edges = m * p + m + 3 * p
+    assert edges == (500_001 if n == 3461 else 160_001_600_000)
+    assert edges > cli.EMIT_EDGE_LIMIT == 500_000
+    code, out, err = run_cli(capsys, "realize", "--n", str(n), "--depth", str(b), "--dim",
+                             str(b), "--emit-graph", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert f"{edges} edges, over the --emit-graph limit of {cli.EMIT_EDGE_LIMIT}" in err
+    code, out, _ = run_cli(capsys, "realize", "--n", str(n), "--depth", str(b), "--dim", str(b))
+    assert (code, out) == (0, f"m={m} p={p} s={','.join(['1'] * m)} t={','.join(['1'] * p)}\n")
 
 
 def test_realize_refuses_n_over_the_limit(capsys):

@@ -9,9 +9,7 @@ from cwlattice import (
     InternalInconsistencyError,
     NamedSet,
     ResidueKey,
-    cwdd_breakdown,
     enumerate_set,
-    ra_breakdown,
     ratio_report,
     residue_decompose,
     sandwich_bounds_cwdd,
@@ -130,15 +128,6 @@ def test_size_ra_d_same_on_both_k_parities():
             n_odd_k = 6 * (2 * k + 1) + i
             assert size_ra_d(n_even_k) == len(enumerate_set(NamedSet.RA_D, n_even_k))
             assert size_ra_d(n_odd_k) == len(enumerate_set(NamedSet.RA_D, n_odd_k))
-
-
-def test_breakdowns_are_additive():
-    for n in (5, 6, 7, 12, 17, 60):
-        cb = cwdd_breakdown(n)
-        assert cb.total == sum(cb.components.values()) - cb.overlap
-        rb = ra_breakdown(n)
-        assert rb.overlap == 0
-        assert rb.total == sum(rb.components.values())
 
 
 def test_sandwich_frozen_values():

@@ -370,6 +370,7 @@ def test_realized_structures_build_cameron_walker_graphs():
             assert result.structure.vertex_count == n
             g = build_graph(result.structure)
             assert g.vertex_count == n
+            assert len(g.edges) == result.structure.edge_count
             assert is_connected(g)
             assert matching_number(g) == induced_matching_number(g)
             assert is_cameron_walker(g)

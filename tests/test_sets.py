@@ -1,5 +1,7 @@
 """Enumeration tests: frozen values, naive-scan oracles, membership agreement."""
 
+from fractions import Fraction
+
 import pytest
 
 from cwlattice import (
@@ -21,7 +23,9 @@ from cwlattice import (
     enumerate_ra_c,
     enumerate_ra_d,
     enumerate_set,
+    ratio_report,
     realize,
+    sandwich_bounds_cwdd,
 )
 from cwlattice import sets
 from cwlattice.formulas import SIZE_BY_SET
@@ -276,18 +280,20 @@ def test_enumerate_ra_rejects_overlapping_components(monkeypatch):
         enumerate_ra(12)
 
 
-@pytest.mark.parametrize("n", [12.0, 13.5, "12", None])
+@pytest.mark.parametrize("n", [12.0, 13.5, "12", None, Fraction(12)])
 def test_non_integer_n_is_rejected(n):
+    message = "n must be an int"
     for size in SIZE_BY_SET.values():
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=message):
             size(n)
     for set_id in NamedSet:
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=message):
             enumerate_set(set_id, n)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=message):
             contains(set_id, n, (5,) * set_id.arity)
-    with pytest.raises(TypeError):
-        realize(n, (5, 5))
+    for call in (sandwich_bounds_cwdd, ratio_report, lambda n: realize(n, (5, 5))):
+        with pytest.raises(TypeError, match=message):
+            call(n)
 
 
 @pytest.mark.parametrize("n", range(3, 61))
@@ -354,7 +360,9 @@ def test_union_overlaps_labels_the_part_pairs():
         built = {part: sets.rows(part, n) for part in sets.UNION_PARTS[union]}
         return dict(sets.union_overlaps(union, built))
 
-    assert overlaps(NamedSet.CWDD, 5) == {"ab": [((2,), 2, 2)], "ac": [], "bc": []}
-    assert overlaps(NamedSet.CWDD, 12) == {"ab": [], "ac": [], "bc": []}
+    a, b, c = sets.UNION_PARTS[NamedSet.CWDD]
+    assert overlaps(NamedSet.CWDD, 5) == {(a, b): [((2,), 2, 2)], (a, c): [], (b, c): []}
+    assert overlaps(NamedSet.CWDD, 12) == {(a, b): [], (a, c): [], (b, c): []}
+    a, b, c, d = sets.UNION_PARTS[NamedSet.RA]
     assert overlaps(NamedSet.RA, 12) == {pair: [] for pair in
-                                         ("ab", "ac", "ad", "bc", "bd", "cd")}
+                                         ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d))}
