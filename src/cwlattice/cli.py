@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -53,6 +54,21 @@ def _output(out_path: str | None):
     return open(out_path, "w", encoding="utf-8")
 
 
+def _write_json(handle, payload: dict, items, arity: int) -> None:
+    """Write json.dumps(payload, indent=2) and a newline, byte for byte,
+    where payload's last value is an empty list standing for items: tuples
+    of arity values whose str() is their JSON text.  The items are written
+    a slice at a time, so the caller need not hold them."""
+    head, tail = json.dumps(payload, indent=2).rsplit("[]", 1)
+    item = "\n    [\n      " + ",\n      ".join(["{}"] * arity) + "\n    ]"
+    items, separator = iter(items), ""
+    handle.write(head + "[")
+    while batch := list(itertools.islice(items, 4096)):
+        handle.write(separator + ",".join(item.format(*values) for values in batch))
+        separator = ","
+    handle.write(("\n  ]" if separator else "]") + tail + "\n")
+
+
 def _frac_json(value: Fraction) -> dict[str, int]:
     return {"num": value.numerator, "den": value.denominator}
 
@@ -70,6 +86,10 @@ def cmd_census(args: argparse.Namespace) -> int:
     with _output(args.out) as handle:
         handle.write(report.to_csv() if args.format == "csv" else report.to_json())
     for record in report.records:
+        for tag, (enum_count, closed_count) in record.counts.items():
+            if enum_count != closed_count:
+                print(f"census: n = {record.n}: {tag} enumerated {enum_count}, "
+                      f"closed form {closed_count}, n mod 6 = {record.i}", file=sys.stderr)
         for failure in record.failures:
             print(f"census: n = {record.n}: {failure}", file=sys.stderr)
     return 0 if report.all_pass else 1
@@ -81,24 +101,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if size > ENUMERATE_LIMIT:
         raise DomainError(f"{set_id.value} has {size} points at n = {args.n}, "
                           f"over the enumerate limit of {ENUMERATE_LIMIT}")
-    # written one row of the set at a time, so only one row's points are
-    # held; the JSON is byte for byte that of json.dumps(..., indent=2)
+    # written a row or a slice at a time, so only that many points are held
     set_rows = rows(set_id, args.n)
-    fields = ["{}"] * set_id.arity
-    if args.format == "json":
-        head, tail = json.dumps({"set": set_id.value, "n": args.n, "points": []},
-                                indent=2).split("[]")
-        point, between = "    [\n      " + ",\n      ".join(fields) + "\n    ]", ",\n"
-        start, end = ((head + "[\n", "\n  ]" + tail + "\n") if set_rows
-                      else (head + "[]" + tail + "\n", ""))
-    else:
-        point, between, start, end = ",".join(fields), "\n", "", "\n" if set_rows else ""
     with _output(args.out) as handle:
-        handle.write(start)
-        for index, row in enumerate(set_rows):
-            handle.write((between if index else "")
-                         + between.join(point.format(*p) for p in expand_rows([row])))
-        handle.write(end)
+        if args.format == "json":
+            points = itertools.chain.from_iterable(expand_rows([row]) for row in set_rows)
+            _write_json(handle, {"set": set_id.value, "n": args.n, "points": []},
+                        points, set_id.arity)
+        else:
+            line = ",".join(["{}"] * set_id.arity) + "\n"
+            handle.writelines("".join(line.format(*point) for point in expand_rows([row]))
+                              for row in set_rows)
     return 0
 
 
@@ -167,8 +180,10 @@ def cmd_realize(args: argparse.Namespace) -> int:
         }
         if args.emit_graph:
             edges = edge_ideal_generators(build_graph(cw), structure_vertex_names(cw))
-            payload["edges"] = [list(edge) for edge in edges]
-        print(json.dumps(payload, indent=2))
+            payload["edges"] = []
+            _write_json(sys.stdout, payload, ((json.dumps(a), json.dumps(b)) for a, b in edges), 2)
+        else:
+            print(json.dumps(payload, indent=2))
     else:
         s_txt = ",".join(str(x) for x in cw.s)
         t_txt = ",".join(str(x) for x in cw.t)

@@ -12,6 +12,14 @@ graphs from it, decides matching invariants by exhaustive search, checks
 the Cameron-Walker property, emits edge-ideal generators, and realizes
 achievable (depth, dim) lattice points as skeletons.
 
+Every graph algorithm here reads one table per graph,
+``Graph.neighbour_masks``: bit w of entry v is set when vw is an edge,
+and a vertex's degree is its entry's bit count.  Connectivity is a flood
+fill over it.  A star K_{1,r} (r >= 0, so K_1 counts) is decided by
+degrees alone: n - 1 edges and a vertex of degree n - 1.  So is a star
+triangle: n >= 3, one vertex of degree n - 1 and every other vertex of
+degree 2, so the edges avoiding the centre form a perfect matching.
+
 Both matching searches are exact branch and bound on bitmasks.  The
 matching number branches over vertices: a live vertex of least live
 degree is matched to each live neighbour or left unmatched (a vertex with
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import (
     ArityMismatchError,
@@ -69,30 +78,36 @@ class Graph:
             normalized.add((u, v) if u < v else (v, u))
         return cls(vertex_count=vertex_count, edges=frozenset(normalized))
 
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
+    @cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """Bit w of entry v is set when vw is an edge.  Built on first use
+        and kept; it is not a field, so equality, hashing and repr ignore it."""
+        masks = [0] * self.vertex_count
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability of every vertex from vertex 0."""
-    if g.vertex_count == 1:
-        return True
-    adj = g.adjacency()
-    seen = {0}
-    frontier = [0]
+    """A flood fill from vertex 0 over the neighbour masks reaches every vertex."""
+    nbrs = g.neighbour_masks
+    reached = frontier = 1
     while frontier:
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return len(seen) == g.vertex_count
+        grown = 0
+        for v in _bits(frontier):
+            grown |= nbrs[v]
+        frontier = grown & ~reached
+        reached |= frontier
+    return reached == (1 << g.vertex_count) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +158,7 @@ def matching_number(g: Graph) -> int:
     every pair of live vertices cannot beat the incumbent.
     """
     _check_size(g)
-    adj = [0] * g.vertex_count  # bit w of adj[v] is set when vw is an edge
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = g.neighbour_masks
     best = 0
 
     def grow(live: int, size: int) -> None:
@@ -196,11 +208,11 @@ def induced_matching_number(g: Graph) -> int:
     for index, (u, v) in enumerate(edges):
         incident[u] |= 1 << index
         incident[v] |= 1 << index
-    adj = g.adjacency()
+    nbrs = g.neighbour_masks
     conflicts = []
     for index, (u, v) in enumerate(edges):
         mask = 0
-        for w in adj[u] | adj[v]:
+        for w in _bits(nbrs[u] | nbrs[v]):
             mask |= incident[w]
         conflicts.append(mask & ~(1 << index))
     return _largest_conflict_free(conflicts)
@@ -210,47 +222,29 @@ def induced_matching_number(g: Graph) -> int:
 # recognition
 # ---------------------------------------------------------------------------
 
+def _degrees(g: Graph) -> list[int]:
+    return sorted(mask.bit_count() for mask in g.neighbour_masks)
+
+
 def is_star(g: Graph) -> bool:
-    """True for K_{1,r}: a connected graph whose edges all share one vertex."""
-    if not g.edges or not is_connected(g):
-        return False
-    common = set(next(iter(g.edges)))
-    for u, v in g.edges:
-        common &= {u, v}
-        if not common:
-            return False
-    return True
+    """True for K_{1,r}, r >= 0: n - 1 edges and a vertex adjacent to every
+    other, which then lies on every edge.  K_1 is the star K_{1,0}."""
+    n = g.vertex_count
+    return len(g.edges) == n - 1 and _degrees(g)[-1] == n - 1
 
 
 def is_star_triangle(g: Graph) -> bool:
     """True for a bouquet of triangles glued at one shared vertex.
 
-    Characterization used: some center c is adjacent to every other vertex
-    and the edges avoiding c form a perfect matching on the remaining
-    vertices (each matched pair closes a triangle through c).  A single
-    triangle is the degenerate one-triangle case.
+    Characterization used: n >= 3, one centre is adjacent to every other
+    vertex, and every other vertex has degree 2, so its one edge avoiding
+    the centre matches it to another: those edges form a perfect matching,
+    each pair closing a triangle through the centre.  A single triangle
+    is the one-triangle case.
     """
     n = g.vertex_count
-    if n < 3 or n % 2 == 0:
-        return False
-    if len(g.edges) != (n - 1) + (n - 1) // 2:
-        return False
-    adj = g.adjacency()
-    for c in range(n):
-        if len(adj[c]) != n - 1:
-            continue
-        matched: set[int] = set()
-        ok = True
-        for u, v in g.edges:
-            if c in (u, v):
-                continue
-            if u in matched or v in matched:
-                ok = False
-                break
-            matched.update((u, v))
-        if ok and len(matched) == n - 1:
-            return True
-    return False
+    degrees = _degrees(g)
+    return n >= 3 and degrees[-1] == n - 1 and all(d == 2 for d in degrees[:-1])
 
 
 def not_cw_reason(g: Graph, m: int, im: int) -> str:

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from cwlattice import (CensusReport, NamedSet, census, cli, graphs, run_census, sets,
-                       size_ra, size_ra_d)
+from cwlattice import (CensusReport, NamedSet, build_graph, census, cli, edge_ideal_generators,
+                       graphs, realize, run_census, sets, size_ra, size_ra_d,
+                       structure_vertex_names)
 from cwlattice.cli import main
 
 from conftest import CHORDED_HEXAGON_EDGES
@@ -129,6 +130,15 @@ def test_enumerate_json_bytes_equal_json_dumps(capsys, tmp_path, set_id):
     assert out_file.read_text(encoding="utf-8") == out
 
 
+@pytest.mark.parametrize("set_id, n", [(NamedSet.CWDD, 170), (NamedSet.RA, 100)])
+def test_enumerate_json_of_several_slices_equals_json_dumps(capsys, set_id, n):
+    points = [list(p) for p in sets.enumerate_set(set_id, n)]
+    assert len(points) > 4096
+    expected = json.dumps({"set": set_id.value, "n": n, "points": points}, indent=2) + "\n"
+    assert run_cli(capsys, "enumerate", "--n", str(n), "--set", set_id.value,
+                   "--format", "json") == (0, expected, "")
+
+
 def test_enumerate_refuses_sets_over_the_limit(capsys):
     code, out, err = run_cli(capsys, "enumerate", "--n", "100000", "--set", "ra")
     assert code == 2
@@ -172,6 +182,25 @@ def test_closed_form_fault_fails_census_and_verify(capsys, monkeypatch):
     assert out.splitlines()[-1] == "verdict: FAIL"
 
 
+def test_count_mismatch_is_named_on_census_stderr(capsys, monkeypatch):
+    # cwdd-c loses its rows: both it and its union cwdd count short from n = 7
+    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.CWDD_C, lambda n: [])
+    csv = ("n,k,i,cwdd-a_enum,cwdd-a_closed,cwdd-b_enum,cwdd-b_closed,cwdd-c_enum,"
+           "cwdd-c_closed,cwdd_enum,cwdd_closed,disjointness_ok,sandwich_ok,containment_ok\n"
+           "6,1,0,2,2,0,0,0,0,2,2,true,true,true\n"
+           "7,1,1,3,3,1,1,0,1,4,5,true,true,true\n"
+           "8,1,2,2,2,1,1,0,2,3,5,true,true,true\n")
+    err = ("census: n = 7: cwdd-c enumerated 0, closed form 1, n mod 6 = 1\n"
+           "census: n = 7: cwdd enumerated 4, closed form 5, n mod 6 = 1\n"
+           "census: n = 8: cwdd-c enumerated 0, closed form 2, n mod 6 = 2\n"
+           "census: n = 8: cwdd enumerated 3, closed form 5, n mod 6 = 2\n")
+    argv = ("census", "--from", "6", "--to", "8", "--family", "cwdd")
+    assert run_cli(capsys, *argv) == (1, csv, err)
+    report = CensusReport.from_csv(csv)
+    assert run_cli(capsys, *argv, "--format", "json") == (1, report.to_json(), err)
+    assert json.loads(report.to_json())["first_failure"] == 7
+
+
 @pytest.mark.parametrize("family, victim, donor", [
     ("cwdd", NamedSet.CWDD_C, NamedSet.CWDD_B),
     ("ra", NamedSet.RA_B, NamedSet.RA_D),
@@ -188,7 +217,10 @@ def test_repeated_component_point_fails_disjointness(capsys, monkeypatch, family
     assert out.splitlines()[0].endswith("disjointness_ok,sandwich_ok,containment_ok")
     assert out.splitlines()[1].endswith(",false,true,true")
     assert not CensusReport.from_csv(out).records[0].disjointness_ok
-    assert err == f"census: n = 12: {failure}\n"
+    # the repeated point also makes the victim's count exceed its closed form
+    grown = {"cwdd": "cwdd-c enumerated 12, closed form 11",
+             "ra": "ra-b enumerated 4, closed form 3"}[family]
+    assert err == f"census: n = 12: {grown}, n mod 6 = 0\ncensus: n = 12: {failure}\n"
     code, out, _ = run_cli(capsys, "verify", "--n", "12")
     assert code == 1
     assert f"disjointness: FAIL; {failure}" in out.splitlines()
@@ -251,6 +283,28 @@ def test_realize_emit_graph_json(capsys):
     assert code == 0
     assert json.loads(out)["edges"] == [["l0", "u0"], ["u0", "v0"], ["v0", "w0"],
                                         ["v0", "w1"], ["w0", "w1"]]
+
+
+def test_realize_json_bytes_equal_json_dumps(capsys):
+    # every supported point for n in 5..12, and a 4,620-edge graph at n = 330
+    # that the CLI writes in more than one slice
+    points = [(n, (a, b)) for n in range(5, 13) for a in range(1, n) for b in range(1, n)]
+    written = 0
+    for n, (a, b) in points + [(330, (132, 132))]:
+        result = realize(n, (a, b))
+        if result.structure is None:
+            continue
+        cw = result.structure
+        payload = {"kind": result.kind.value, "n": cw.vertex_count, "m": cw.m, "p": cw.p,
+                   "s": list(cw.s), "t": list(cw.t)}
+        argv = ("realize", "--n", str(n), "--depth", str(a), "--dim", str(b), "--format", "json")
+        assert run_cli(capsys, *argv) == (0, json.dumps(payload, indent=2) + "\n", "")
+        names = structure_vertex_names(cw)
+        payload["edges"] = [list(e) for e in edge_ideal_generators(build_graph(cw), names)]
+        assert run_cli(capsys, *argv, "--emit-graph") == (
+            0, json.dumps(payload, indent=2) + "\n", "")
+        written += 1
+    assert written == 27 and len(payload["edges"]) == 4620
 
 
 def test_realize_emit_graph_at_the_edge_limit(capsys, monkeypatch):
@@ -327,6 +381,13 @@ def test_recognize_chorded_hexagon(capsys, hexagon_file):
     code, out, _ = run_cli(capsys, "recognize", "--input", hexagon_file)
     assert code == 0
     assert out == "not CW: m=3 im=2 (m≠im)\n"
+
+
+def test_readme_example_file(capsys):
+    path = str(DATA_DIR / "chorded-hexagon.edges")
+    assert run_cli(capsys, "recognize", "--input", path) == (0, "not CW: m=3 im=2 (m≠im)\n", "")
+    assert run_cli(capsys, "ideal", "--input", path) == (
+        0, "ab\naf\nbc\nbf\ncd\nce\nde\nef\n", "")
 
 
 def test_recognize_cw_graph(capsys, tmp_path):

@@ -207,6 +207,80 @@ def test_star_and_star_triangle_shapes():
     assert not is_star_triangle(lollipop)
 
 
+def test_one_vertex_graph_is_the_star_k_1_0():
+    k1 = Graph(1, frozenset())
+    assert is_connected(k1) and is_star(k1) and not is_star_triangle(k1)
+    assert not_cw_reason(k1, matching_number(k1), induced_matching_number(k1)) == "star"
+    assert not is_cameron_walker(k1)
+
+
+def oracle_connected(g: Graph) -> bool:
+    adj = {v: set() for v in range(g.vertex_count)}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen, queue = {0}, [0]
+    for u in queue:
+        for w in adj[u] - seen:
+            seen.add(w)
+            queue.append(w)
+    return len(seen) == g.vertex_count
+
+
+def oracle_star(g: Graph) -> bool:
+    return oracle_connected(g) and any(
+        all(c in edge for edge in g.edges) for c in range(g.vertex_count))
+
+
+def oracle_star_triangle(g: Graph) -> bool:
+    for c in range(g.vertex_count):
+        if any(tuple(sorted((c, v))) not in g.edges for v in range(g.vertex_count) if v != c):
+            continue
+        matching = [edge for edge in g.edges if c not in edge]
+        covered = sorted(v for edge in matching for v in edge)
+        if matching and covered == [v for v in range(g.vertex_count) if v != c]:
+            return True
+    return False
+
+
+def _graphs_for_predicates():
+    """Every labelled graph on 1..5 vertices, then 2,000 seeded graphs on 6..9
+    vertices: a third drawn edge by edge, the rest stars and bouquets of
+    triangles, relabelled, half of them with one vertex pair toggled."""
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            yield Graph.from_edges(n, [pair for i, pair in enumerate(pairs) if bits >> i & 1])
+    rng = random.Random(20240607)
+    for index in range(2000):
+        n = rng.randint(6, 9)
+        if index % 3 == 0:
+            density = rng.random()
+            edges = {pair for pair in combinations(range(n), 2) if rng.random() < density}
+        else:
+            edges = {(0, v) for v in range(1, n)}
+            if index % 3 == 2:
+                edges |= {(v, v + 1) for v in range(1, n - 1, 2)}
+            label = rng.sample(range(n), n)
+            edges = {tuple(sorted((label[u], label[v]))) for u, v in edges}
+            if rng.random() < 0.5:
+                edges ^= {tuple(sorted(rng.sample(range(n), 2)))}
+        yield Graph.from_edges(n, edges)
+
+
+def test_connectivity_and_star_tests_match_definitional_oracles():
+    seen = {"connected": 0, "star": 0, "star triangle": 0}
+    for g in _graphs_for_predicates():
+        connected, star, star_triangle = is_connected(g), is_star(g), is_star_triangle(g)
+        assert connected == oracle_connected(g), g
+        assert star == oracle_star(g), g
+        assert star_triangle == oracle_star_triangle(g), g
+        seen["connected"] += connected
+        seen["star"] += star
+        seen["star triangle"] += star_triangle and g.vertex_count > 5
+    assert min(seen.values()) > 100, seen
+
+
 def test_is_cameron_walker_examples(chorded_hexagon):
     assert is_cameron_walker(build_graph(CwStructure(1, 1, (1,), (1,))))
     assert not is_cameron_walker(Graph.from_edges(5, [(0, i) for i in range(1, 5)]))
