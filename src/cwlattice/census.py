@@ -1,13 +1,17 @@
 """Batch cross-verification of the lattice sets against closed forms.
 
 For each n in a range the census builds the rows of the selected family of
-lattice sets, counts their points by summing row lengths, evaluates the
-matching closed-form sizes, and runs the entries of CHECKS that the family
-switches on: component disjointness, the sandwich envelope, containment
-and projection, each tested on the rows and each returning, on a failure,
-the sets, a witness point and n mod 6.  Failures are recorded and the run
-continues, so one bad polynomial branch produces a complete diagnostic map
-across residues instead of a single abort.
+lattice sets, counts their points by summing row lengths (once per set),
+evaluates the matching closed-form sizes, and runs the entries of CHECKS
+that the family switches on: component disjointness, the sandwich
+envelope, containment and projection, each tested on the rows and each
+returning, on a failure, the sets, a witness point and n mod 6.  A union's
+parts share no point when its count is the sum of theirs
+(sets.counts_add_up), so disjointness is decided from the counts; the
+pairwise intersection of the parts runs only when they do not add up or a
+shared point is expected, to find the witness.  Failures are recorded and
+the run continues, so one bad polynomial branch produces a complete
+diagnostic map across residues instead of a single abort.
 
 Reports serialize to CSV (one row per n; the diffable golden format) and
 JSON, with one boolean per kind of check, and parse back losslessly.
@@ -197,16 +201,24 @@ def _family_for_tags(tags: list[str]) -> str:
 
 class _Rows(dict):
     """The rows of the named sets at one n, each built on first use; a
-    union's rows merge its components' rows, so no set is built twice."""
+    union's rows merge its components' rows, so no set is built twice.
+    count(set) sums a set's row lengths once."""
 
     def __init__(self, n: int):
         super().__init__()
         self.n = n
+        self.counts: dict[NamedSet, int] = {}
 
     def __missing__(self, set_id: NamedSet) -> list[sets.Row]:
         rows = self[set_id] = (sets.union_rows(set_id, self) if set_id in sets.UNION_PARTS
                                else sets.rows(set_id, self.n))
         return rows
+
+    def count(self, set_id: NamedSet) -> int:
+        """The number of points in the set's rows, summed on first use."""
+        if set_id not in self.counts:
+            self.counts[set_id] = sets.count_rows(self[set_id])
+        return self.counts[set_id]
 
 
 @dataclass(frozen=True)
@@ -239,16 +251,21 @@ class Check:
 
 
 # the one point two parts of a union share: (2, 2), in cwdd-a and cwdd-b at n = 5
-_SHARED = {(5, NamedSet.CWDD_A, NamedSet.CWDD_B): [(2, 2)]}
+_SHARED = {(NamedSet.CWDD, 5): {(NamedSet.CWDD_A, NamedSet.CWDD_B): [(2, 2)]}}
 
 
 def _parts_disjoint(union: NamedSet) -> Check:
     """No two parts of the union share a point, except as _SHARED allows;
-    it applies from n = 5, below which every CW set is empty."""
+    it applies from n = 5, below which every CW set is empty.  The counts
+    decide it when no shared point is expected; the pairwise scan runs
+    only to find the witness."""
 
     def find(n, built):
+        expected = _SHARED.get((union, n), {})
+        if not expected and sets.counts_add_up(union, built.count):
+            return None
         for pair, common in sets.union_overlaps(union, built):
-            points, shared = sets.expand_rows(common), _SHARED.get((n, *pair), [])
+            points, shared = sets.expand_rows(common), expected.get(pair, [])
             if points != shared:
                 return pair, next(p for p in points + shared if (p in points) != (p in shared))
         return None
@@ -322,7 +339,7 @@ def _compute_record(n: int, family: str) -> CensusRecord:
     members = FAMILY_SETS[family]
     built = _Rows(n)
     counts: dict[str, tuple[int | None, int | None]] = {
-        member.value: (sets.count_rows(built[member]), SIZE_BY_SET[member](n))
+        member.value: (built.count(member), SIZE_BY_SET[member](n))
         if sets.is_defined(member, n) else (None, None)
         for member in members
     }

@@ -28,7 +28,6 @@ from .graphs import (
     RealizationKind,
     build_graph,
     edge_ideal_generators,
-    format_edge_list,
     induced_matching_number,
     matching_number,
     not_cw_reason,
@@ -189,7 +188,8 @@ def cmd_realize(args: argparse.Namespace) -> int:
         t_txt = ",".join(str(x) for x in cw.t)
         print(f"m={cw.m} p={cw.p} s={s_txt} t={t_txt}")
         if args.emit_graph:
-            sys.stdout.write(format_edge_list(build_graph(cw), structure_vertex_names(cw)))
+            edges = edge_ideal_generators(build_graph(cw), structure_vertex_names(cw))
+            sys.stdout.writelines(f"{a} {b}\n" for a, b in edges)
     return 0
 
 

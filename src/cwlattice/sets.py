@@ -12,9 +12,9 @@ lo <= d <= hi (every tuple set has deg h = dim).
 Each base set is defined once, by a generator of its rows; the two unions
 merge their parts' rows.  A set's rows at n are sorted and do not overlap.
 Enumeration expands them, counting sums their lengths, and the census's
-structural checks intersect them prefix by prefix.  The membership
-predicates behind ``contains`` test the inequalities directly, an oracle
-independent of the rows.
+structural checks compare those counts and intersect the rows prefix by
+prefix.  The membership predicates behind ``contains`` test the
+inequalities directly, an oracle independent of the rows.
 
 Two-coordinate sets, points (depth, dim):
 
@@ -117,12 +117,19 @@ def merge_rows(rows: Iterable[Row]) -> list[Row]:
     """The rows of the union of ``rows``: sorted, with rows of one prefix
     that overlap or touch joined into one."""
     merged: list[Row] = []
+    append = merged.append
+    # the row being joined, (current, start, top); no prefix equals None
+    current = start = top = None
     for prefix, lo, hi in sorted(rows):
-        if merged and merged[-1][0] == prefix and lo <= merged[-1][2] + 1:
-            if hi > merged[-1][2]:
-                merged[-1] = (prefix, merged[-1][1], hi)
+        if prefix == current and lo <= top + 1:
+            if hi > top:
+                top = hi
         else:
-            merged.append((prefix, lo, hi))
+            if current is not None:
+                append((current, start, top))
+            current, start, top = prefix, lo, hi
+    if current is not None:
+        append((current, start, top))
     return merged
 
 
@@ -140,9 +147,9 @@ def intersect_rows(xs: list[Row], ys: list[Row]) -> list[Row]:
     ]
 
 
-def count_rows(rows: Iterable[Row]) -> int:
+def count_rows(rows: list[Row]) -> int:
     """The number of points in non-overlapping rows."""
-    return sum(hi - lo + 1 for _, lo, hi in rows)
+    return sum([hi - lo + 1 for _, lo, hi in rows])
 
 
 def expand_rows(rows: list[Row]) -> list[tuple[int, ...]]:
@@ -257,6 +264,18 @@ def union_overlaps(set_id: NamedSet, part_rows):
         yield (x, y), intersect_rows(part_rows[x], part_rows[y])
 
 
+def counts_add_up(set_id: NamedSet, count) -> bool:
+    """Whether a union's count is the sum of its parts' counts, where
+    ``count(s)`` is the number of points in the rows of set s at one n.
+
+    The union's merged rows count each point once and a part's rows count
+    it once per row, so the sum equals the union's count exactly when no
+    two parts share a point and no part's rows overlap each other.  When
+    it fails, union_overlaps finds the shared points, if any.
+    """
+    return count(set_id) == sum([count(part) for part in UNION_PARTS[set_id]])
+
+
 def rows(set_id: NamedSet, n: int) -> list[Row]:
     """The rows of the named set at n, sorted and non-overlapping.
 
@@ -269,14 +288,16 @@ def rows(set_id: NamedSet, n: int) -> list[Row]:
         _require_defined(set_id, n)
         return ROW_SOURCES[set_id](n)
     parts = {part: rows(part, n) for part in UNION_PARTS[set_id]}
-    if set_id is NamedSet.RA:
+    merged = union_rows(set_id, parts)
+    if set_id is NamedSet.RA and not counts_add_up(
+            set_id, lambda s: count_rows(merged if s is set_id else parts[s])):
         for _, common in union_overlaps(set_id, parts):
             if common:
                 raise InternalInconsistencyError(
                     f"ra components overlap at n={n}: "
                     f"{expand_rows(common)[0]} is in two of them"
                 )
-    return union_rows(set_id, parts)
+    return merged
 
 
 # ---------------------------------------------------------------------------

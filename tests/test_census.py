@@ -1,5 +1,7 @@
 """Census engine tests: verification runs, serialization, determinism."""
 
+from itertools import combinations
+
 import pytest
 
 from cwlattice import (
@@ -13,8 +15,11 @@ from cwlattice import (
     enumerate_set,
     run_census,
     sets,
+    size_ra,
+    size_ra_d,
 )
 from cwlattice.census import FAMILY_SETS
+from cwlattice.cli import main
 
 DISJOINTNESS = ("cwdd parts disjoint", "ra parts disjoint")
 PROJECTIONS = ("ra projects into cwdd", "ra-a projects into cwdd-a")
@@ -128,6 +133,80 @@ def test_cwdd_disjointness_names_a_missing_shared_point(monkeypatch):
     monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.CWDD_B, lambda n: [])
     assert check("cwdd parts disjoint", 5) == Failure(
         "cwdd parts disjoint", "disjointness", (NamedSet.CWDD_A, NamedSet.CWDD_B), (2, 2), 5)
+
+
+def _gains_first_row_of(donor):
+    return lambda rows, n: sorted(rows + sets.ROW_SOURCES[donor](n)[:1])
+
+
+@pytest.mark.parametrize("victim, fault", [
+    (None, None),
+    (NamedSet.RA_B, _gains_first_row_of(NamedSet.RA_D)),
+    (NamedSet.CWDD_C, _gains_first_row_of(NamedSet.CWDD_B)),
+    (NamedSet.RA_D, lambda rows, n: sorted(rows + rows[:1])),  # a part overlapping itself
+    (NamedSet.CWDD_B, lambda rows, n: []),  # (2, 2) is no longer shared at n = 5
+], ids=["none", "ra-b-shares", "cwdd-c-shares", "ra-d-repeats-itself", "cwdd-b-empty"])
+def test_parts_disjoint_agrees_with_python_set_intersection(monkeypatch, victim, fault):
+    # the oracle: the points each pair of parts shares, from Python sets of
+    # their expanded points; only (2, 2), in cwdd-a and cwdd-b at n = 5, is allowed
+    if victim is not None:
+        source = sets.ROW_SOURCES[victim]
+        monkeypatch.setitem(sets.ROW_SOURCES, victim, lambda n: fault(source(n), n))
+    verdicts = set()
+    for n in range(5, 121):
+        for name, union in zip(DISJOINTNESS, (NamedSet.CWDD, NamedSet.RA)):
+            parts = sets.UNION_PARTS[union]
+            points = {part: set(sets.expand_rows(sets.rows(part, n))) for part in parts}
+            allowed = {(NamedSet.CWDD_A, NamedSet.CWDD_B): {(2, 2)}} if n == 5 else {}
+            wrong = [(pair, (points[pair[0]] & points[pair[1]]) ^ allowed.get(pair, set()))
+                     for pair in combinations(parts, 2)]
+            wrong = [(pair, extra) for pair, extra in wrong if extra]
+            failure = check(name, n)
+            verdicts.add(failure is None)
+            if not wrong:
+                assert failure is None, (name, n)
+            else:
+                assert failure is not None, (name, n)
+                assert failure.sets == wrong[0][0] and failure.witness in wrong[0][1]
+    # every fault that makes two parts share a point, or stop sharing one, is seen
+    assert verdicts == ({True} if victim in (None, NamedSet.RA_D) else {True, False})
+
+
+def test_parts_are_scanned_pairwise_only_for_a_witness(monkeypatch):
+    def scan(union, part_rows):
+        raise AssertionError(f"{union.value}: pairwise scan")
+
+    monkeypatch.setattr(sets, "union_overlaps", scan)
+    for n in (6, 60, 300):
+        for name in DISJOINTNESS:
+            assert check(name, n) is None
+        assert sets.rows(NamedSet.RA, n)
+    # at n = 5 the shared point (2, 2) is expected, and only the scan finds it
+    with pytest.raises(AssertionError, match="cwdd: pairwise scan"):
+        check("cwdd parts disjoint", 5)
+
+
+def test_part_repeating_its_own_row_is_a_count_fault_not_a_shared_point(capsys, monkeypatch):
+    # ra-d lists (3, 4, 7, 7) twice: its count exceeds its closed form, the
+    # union count is no longer the sum of the parts' counts, and yet no two
+    # parts share a point, so the pairwise scan decides that the check holds
+    rows_ra_d = sets.ROW_SOURCES[NamedSet.RA_D]
+    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.RA_D,
+                        lambda n: sorted(rows_ra_d(n) + rows_ra_d(n)[:1]))
+    assert check("ra parts disjoint", 12) is None
+    assert sets.count_rows(sets.rows(NamedSet.RA, 12)) == size_ra(12)  # no raise
+    record = run_census(12, 12, "ra").records[0]
+    assert record.failures == () and record.disjointness_ok and not record.passed
+    assert record.counts["ra-d"] == (size_ra_d(12) + 1, size_ra_d(12))
+    # the union merges the repeat away, so its own count still equals its
+    # closed form, and the parts' counts add up to one more
+    assert record.counts["ra"] == (size_ra(12), size_ra(12))
+    assert sum(record.counts[part.value][0] for part in sets.UNION_PARTS[NamedSet.RA]) == (
+        size_ra(12) + 1)
+    assert main(["census", "--from", "12", "--to", "12", "--family", "ra"]) == 1
+    assert capsys.readouterr().err == (
+        f"census: n = 12: ra-d enumerated {size_ra_d(12) + 1}, "
+        f"closed form {size_ra_d(12)}, n mod 6 = 0\n")
 
 
 @pytest.mark.parametrize("family", ["cwdd", "bounds", "all"])

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from cwlattice import (CensusReport, NamedSet, build_graph, census, cli, edge_ideal_generators,
-                       graphs, realize, run_census, sets, size_ra, size_ra_d,
-                       structure_vertex_names)
+                       format_edge_list, graphs, realize, run_census, sets, size_ra,
+                       size_ra_d, structure_vertex_names)
 from cwlattice.cli import main
 
 from conftest import CHORDED_HEXAGON_EDGES
@@ -275,6 +275,18 @@ def test_realize_emit_graph(capsys):
     lines = out.splitlines()
     assert lines[0] == "m=1 p=1 s=1 t=1"
     assert lines[1:] == ["l0 u0", "u0 v0", "v0 w0", "v0 w1", "w0 w1"]
+
+
+def test_realize_emit_graph_text_bytes_equal_format_edge_list(capsys):
+    # the CLI streams the edge lines; they are format_edge_list's text, byte for byte
+    for n, (a, b) in [(5, (2, 2)), (10, (4, 4)), (12, (2, 10)), (13, (2, 6)),
+                      (330, (132, 132))]:
+        argv = ("realize", "--n", str(n), "--depth", str(a), "--dim", str(b))
+        _, head, _ = run_cli(capsys, *argv)
+        cw = realize(n, (a, b)).structure
+        edges = format_edge_list(build_graph(cw), structure_vertex_names(cw))
+        assert run_cli(capsys, *argv, "--emit-graph") == (0, head + edges, "")
+    assert edges.count("\n") == 4620
 
 
 def test_realize_emit_graph_json(capsys):

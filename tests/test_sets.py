@@ -280,6 +280,17 @@ def test_enumerate_ra_rejects_overlapping_components(monkeypatch):
         enumerate_ra(12)
 
 
+def test_rows_ra_names_the_first_common_point(monkeypatch):
+    # the counts no longer add up, and the pairwise scan names the point
+    rows_ra_b = sets.ROW_SOURCES[NamedSet.RA_B]
+    repeated = sets.ROW_SOURCES[NamedSet.RA_D](12)[0]
+    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.RA_B,
+                        lambda n: sorted(rows_ra_b(n) + [repeated]))
+    message = r"^ra components overlap at n=12: \(3, 4, 7, 7\) is in two of them$"
+    with pytest.raises(InternalInconsistencyError, match=message):
+        sets.rows(NamedSet.RA, 12)
+
+
 @pytest.mark.parametrize("n", [12.0, 13.5, "12", None, Fraction(12)])
 def test_non_integer_n_is_rejected(n):
     message = "n must be an int"
@@ -366,3 +377,12 @@ def test_union_overlaps_labels_the_part_pairs():
     a, b, c, d = sets.UNION_PARTS[NamedSet.RA]
     assert overlaps(NamedSet.RA, 12) == {pair: [] for pair in
                                          ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d))}
+
+
+def test_merge_rows_joins_overlapping_and_touching_rows_of_one_prefix():
+    assert sets.merge_rows([]) == []
+    rows = [((2,), 7, 9), ((1,), 1, 3), ((1,), 4, 4), ((1,), 2, 2), ((1,), 6, 8),
+            ((2,), 1, 5), ((2,), 3, 6), ((3,), 5, 5), ((1,), 8, 10)]
+    assert sets.merge_rows(rows) == [((1,), 1, 4), ((1,), 6, 10), ((2,), 1, 9),
+                                     ((3,), 5, 5)]
+    assert sets.count_rows(sets.merge_rows(rows)) == len(set(sets.expand_rows(rows)))
