@@ -1,17 +1,18 @@
 """Batch cross-verification of the lattice sets against closed forms.
 
 For each n in a range the census builds the rows of the selected family of
-lattice sets, counts their points by summing row lengths (once per set),
-evaluates the matching closed-form sizes, and runs the entries of CHECKS
-that the family switches on: component disjointness, the sandwich
-envelope, containment and projection, each tested on the rows and each
-returning, on a failure, the sets, a witness point and n mod 6.  A union's
-parts share no point when its count is the sum of theirs
-(sets.counts_add_up), so disjointness is decided from the counts; the
-pairwise intersection of the parts runs only when they do not add up or a
-shared point is expected, to find the witness.  Failures are recorded and
-the run continues, so one bad polynomial branch produces a complete
-diagnostic map across residues instead of a single abort.
+lattice sets in one sets.RowTable, counts their points by summing row
+lengths (once per set), evaluates the matching closed-form sizes, and runs
+the entries of CHECKS that the family switches on: component disjointness,
+the sandwich envelope, containment and projection, each returning, on a
+failure, the sets, a witness point and n mod 6.  Every relation between
+sets is decided from counts.  A union's parts share no point when its
+count is the sum of theirs (sets.parts_overlap); a set lies in another
+when merging its rows (projected, for a projection) into the other's adds
+no point.  Rows are intersected or expanded only to name a witness, or at
+n = 5, where cwdd-a and cwdd-b are expected to share (2, 2).  Failures are
+recorded and the run continues, so one bad polynomial branch produces a
+complete diagnostic map across residues instead of a single abort.
 
 Reports serialize to CSV (one row per n; the diffable golden format) and
 JSON, with one boolean per kind of check, and parse back losslessly.
@@ -199,28 +200,6 @@ def _family_for_tags(tags: list[str]) -> str:
 # structural checks, on the sets' rows
 # ---------------------------------------------------------------------------
 
-class _Rows(dict):
-    """The rows of the named sets at one n, each built on first use; a
-    union's rows merge its components' rows, so no set is built twice.
-    count(set) sums a set's row lengths once."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-        self.counts: dict[NamedSet, int] = {}
-
-    def __missing__(self, set_id: NamedSet) -> list[sets.Row]:
-        rows = self[set_id] = (sets.union_rows(set_id, self) if set_id in sets.UNION_PARTS
-                               else sets.rows(set_id, self.n))
-        return rows
-
-    def count(self, set_id: NamedSet) -> int:
-        """The number of points in the set's rows, summed on first use."""
-        if set_id not in self.counts:
-            self.counts[set_id] = sets.count_rows(self[set_id])
-        return self.counts[set_id]
-
-
 @dataclass(frozen=True)
 class Failure:
     """A structural check that failed at one n: its name and kind, the sets
@@ -241,39 +220,24 @@ class Failure:
 @dataclass(frozen=True)
 class Check:
     """An entry of CHECKS: its kind (the census boolean it feeds), the family
-    sets that switch it on, the first n it applies to, and find(n, rows),
-    which returns None when the check holds, else (sets involved, witness)."""
+    sets that switch it on, the first n it applies to, and find(n, table),
+    which reads the sets' rows from a sets.RowTable at n and returns None
+    when the check holds, else (sets involved, witness)."""
 
     kind: str
     on: tuple[NamedSet, ...]
     first_n: int
-    find: Callable[[int, _Rows], tuple[tuple[NamedSet, ...], tuple[int, ...]] | None]
-
-
-# the one point two parts of a union share: (2, 2), in cwdd-a and cwdd-b at n = 5
-_SHARED = {(NamedSet.CWDD, 5): {(NamedSet.CWDD_A, NamedSet.CWDD_B): [(2, 2)]}}
+    find: Callable[[int, sets.RowTable], tuple[tuple[NamedSet, ...], tuple[int, ...]] | None]
 
 
 def _parts_disjoint(union: NamedSet) -> Check:
-    """No two parts of the union share a point, except as _SHARED allows;
-    it applies from n = 5, below which every CW set is empty.  The counts
-    decide it when no shared point is expected; the pairwise scan runs
-    only to find the witness."""
-
-    def find(n, built):
-        expected = _SHARED.get((union, n), {})
-        if not expected and sets.counts_add_up(union, built.count):
-            return None
-        for pair, common in sets.union_overlaps(union, built):
-            points, shared = sets.expand_rows(common), expected.get(pair, [])
-            if points != shared:
-                return pair, next(p for p in points + shared if (p in points) != (p in shared))
-        return None
-
-    return Check("disjointness", (union,), 5, find)
+    """No two parts of the union share a point, except where one is
+    expected (sets.parts_overlap); it applies from n = 5, below which every
+    CW set is empty."""
+    return Check("disjointness", (union,), 5, lambda n, table: sets.parts_overlap(union, table))
 
 
-def _sandwich(n, built):
+def _sandwich(n, table):
     lo, hi = sandwich_bounds_cwdd(n)
     size = size_cwdd(n)
     return None if lo <= size <= hi else ((NamedSet.CWDD,), (size,))
@@ -283,18 +247,17 @@ def _inside(sub: NamedSet, sup: NamedSet, min_depth: int | None = None) -> Check
     """sub lies in sup; with min_depth, sub is a tuple set whose tuples
     (a, r, d, d) with a >= min_depth project to pairs (a, d) in sup.  It
     applies from the census's first n, 3, or where a polytope is defined.
-    The witness is the first point of sub outside sup, looked for only
-    once the counts show that there is one."""
+    It holds exactly when merging sub's rows into sup's adds no point (sup's
+    rows are merged too, in case they repeat a point); only when it fails
+    are the rows expanded, and the witness is the least point outside sup."""
 
-    def find(n, built):
-        xs = built[sub]
+    def find(n, table):
+        xs, ys = table[sub], table[sup]
         if min_depth is not None:
-            xs = sets.merge_rows(((a,), lo, hi) for (a, _), lo, hi in xs if a >= min_depth)
-        common = sets.intersect_rows(xs, built[sup])
-        if sets.count_rows(common) == sets.count_rows(xs):
+            xs = [((a,), lo, hi) for (a, _), lo, hi in xs if a >= min_depth]
+        if sets.count_rows(sets.merge_rows(xs + ys)) == sets.count_rows(sets.merge_rows(ys)):
             return None
-        inside = set(sets.expand_rows(common))
-        return (sub, sup), next(p for p in sets.expand_rows(xs) if p not in inside)
+        return (sub, sup), min(set(sets.expand_rows(xs)) - set(sets.expand_rows(ys)))
 
     first_n = max(sets.FIRST_N.get(s, 3) for s in (sub, sup))
     return Check("containment", (sub,), first_n, find)
@@ -312,9 +275,9 @@ CHECKS = {
 }
 
 
-def _failure(name: str, n: int, built: _Rows) -> Failure | None:
+def _failure(name: str, n: int, table: sets.RowTable) -> Failure | None:
     entry = CHECKS[name]
-    found = entry.find(n, built)
+    found = entry.find(n, table)
     return None if found is None else Failure(name, entry.kind, *found, n % 6)
 
 
@@ -327,7 +290,7 @@ def check(name: str, n: int) -> Failure | None:
         raise DomainError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
     if n < CHECKS[name].first_n:
         raise DomainError(f"{name} applies from n = {CHECKS[name].first_n}, got {n}")
-    return _failure(name, n, _Rows(n))
+    return _failure(name, n, sets.RowTable(n))
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +300,16 @@ def check(name: str, n: int) -> Failure | None:
 def _compute_record(n: int, family: str) -> CensusRecord:
     key = formulas.residue_decompose(n)
     members = FAMILY_SETS[family]
-    built = _Rows(n)
+    table = sets.RowTable(n)
     counts: dict[str, tuple[int | None, int | None]] = {
-        member.value: (built.count(member), SIZE_BY_SET[member](n))
+        member.value: (table.count(member), SIZE_BY_SET[member](n))
         if sets.is_defined(member, n) else (None, None)
         for member in members
     }
     failures = tuple(
         failure for name, entry in CHECKS.items()
         if n >= entry.first_n and any(s in members for s in entry.on)
-        and (failure := _failure(name, n, built)) is not None
+        and (failure := _failure(name, n, table)) is not None
     )
     failed = {failure.kind for failure in failures}
     return CensusRecord(n, key.k, key.i, counts, *(kind not in failed for kind in KINDS),

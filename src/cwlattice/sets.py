@@ -9,12 +9,16 @@ pair row ``((a,), lo, hi)`` holds the points (a, b) with lo <= b <= hi,
 and a tuple row ``((a, r), lo, hi)`` the points (a, r, d, d) with
 lo <= d <= hi (every tuple set has deg h = dim).
 
-Each base set is defined once, by a generator of its rows; the two unions
-merge their parts' rows.  A set's rows at n are sorted and do not overlap.
-Enumeration expands them, counting sums their lengths, and the census's
-structural checks compare those counts and intersect the rows prefix by
-prefix.  The membership predicates behind ``contains`` test the
-inequalities directly, an oracle independent of the rows.
+Each base set is defined once, by a generator of its rows; a RowTable
+holds every set's rows at one n, and is the one place where a union's
+rows are merged from its parts'.  A set's rows at n are sorted and do not
+overlap.  Enumeration expands them and counting sums their lengths.  Every
+relation between sets is decided from counts: a union's parts are
+disjoint when their counts add up to the union's (parts_overlap), and a
+set lies in another when merging its rows into the other's adds no point
+(the census's containment checks).  Rows are intersected or expanded only
+to name a witness.  The membership predicates behind ``contains`` test
+the inequalities directly, an oracle independent of the rows.
 
 Two-coordinate sets, points (depth, dim):
 
@@ -251,29 +255,56 @@ UNION_PARTS = {
 }
 
 
-def union_rows(set_id: NamedSet, part_rows) -> list[Row]:
-    """The rows of a union set, merged from ``part_rows[part]`` for each of
-    its parts (a mapping from set to rows at one n)."""
-    return merge_rows(chain.from_iterable(part_rows[part] for part in UNION_PARTS[set_id]))
+class RowTable(dict):
+    """The rows of the named sets at one n, each built on first use: a base
+    set's from its row source, a union's by merging its parts' rows, so no
+    set is built twice.  count(set) sums a set's row lengths once."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+        self.counts: dict[NamedSet, int] = {}
+
+    def __missing__(self, set_id: NamedSet) -> list[Row]:
+        if set_id in UNION_PARTS:
+            built = merge_rows(chain.from_iterable(self[part] for part in UNION_PARTS[set_id]))
+        else:
+            _require_defined(set_id, self.n)
+            built = ROW_SOURCES[set_id](self.n)
+        self[set_id] = built
+        return built
+
+    def count(self, set_id: NamedSet) -> int:
+        """The number of points in the set's rows, summed on first use."""
+        if set_id not in self.counts:
+            self.counts[set_id] = count_rows(self[set_id])
+        return self.counts[set_id]
 
 
-def union_overlaps(set_id: NamedSet, part_rows):
-    """((part, part), rows of the points in both) for each pair of a union's
-    parts, in UNION_PARTS order; part_rows as in union_rows.  Lazy."""
-    for x, y in combinations(UNION_PARTS[set_id], 2):
-        yield (x, y), intersect_rows(part_rows[x], part_rows[y])
+# the one point two parts of a union share: (2, 2), in cwdd-a and cwdd-b at n = 5
+_SHARED = {(NamedSet.CWDD, 5): {(NamedSet.CWDD_A, NamedSet.CWDD_B): {(2, 2)}}}
 
 
-def counts_add_up(set_id: NamedSet, count) -> bool:
-    """Whether a union's count is the sum of its parts' counts, where
-    ``count(s)`` is the number of points in the rows of set s at one n.
+def parts_overlap(union: NamedSet, table: RowTable):
+    """None when no two parts of the union share a point, except as _SHARED
+    allows, at the table's n; else ((part, part), witness) for the first
+    pair in UNION_PARTS order whose shared points differ from the allowed
+    ones, the witness being the least point of the difference.
 
-    The union's merged rows count each point once and a part's rows count
-    it once per row, so the sum equals the union's count exactly when no
-    two parts share a point and no part's rows overlap each other.  When
-    it fails, union_overlaps finds the shared points, if any.
+    The merged union rows count each point once and a part's rows count it
+    once per row, so when no shared point is expected the counts decide:
+    they add up exactly when no two parts share a point and no part's rows
+    overlap each other.  The pairwise scan runs only when they do not.
     """
-    return count(set_id) == sum([count(part) for part in UNION_PARTS[set_id]])
+    expected = _SHARED.get((union, table.n), {})
+    parts = UNION_PARTS[union]
+    if not expected and table.count(union) == sum([table.count(part) for part in parts]):
+        return None
+    for pair in combinations(parts, 2):
+        shared = set(expand_rows(intersect_rows(table[pair[0]], table[pair[1]])))
+        if wrong := shared ^ expected.get(pair, set()):
+            return pair, min(wrong)
+    return None
 
 
 def rows(set_id: NamedSet, n: int) -> list[Row]:
@@ -284,20 +315,11 @@ def rows(set_id: NamedSet, n: int) -> list[Row]:
     input).
     """
     _require_int(n)
-    if set_id not in UNION_PARTS:
-        _require_defined(set_id, n)
-        return ROW_SOURCES[set_id](n)
-    parts = {part: rows(part, n) for part in UNION_PARTS[set_id]}
-    merged = union_rows(set_id, parts)
-    if set_id is NamedSet.RA and not counts_add_up(
-            set_id, lambda s: count_rows(merged if s is set_id else parts[s])):
-        for _, common in union_overlaps(set_id, parts):
-            if common:
-                raise InternalInconsistencyError(
-                    f"ra components overlap at n={n}: "
-                    f"{expand_rows(common)[0]} is in two of them"
-                )
-    return merged
+    table = RowTable(n)
+    if set_id is NamedSet.RA and (found := parts_overlap(set_id, table)) is not None:
+        raise InternalInconsistencyError(
+            f"ra components overlap at n={n}: {found[1]} is in two of them")
+    return table[set_id]
 
 
 # ---------------------------------------------------------------------------

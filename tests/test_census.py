@@ -1,5 +1,6 @@
 """Census engine tests: verification runs, serialization, determinism."""
 
+import re
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,8 @@ from cwlattice import (
     enumerate_set,
     run_census,
     sets,
+    size_c_plus,
+    size_cwdd_a,
     size_ra,
     size_ra_d,
 )
@@ -173,16 +176,21 @@ def test_parts_disjoint_agrees_with_python_set_intersection(monkeypatch, victim,
 
 
 def test_parts_are_scanned_pairwise_only_for_a_witness(monkeypatch):
-    def scan(union, part_rows):
-        raise AssertionError(f"{union.value}: pairwise scan")
+    def scan(xs, ys):
+        raise AssertionError(f"pairwise scan of {xs} and {ys}")
 
-    monkeypatch.setattr(sets, "union_overlaps", scan)
+    def expand(rows):
+        raise AssertionError(f"witness expansion of {rows}")
+
+    rows_cwdd_a = sets.rows(NamedSet.CWDD_A, 5)
+    monkeypatch.setattr(sets, "intersect_rows", scan)
+    monkeypatch.setattr(sets, "expand_rows", expand)
     for n in (6, 60, 300):
-        for name in DISJOINTNESS:
+        for name in CHECKS:  # the two disjointness checks among them
             assert check(name, n) is None
         assert sets.rows(NamedSet.RA, n)
     # at n = 5 the shared point (2, 2) is expected, and only the scan finds it
-    with pytest.raises(AssertionError, match="cwdd: pairwise scan"):
+    with pytest.raises(AssertionError, match=re.escape(f"pairwise scan of {rows_cwdd_a}")):
         check("cwdd parts disjoint", 5)
 
 
@@ -207,6 +215,88 @@ def test_part_repeating_its_own_row_is_a_count_fault_not_a_shared_point(capsys, 
     assert capsys.readouterr().err == (
         f"census: n = 12: ra-d enumerated {size_ra_d(12) + 1}, "
         f"closed form {size_ra_d(12)}, n mod 6 = 0\n")
+
+
+def test_sup_repeating_a_row_is_a_count_fault_not_a_containment_failure(capsys, monkeypatch):
+    # c-plus lists its first row, ((1,), 1, n - 1), twice: c-minus still lies
+    # in it, and only its count column reports the fault
+    rows_c_plus = sets.ROW_SOURCES[NamedSet.C_PLUS]
+    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.C_PLUS,
+                        lambda n: sorted(rows_c_plus(n) + rows_c_plus(n)[:1]))
+    assert check("c-minus in c-plus", 12) is None
+    assert main(["census", "--from", "12", "--to", "12", "--family", "bounds"]) == 1
+    assert capsys.readouterr().err == (
+        f"census: n = 12: c-plus enumerated {size_c_plus(12) + 11}, "
+        f"closed form {size_c_plus(12)}, n mod 6 = 0\n")
+
+
+def test_part_repeating_a_row_at_five_is_a_count_fault_not_a_shared_point(capsys, monkeypatch):
+    # cwdd-a is one row at n = 5 and 6, listed twice here; at n = 5 the
+    # pairwise scan still finds exactly the expected (2, 2)
+    rows_cwdd_a = sets.ROW_SOURCES[NamedSet.CWDD_A]
+    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.CWDD_A,
+                        lambda n: sorted(rows_cwdd_a(n) + rows_cwdd_a(n)[:1]))
+    assert check("cwdd parts disjoint", 5) is None
+    assert main(["census", "--from", "5", "--to", "6", "--family", "cwdd"]) == 1
+    assert capsys.readouterr().err == "".join(
+        f"census: n = {n}: cwdd-a enumerated {2 * size_cwdd_a(n)}, "
+        f"closed form {size_cwdd_a(n)}, n mod 6 = {n % 6}\n" for n in (5, 6))
+
+
+# the containment checks as (sub, sup, min_depth): sub's points, or the pairs
+# (a, d) of its tuples (a, r, d, d) with a >= min_depth, lie in sup
+CONTAINMENTS = {
+    "cwdd in c-plus": (NamedSet.CWDD, NamedSet.C_PLUS, None),
+    "c-minus in c-plus": (NamedSet.C_MINUS, NamedSet.C_PLUS, None),
+    "beta in c-minus": (NamedSet.BETA, NamedSet.C_MINUS, None),
+    "ra projects into cwdd": (NamedSet.RA, NamedSet.CWDD, 3),
+    "ra-a projects into cwdd-a": (NamedSet.RA_A, NamedSet.CWDD_A, 2),
+}
+
+
+def _pairs(rows, min_depth):
+    """The pairs of pair rows, or the projected pairs of tuple rows."""
+    if min_depth is None:
+        return {(a, b) for (a,), lo, hi in rows for b in range(lo, hi + 1)}
+    return {(a, d) for (a, _), lo, hi in rows if a >= min_depth for d in range(lo, hi + 1)}
+
+
+def _sup_repeats_a_row(table, sub, sup, n):
+    table[sup] = sorted(table[sup] + table[sup][:1])
+
+
+def _sup_loses_a_row(table, sub, sup, n):
+    mid = len(table[sup]) // 2
+    table[sup] = table[sup][:mid] + table[sup][mid + 1:]
+
+
+def _sub_gains_a_point_outside(table, sub, sup, n):
+    # (n, n) lies in no pair set at n, and the tuple row ((n, 1), n, n) projects to it
+    table[sub] = sorted(table[sub] + [((n,), n, n) if sub.arity == 2 else ((n, 1), n, n)])
+
+
+@pytest.mark.parametrize("fault, verdicts", [
+    (None, {True}),
+    (_sup_repeats_a_row, {True}),
+    (_sup_loses_a_row, {True, False}),
+    (_sub_gains_a_point_outside, {False}),
+], ids=["none", "sup-repeats-a-row", "sup-loses-a-row", "sub-gains-a-point-outside"])
+def test_containment_agrees_with_python_set_containment(fault, verdicts):
+    # the oracle: Python-set containment of the expanded (projected) points;
+    # the witness is the least point of sub outside sup
+    assert set(CONTAINMENTS) == {name for name, entry in CHECKS.items()
+                                 if entry.kind == "containment"}
+    seen = set()
+    for name, (sub, sup, min_depth) in CONTAINMENTS.items():
+        for n in range(CHECKS[name].first_n, 81):
+            table = sets.RowTable(n)
+            if fault is not None:
+                fault(table, sub, sup, n)
+            outside = _pairs(table[sub], min_depth) - _pairs(table[sup], None)
+            found = CHECKS[name].find(n, table)
+            seen.add(found is None)
+            assert found == (((sub, sup), min(outside)) if outside else None), (name, n)
+    assert seen == verdicts
 
 
 @pytest.mark.parametrize("family", ["cwdd", "bounds", "all"])

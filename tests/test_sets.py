@@ -366,17 +366,23 @@ def test_contains_error_order():
         contains(NamedSet.BETA, 3, (1, 2))
 
 
-def test_union_overlaps_labels_the_part_pairs():
-    def overlaps(union, n):
-        built = {part: sets.rows(part, n) for part in sets.UNION_PARTS[union]}
-        return dict(sets.union_overlaps(union, built))
-
+def test_parts_overlap_labels_the_part_pairs():
     a, b, c = sets.UNION_PARTS[NamedSet.CWDD]
-    assert overlaps(NamedSet.CWDD, 5) == {(a, b): [((2,), 2, 2)], (a, c): [], (b, c): []}
-    assert overlaps(NamedSet.CWDD, 12) == {(a, b): [], (a, c): [], (b, c): []}
+    for n in (5, 12):  # at n = 5, (2, 2) in a and b is the expected shared point
+        assert sets.parts_overlap(NamedSet.CWDD, sets.RowTable(n)) is None
+    table = sets.RowTable(5)
+    table[b] = []  # the expected shared point goes missing
+    assert sets.parts_overlap(NamedSet.CWDD, table) == ((a, b), (2, 2))
+    table = sets.RowTable(20)  # cwdd-b is (7, 7), (8, 8), (9, 9)
+    table[c] = sorted(table[c] + table[b][1:])  # c gains b's points from the second on
+    assert sets.parts_overlap(NamedSet.CWDD, table) == ((b, c), sets.expand_rows(table[b])[1])
     a, b, c, d = sets.UNION_PARTS[NamedSet.RA]
-    assert overlaps(NamedSet.RA, 12) == {pair: [] for pair in
-                                         ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d))}
+    assert sets.parts_overlap(NamedSet.RA, sets.RowTable(12)) is None
+    table = sets.RowTable(12)
+    table[b] = sorted(table[b] + table[d][1:2])
+    table[a] = sorted(table[a] + table[d][2:4])
+    # the first pair in UNION_PARTS order that shares a point names the least one
+    assert sets.parts_overlap(NamedSet.RA, table) == ((a, d), sets.expand_rows(table[d][2:])[0])
 
 
 def test_merge_rows_joins_overlapping_and_touching_rows_of_one_prefix():
