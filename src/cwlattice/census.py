@@ -15,7 +15,10 @@ recorded and the run continues, so one bad polynomial branch produces a
 complete diagnostic map across residues instead of a single abort.
 
 Reports serialize to CSV (one row per n; the diffable golden format) and
-JSON, with one boolean per kind of check, and parse back losslessly.
+JSON, with one boolean per kind of check, and parse back losslessly.  Each
+family's CSV header line is built once, from FAMILY_SETS: to_csv writes it
+and from_csv finds the family by it, then reads the cells by position.
+Both parsers list a record's counts in its family's set order.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import formulas, sets
 from .errors import DomainError
@@ -37,6 +41,13 @@ FAMILY_SETS["all"] = FAMILY_SETS["cwdd"] + FAMILY_SETS["ra"] + FAMILY_SETS["boun
 
 KINDS = ("disjointness", "sandwich", "containment")  # of CHECKS; one boolean each
 _BOOL_FIELDS = tuple(f"{kind}_ok" for kind in KINDS)
+# each family's CSV header line: the one place its columns are named
+_HEADER = {
+    family: ",".join(["n", "k", "i",
+                      *(f"{s.value}_{end}" for s in members for end in ("enum", "closed")),
+                      *_BOOL_FIELDS])
+    for family, members in FAMILY_SETS.items()
+}
 
 
 @dataclass(frozen=True)
@@ -94,19 +105,12 @@ class CensusReport:
     # -- serialization ------------------------------------------------------
 
     def to_csv(self) -> str:
-        tags = [s.value for s in FAMILY_SETS[self.family]]
-        header = ["n", "k", "i"]
-        for tag in tags:
-            header += [f"{tag}_enum", f"{tag}_closed"]
-        header += list(_BOOL_FIELDS)
-        lines = [",".join(header)]
+        lines = [_HEADER[self.family]]
         for r in self.records:
             row = [str(r.n), str(r.k), str(r.i)]
-            for tag in tags:
-                enum_count, closed_count = r.counts[tag]
-                row += ["" if enum_count is None else str(enum_count),
-                        "" if closed_count is None else str(closed_count)]
-            row += [_fmt_bool(getattr(r, b)) for b in _BOOL_FIELDS]
+            for member in FAMILY_SETS[self.family]:
+                row += ["" if count is None else str(count) for count in r.counts[member.value]]
+            row += ["true" if getattr(r, b) else "false" for b in _BOOL_FIELDS]
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
@@ -121,9 +125,7 @@ class CensusReport:
                     "k": r.k,
                     "i": r.i,
                     "counts": {tag: list(pair) for tag, pair in r.counts.items()},
-                    "disjointness_ok": r.disjointness_ok,
-                    "sandwich_ok": r.sandwich_ok,
-                    "containment_ok": r.containment_ok,
+                    **{b: getattr(r, b) for b in _BOOL_FIELDS},
                     "pass": r.passed,
                 }
                 for r in self.records
@@ -135,42 +137,31 @@ class CensusReport:
 
     @classmethod
     def from_csv(cls, text: str) -> "CensusReport":
-        lines = [ln for ln in text.splitlines() if ln]
-        header = lines[0].split(",")
-        tag_cols = header[3:-len(_BOOL_FIELDS)]
-        tags = [c[: -len("_enum")] for c in tag_cols[0::2]]
-        family = _family_for_tags(tags)
+        header, *lines = [ln for ln in text.splitlines() if ln]
+        family = next((f for f, line in _HEADER.items() if line == header), None)
+        if family is None:
+            raise ValueError(f"CSV header {header!r} matches no census family")
+        tags = [s.value for s in FAMILY_SETS[family]]
         records = []
-        for line in lines[1:]:
+        for line in lines:
             cells = line.split(",")
-            n, k, i = int(cells[0]), int(cells[1]), int(cells[2])
-            counts: dict[str, tuple[int | None, int | None]] = {}
-            for idx, tag in enumerate(tags):
-                enum_cell = cells[3 + 2 * idx]
-                closed_cell = cells[4 + 2 * idx]
-                counts[tag] = (
-                    int(enum_cell) if enum_cell else None,
-                    int(closed_cell) if closed_cell else None,
-                )
-            flags = [cell == "true" for cell in cells[-len(_BOOL_FIELDS):]]
-            records.append(CensusRecord(n, k, i, counts, *flags))
+            counts = [int(cell) if cell else None for cell in cells[3:-len(KINDS)]]
+            pairs = dict(zip(tags, zip(counts[0::2], counts[1::2])))
+            flags = [cell == "true" for cell in cells[-len(KINDS):]]
+            records.append(CensusRecord(*map(int, cells[:3]), pairs, *flags))
         return cls(family=family, n_lo=records[0].n, n_hi=records[-1].n, records=records)
 
     @classmethod
     def from_json(cls, text: str) -> "CensusReport":
         payload = json.loads(text)
+        members = FAMILY_SETS[payload["family"]]
         records = [
             CensusRecord(
                 n=r["n"],
                 k=r["k"],
                 i=r["i"],
-                counts={
-                    tag: (pair[0], pair[1]) for tag, pair in sorted(r["counts"].items(),
-                         key=lambda kv: _TAG_ORDER[kv[0]])
-                },
-                disjointness_ok=r["disjointness_ok"],
-                sandwich_ok=r["sandwich_ok"],
-                containment_ok=r["containment_ok"],
+                counts={s.value: tuple(r["counts"][s.value]) for s in members},
+                **{b: r[b] for b in _BOOL_FIELDS},
             )
             for r in payload["records"]
         ]
@@ -180,20 +171,6 @@ class CensusReport:
             n_hi=payload["n_hi"],
             records=records,
         )
-
-
-_TAG_ORDER = {s.value: idx for idx, s in enumerate(FAMILY_SETS["all"])}
-
-
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _family_for_tags(tags: list[str]) -> str:
-    for family, members in FAMILY_SETS.items():
-        if tags == [s.value for s in members]:
-            return family
-    raise ValueError(f"column set {tags} matches no census family")
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +232,7 @@ def _inside(sub: NamedSet, sup: NamedSet, min_depth: int | None = None) -> Check
         xs, ys = table[sub], table[sup]
         if min_depth is not None:
             xs = [((a,), lo, hi) for (a, _), lo, hi in xs if a >= min_depth]
-        if sets.count_rows(sets.merge_rows(xs + ys)) == sets.count_rows(sets.merge_rows(ys)):
+        if sets.count_rows(sets.merge_rows(chain(xs, ys))) == sets.count_rows(sets.merge_rows(ys)):
             return None
         return (sub, sup), min(set(sets.expand_rows(xs)) - set(sets.expand_rows(ys)))
 

@@ -44,6 +44,9 @@ ENUMERATE_LIMIT = 2_000_000
 # the most edges `realize --emit-graph` builds: the skeleton's core is
 # K_{m,p}, so the edges grow as n^2 on the diagonal
 EMIT_EDGE_LIMIT = 500_000
+# the most bytes `recognize` and `ideal` read from --input; the largest
+# `realize --emit-graph` text (depth 2 at n = 500,000) is 5.4 MB
+INPUT_BYTE_LIMIT = 16_000_000
 
 
 def _output(out_path: str | None):
@@ -66,6 +69,20 @@ def _write_json(handle, payload: dict, items, arity: int) -> None:
         handle.write(separator + ",".join(item.format(*values) for values in batch))
         separator = ","
     handle.write(("\n  ]" if separator else "]") + tail + "\n")
+
+
+def _read_input(path: str) -> str:
+    """The UTF-8 text of path, refused past INPUT_BYTE_LIMIT bytes.  It is
+    read in 64 KiB blocks, no more than one block past the limit: a single
+    read of the limit would allocate a buffer that large even for a small
+    file."""
+    block = 1 << 16
+    with open(path, "rb") as handle:
+        blocks = iter(functools.partial(handle.read, block), b"")
+        data = b"".join(itertools.islice(blocks, INPUT_BYTE_LIMIT // block + 1))
+    if len(data) > INPUT_BYTE_LIMIT:
+        raise DomainError(f"{path} is over the input limit of {INPUT_BYTE_LIMIT} bytes")
+    return data.decode("utf-8")
 
 
 def _frac_json(value: Fraction) -> dict[str, int]:
@@ -194,8 +211,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
 
 
 def cmd_recognize(args: argparse.Namespace) -> int:
-    with open(args.input, encoding="utf-8") as handle:
-        graph, _ = parse_edge_list(handle.read())
+    graph, _ = parse_edge_list(_read_input(args.input))
     m = matching_number(graph)
     im = induced_matching_number(graph)
     reason = not_cw_reason(graph, m, im)
@@ -215,8 +231,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def cmd_ideal(args: argparse.Namespace) -> int:
-    with open(args.input, encoding="utf-8") as handle:
-        graph, names = parse_edge_list(handle.read())
+    graph, names = parse_edge_list(_read_input(args.input))
     generators = edge_ideal_generators(graph, names)
     if args.format == "json":
         print(json.dumps({"generators": [list(g) for g in generators]}, indent=2))

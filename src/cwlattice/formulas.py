@@ -16,16 +16,24 @@ InternalInconsistencyError because the counts are integers by construction.
 Each polynomial branch is pinned to the enumerations in
 :mod:`cwlattice.sets`: the test suite checks size_x(n) == len(enumerate_x(n))
 for every n up to 300, which over-determines a degree-3 polynomial per
-residue many times over.  Every size raises TypeError unless n is an int.
+residue many times over.
+
+Each size function registers itself in SIZE_BY_SET through the decorator
+_closed_form, which states its domain once: the size raises TypeError
+unless n is an int, and below the set's first n it is 0 for a CW set and
+raises DomainError for a bounding polytope, whose first n is its entry in
+sets.FIRST_N.  The function bodies hold only the formulas.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalInconsistencyError
-from .sets import NamedSet, _require_defined, _require_int
+from .sets import FIRST_N, NamedSet, _require_defined, _require_int
 
 
 @dataclass(frozen=True)
@@ -82,23 +90,45 @@ def _evaluate(table: ResidueTable, n: int) -> int:
     return q
 
 
+SIZE_BY_SET: dict[NamedSet, Callable[[int], int]] = {}
+
+
+def _closed_form(set_id: NamedSet, first: int | None = None):
+    """Register the decorated size of set_id in SIZE_BY_SET.  The size
+    raises TypeError unless n is an int; below first (by default the n from
+    which FIRST_N defines the set) it raises DomainError where the set is
+    undefined and is 0 elsewhere; from first on it is the body's value."""
+    if first is None:
+        first = FIRST_N[set_id]
+
+    def register(body: Callable[[int], int]) -> Callable[[int], int]:
+        @functools.wraps(body)
+        def size(n: int) -> int:
+            _require_int(n)
+            if n < first:
+                _require_defined(set_id, n)
+                return 0
+            return body(n)
+
+        SIZE_BY_SET[set_id] = size
+        return size
+
+    return register
+
+
 # ---------------------------------------------------------------------------
 # (depth, dim) census sizes
 # ---------------------------------------------------------------------------
 
+@_closed_form(NamedSet.CWDD_A, 5)
 def size_cwdd_a(n: int) -> int:
     """|cwdd-a|: 2 when n is even or n = 5, else 3; 0 below n = 5."""
-    _require_int(n)
-    if n < 5:
-        return 0
     return 2 if (n % 2 == 0 or n == 5) else 3
 
 
+@_closed_form(NamedSet.CWDD_B, 5)
 def size_cwdd_b(n: int) -> int:
     """|cwdd-b|: with n = 6k + i this is k-1, k, or k+1 for i = 0, 1..4, 5."""
-    _require_int(n)
-    if n < 5:
-        return 0
     k, i = divmod(n, 6)
     if i == 0:
         return k - 1
@@ -116,15 +146,13 @@ _CWDD_C = _residue_table(1, {
 })
 
 
+@_closed_form(NamedSet.CWDD_C, 6)
 def size_cwdd_c(n: int) -> int:
     """|cwdd-c|: zero through n = 5, then a quadratic in k per residue.
 
     Counting b for fixed a: ceil((n-a)/2) choices while 3a <= n, and
     n - 2a choices for larger a; summing over a gives the table.
     """
-    _require_int(n)
-    if n <= 5:
-        return 0
     return _evaluate(_CWDD_C, n)
 
 
@@ -138,15 +166,13 @@ _CWDD_TOTAL = _residue_table(1, {
 })
 
 
+@_closed_form(NamedSet.CWDD, 5)
 def size_cwdd(n: int) -> int:
     """|cwdd|: 0 below 5, 2 at n = 5, then |A| + |B| + |C| folded per residue.
 
     The components only overlap at n = 5 (in the single point (2, 2)),
     which is why that value is special-cased rather than summed.
     """
-    _require_int(n)
-    if n < 5:
-        return 0
     if n == 5:
         return 2
     return _evaluate(_CWDD_TOTAL, n)
@@ -156,6 +182,7 @@ def size_cwdd(n: int) -> int:
 # (depth, reg, dim, deg h) census sizes
 # ---------------------------------------------------------------------------
 
+@_closed_form(NamedSet.RA_A, 5)
 def size_ra_a(n: int) -> int:
     """|ra-a|: same count as |cwdd-a| (the tuples project onto those pairs)."""
     return size_cwdd_a(n)
@@ -172,6 +199,7 @@ _RA_B = _residue_table(2, {
 })
 
 
+@_closed_form(NamedSet.RA_B, 5)
 def size_ra_b(n: int) -> int:
     """|ra-b|: a half-integer quadratic per residue.
 
@@ -179,9 +207,6 @@ def size_ra_b(n: int) -> int:
     and [a, floor((n-1)/2)] beyond; the two range-length formulas agree at
     the crossover, so the split introduces no tie corrections.
     """
-    _require_int(n)
-    if n < 5:
-        return 0
     return _evaluate(_RA_B, n)
 
 
@@ -196,6 +221,7 @@ _RA_C = _residue_table(1, {
 })
 
 
+@_closed_form(NamedSet.RA_C, 6)
 def size_ra_c(n: int) -> int:
     """|ra-c|: zero through n = 5, then a quadratic in k per residue.
 
@@ -205,9 +231,6 @@ def size_ra_c(n: int) -> int:
     bounds tie and the count at that a is a - 1, not a; the residue-2 and
     residue-5 constant terms carry that correction.
     """
-    _require_int(n)
-    if n <= 5:
-        return 0
     return _evaluate(_RA_C, n)
 
 
@@ -222,6 +245,7 @@ _RA_D = _residue_table(8, {
 })
 
 
+@_closed_form(NamedSet.RA_D, 5)
 def size_ra_d(n: int) -> int:
     """|ra-d|: a cubic in k per residue (the residue-0 branch is 3(k-1)^3).
 
@@ -233,9 +257,6 @@ def size_ra_d(n: int) -> int:
     parity of k.  The branches are verified against the enumeration for
     every n <= 300 in the tests.
     """
-    _require_int(n)
-    if n < 5:
-        return 0
     return _evaluate(_RA_D, n)
 
 
@@ -249,13 +270,11 @@ _RA_TOTAL = _residue_table(8, {
 })
 
 
+@_closed_form(NamedSet.RA, 5)
 def size_ra(n: int) -> int:
     """|ra|: the four components are pairwise disjoint, so this is their sum,
     folded into one cubic per residue.  The residue-5 branch already yields
     the correct value 2 at n = 5 (k = 0)."""
-    _require_int(n)
-    if n < 5:
-        return 0
     return _evaluate(_RA_TOTAL, n)
 
 
@@ -274,42 +293,25 @@ _BETA = _residue_table(2, {
 })
 
 
+@_closed_form(NamedSet.BETA)
 def size_beta(n: int) -> int:
     """|beta| = sum over 1 <= a <= floor(n/2) of (n - a - 1).  n >= 4."""
-    _require_int(n)
-    _require_defined(NamedSet.BETA, n)
     return _evaluate(_BETA, n)
 
 
+@_closed_form(NamedSet.C_MINUS)
 def size_c_minus(n: int) -> int:
     """|c-minus| = |beta| + 1: the apex (1, n-1) always lies outside the slab."""
-    _require_int(n)
-    _require_defined(NamedSet.C_MINUS, n)
     return _evaluate(_BETA, n) + 1
 
 
+@_closed_form(NamedSet.C_PLUS)
 def size_c_plus(n: int) -> int:
     """|c-plus| = n(n-1)/2, the full triangle 1 <= a <= b <= n-1 (one of n
     and n - 1 is even, so the division is exact)."""
-    _require_int(n)
-    _require_defined(NamedSet.C_PLUS, n)
     return n * (n - 1) // 2
 
 
-SIZE_BY_SET = {
-    NamedSet.CWDD_A: size_cwdd_a,
-    NamedSet.CWDD_B: size_cwdd_b,
-    NamedSet.CWDD_C: size_cwdd_c,
-    NamedSet.CWDD: size_cwdd,
-    NamedSet.RA_A: size_ra_a,
-    NamedSet.RA_B: size_ra_b,
-    NamedSet.RA_C: size_ra_c,
-    NamedSet.RA_D: size_ra_d,
-    NamedSet.RA: size_ra,
-    NamedSet.C_MINUS: size_c_minus,
-    NamedSet.C_PLUS: size_c_plus,
-    NamedSet.BETA: size_beta,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,26 @@ def test_json_round_trip(family):
     assert CensusReport.from_json(report.to_json()) == report
 
 
+@pytest.mark.parametrize("family", sorted(FAMILY_SETS))
+def test_parsed_counts_list_the_family_sets_in_order(family):
+    # dict equality ignores order, so the round trips above cannot see it
+    report = run_census(3, 8, family)
+    order = [s.value for s in FAMILY_SETS[family]]
+    for parsed in (CensusReport.from_csv(report.to_csv()),
+                   CensusReport.from_json(report.to_json())):
+        assert parsed.family == family
+        assert all(list(record.counts) == order for record in parsed.records)
+
+
+def test_from_csv_rejects_a_header_of_no_family():
+    text = run_census(5, 6, "cwdd").to_csv()
+    header = text.splitlines()[0].replace("cwdd-b_enum,cwdd-b_closed,", "")
+    with pytest.raises(ValueError, match=re.escape(repr(header))):
+        CensusReport.from_csv(header + "\n" + "".join(text.splitlines(True)[1:]))
+    with pytest.raises(ValueError, match="matches no census family"):
+        CensusReport.from_csv("n,k,i\n5,0,5\n")
+
+
 def test_census_deterministic():
     a = run_census(5, 40, "all")
     b = run_census(5, 40, "all")

@@ -494,6 +494,27 @@ def test_loop_edge_exit_2(capsys, tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("command", ["recognize", "ideal"])
+def test_input_is_read_up_to_the_byte_limit(capsys, monkeypatch, tmp_path, command):
+    text = "".join(f"{a} {b}\n" for a, b in CHORDED_HEXAGON_EDGES)
+    monkeypatch.setattr(cli, "INPUT_BYTE_LIMIT", len(text))
+    path = tmp_path / "hexagon.edges"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run_cli(capsys, command, "--input", str(path))
+    assert code == 0 and out
+    path.write_text(text + "#", encoding="utf-8")
+    assert run_cli(capsys, command, "--input", str(path)) == (
+        2, "", f"error: {path} is over the input limit of {len(text)} bytes\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+@pytest.mark.parametrize("command", ["recognize", "ideal"])
+def test_endless_input_exits_2(capsys, command):
+    code, out, err = run_cli(capsys, command, "--input", "/dev/zero")
+    assert (code, out) == (2, "")
+    assert err == f"error: /dev/zero is over the input limit of {cli.INPUT_BYTE_LIMIT} bytes\n"
+
+
 def test_unknown_flag_rejected(capsys):
     code, _, _ = run_cli(capsys, "enumerate", "--n", "5", "--set", "ra", "--bogus")
     assert code == 2

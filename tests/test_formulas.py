@@ -30,6 +30,14 @@ from cwlattice import formulas
 from cwlattice.formulas import SIZE_BY_SET
 
 
+def test_each_size_function_registers_itself():
+    assert set(SIZE_BY_SET) == set(NamedSet)
+    for set_id in NamedSet:
+        name = "size_" + set_id.value.replace("-", "_")
+        assert SIZE_BY_SET[set_id] is getattr(formulas, name)
+        assert SIZE_BY_SET[set_id].__name__ == name
+
+
 def test_residue_decompose_examples():
     key = residue_decompose(17)
     assert (key.k, key.i, key.k_parity) == (2, 5, "even")
