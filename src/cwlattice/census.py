@@ -4,18 +4,22 @@ For each n in a range the census builds the rows of the selected family of
 lattice sets in one sets.RowTable, counts their points by summing row
 lengths (once per set), evaluates the matching closed-form sizes, and runs
 the entries of CHECKS that the family switches on: component disjointness,
-the sandwich envelope, containment and projection, each returning, on a
-failure, the sets, a witness point and n mod 6.  Every relation between
-sets is decided from counts.  A union's parts share no point when its
-count is the sum of theirs (sets.parts_overlap); a set lies in another
-when merging its rows (projected, for a projection) into the other's adds
-no point.  Rows are intersected or expanded only to name a witness, or at
+the sandwich envelope and containment (the projection of ra onto cwdd
+among them), each returning, on a failure, the sets, a witness point and
+n mod 6.  Every relation between sets is decided from rows.  A union's
+parts share no point when its count is the sum of theirs
+(sets.parts_overlap).  Merged rows are canonical, so a containment
+relation holds when two merged row lists are equal: sub lies in sup when
+merging sub's rows into sup's gives sup's merged rows, and ra projects
+onto cwdd when its rows, projected to (a, d) and merged, are cwdd's rows.
+Rows are intersected or expanded only to name a witness, or at
 n = 5, where cwdd-a and cwdd-b are expected to share (2, 2).  Failures are
 recorded and the run continues, so one bad polynomial branch produces a
 complete diagnostic map across residues instead of a single abort.
 
 Reports serialize to CSV (one row per n; the diffable golden format) and
-JSON, with one boolean per kind of check, and parse back losslessly.  Each
+JSON, with one boolean per kind of check, and parse back losslessly; a
+text of no family, or a CSV header with no record, raises ValueError.  Each
 family's CSV header line is built once, from FAMILY_SETS: to_csv writes it
 and from_csv finds the family by it, then reads the cells by position.
 Both parsers list a record's counts in its family's set order.
@@ -24,7 +28,7 @@ Both parsers list a record's counts in its family's set order.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -71,12 +75,8 @@ class CensusRecord:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.disjointness_ok
-            and self.sandwich_ok
-            and self.containment_ok
-            and all(e == c for e, c in self.counts.values())
-        )
+        return (all(getattr(self, b) for b in _BOOL_FIELDS)
+                and all(e == c for e, c in self.counts.values()))
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,12 @@ class CensusReport:
 
     @classmethod
     def from_csv(cls, text: str) -> "CensusReport":
-        header, *lines = [ln for ln in text.splitlines() if ln]
+        header, *lines = [ln for ln in text.splitlines() if ln] or [""]
         family = next((f for f, line in _HEADER.items() if line == header), None)
         if family is None:
             raise ValueError(f"CSV header {header!r} matches no census family")
+        if not lines:
+            raise ValueError(f"CSV has the {family} header and no record")
         tags = [s.value for s in FAMILY_SETS[family]]
         records = []
         for line in lines:
@@ -154,23 +156,16 @@ class CensusReport:
     @classmethod
     def from_json(cls, text: str) -> "CensusReport":
         payload = json.loads(text)
-        members = FAMILY_SETS[payload["family"]]
+        family = payload["family"]
+        if family not in FAMILY_SETS:
+            raise ValueError(f"JSON family {family!r} is no census family")
         records = [
-            CensusRecord(
-                n=r["n"],
-                k=r["k"],
-                i=r["i"],
-                counts={s.value: tuple(r["counts"][s.value]) for s in members},
-                **{b: r[b] for b in _BOOL_FIELDS},
-            )
+            CensusRecord(r["n"], r["k"], r["i"],
+                         {s.value: tuple(r["counts"][s.value]) for s in FAMILY_SETS[family]},
+                         *(r[b] for b in _BOOL_FIELDS))
             for r in payload["records"]
         ]
-        return cls(
-            family=payload["family"],
-            n_lo=payload["n_lo"],
-            n_hi=payload["n_hi"],
-            records=records,
-        )
+        return cls(family, payload["n_lo"], payload["n_hi"], records)
 
 
 # ---------------------------------------------------------------------------
@@ -220,24 +215,35 @@ def _sandwich(n, table):
     return None if lo <= size <= hi else ((NamedSet.CWDD,), (size,))
 
 
-def _inside(sub: NamedSet, sup: NamedSet, min_depth: int | None = None) -> Check:
-    """sub lies in sup; with min_depth, sub is a tuple set whose tuples
-    (a, r, d, d) with a >= min_depth project to pairs (a, d) in sup.  It
-    applies from the census's first n, 3, or where a polytope is defined.
-    It holds exactly when merging sub's rows into sup's adds no point (sup's
-    rows are merged too, in case they repeat a point); only when it fails
-    are the rows expanded, and the witness is the least point outside sup."""
+def _same_points(involved: tuple[NamedSet, ...], xs: Iterable[sets.Row],
+                 ys: Iterable[sets.Row]):
+    """None when the row lists xs and ys hold the same points, else
+    (involved, the least point in one and not the other).  Merged rows are
+    canonical (sorted, with rows of one prefix that overlap or touch
+    joined), so one list comparison decides; the rows are expanded only
+    when it fails."""
+    xs, ys = sets.merge_rows(xs), sets.merge_rows(ys)
+    wrong = xs != ys and set(sets.expand_rows(xs)) ^ set(sets.expand_rows(ys))
+    return (involved, min(wrong)) if wrong else None
+
+
+def _inside(sub: NamedSet, sup: NamedSet) -> Check:
+    """sub lies in sup: sub's and sup's points together are sup's, so the
+    witness, the least point of the difference, is the least point of sub
+    outside sup.  It applies from the census's first n, 3, or where a
+    polytope is defined."""
 
     def find(n, table):
-        xs, ys = table[sub], table[sup]
-        if min_depth is not None:
-            xs = [((a,), lo, hi) for (a, _), lo, hi in xs if a >= min_depth]
-        if sets.count_rows(sets.merge_rows(chain(xs, ys))) == sets.count_rows(sets.merge_rows(ys)):
-            return None
-        return (sub, sup), min(set(sets.expand_rows(xs)) - set(sets.expand_rows(ys)))
+        return _same_points((sub, sup), chain(table[sub], table[sup]), table[sup])
 
-    first_n = max(sets.FIRST_N.get(s, 3) for s in (sub, sup))
-    return Check("containment", (sub,), first_n, find)
+    return Check("containment", (sub,), max(sets.FIRST_N.get(s, 3) for s in (sub, sup)), find)
+
+
+def _ra_onto_cwdd(n, table):
+    # the pairs (a, d) of the tuples (a, r, d, d) are exactly cwdd: no tuple
+    # projects outside it, and every pair has a tuple above it
+    projected = (((a,), lo, hi) for (a, _), lo, hi in table[NamedSet.RA])
+    return _same_points((NamedSet.RA, NamedSet.CWDD), projected, table[NamedSet.CWDD])
 
 
 CHECKS = {
@@ -247,8 +253,7 @@ CHECKS = {
     "cwdd in c-plus": _inside(NamedSet.CWDD, NamedSet.C_PLUS),
     "c-minus in c-plus": _inside(NamedSet.C_MINUS, NamedSet.C_PLUS),
     "beta in c-minus": _inside(NamedSet.BETA, NamedSet.C_MINUS),
-    "ra projects into cwdd": _inside(NamedSet.RA, NamedSet.CWDD, min_depth=3),
-    "ra-a projects into cwdd-a": _inside(NamedSet.RA_A, NamedSet.CWDD_A, min_depth=2),
+    "ra projects onto cwdd": Check("containment", (NamedSet.RA,), 3, _ra_onto_cwdd),
 }
 
 

@@ -13,12 +13,13 @@ Each base set is defined once, by a generator of its rows; a RowTable
 holds every set's rows at one n, and is the one place where a union's
 rows are merged from its parts'.  A set's rows at n are sorted and do not
 overlap.  Enumeration expands them and counting sums their lengths.  Every
-relation between sets is decided from counts: a union's parts are
-disjoint when their counts add up to the union's (parts_overlap), and a
-set lies in another when merging its rows into the other's adds no point
-(the census's containment checks).  Rows are intersected or expanded only
-to name a witness.  The membership predicates behind ``contains`` test
-the inequalities directly, an oracle independent of the rows.
+relation between sets is decided from rows: a union's parts are disjoint
+when their counts add up to the union's (parts_overlap), and merge_rows
+output is canonical, so a containment relation holds when the merged
+rows are equal (the census's containment checks).  Rows are intersected
+or expanded only to name a witness.  The membership predicates behind
+``contains`` test the inequalities directly, an oracle independent of the
+rows.
 
 Two-coordinate sets, points (depth, dim):
 
@@ -119,7 +120,9 @@ def _require_int(n: int) -> None:
 
 def merge_rows(rows: Iterable[Row]) -> list[Row]:
     """The rows of the union of ``rows``: sorted, with rows of one prefix
-    that overlap or touch joined into one."""
+    that overlap or touch joined into one.  The result is canonical: two
+    lists of non-empty rows hold the same points exactly when their merges
+    are equal."""
     merged: list[Row] = []
     append = merged.append
     # the row being joined, (current, start, top); no prefix equals None

@@ -25,7 +25,6 @@ from cwlattice.census import FAMILY_SETS
 from cwlattice.cli import main
 
 DISJOINTNESS = ("cwdd parts disjoint", "ra parts disjoint")
-PROJECTIONS = ("ra projects into cwdd", "ra-a projects into cwdd-a")
 
 
 def test_family_table_covers_twelve_sets():
@@ -91,11 +90,11 @@ def test_check_disjointness():
 
 
 def test_check_cross_projection():
-    for n in (5, 7, 12, 40):
-        for name in PROJECTIONS:
-            assert check(name, n) is None
-    for name in PROJECTIONS:
-        assert check(name, 3) is None  # vacuous below 5
+    # the pairs (a, d) of the ra tuples are exactly cwdd, depth 2 included
+    for n in (3, 4, 5, 6, 7, 12, 40):  # both sets are empty below 5
+        assert check("ra projects onto cwdd", n) is None
+    with pytest.raises(DomainError, match="ra projects onto cwdd applies from n = 3, got 2"):
+        check("ra projects onto cwdd", 2)
 
 
 def test_check_rejects_unknown_names_and_non_int_n():
@@ -113,8 +112,8 @@ def test_check_rejects_unknown_names_and_non_int_n():
 
 def test_checks_on_faulty_row_sources(monkeypatch):
     monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.CWDD_C, lambda n: [])
-    assert check("ra projects into cwdd", 12) == Failure(
-        "ra projects into cwdd", "containment", (NamedSet.RA, NamedSet.CWDD), (3, 5), 0)
+    assert check("ra projects onto cwdd", 12) == Failure(
+        "ra projects onto cwdd", "containment", (NamedSet.RA, NamedSet.CWDD), (3, 5), 0)
     monkeypatch.undo()
     rows_ra_b = sets.ROW_SOURCES[NamedSet.RA_B]
     repeated = sets.ROW_SOURCES[NamedSet.RA_D](12)[0]
@@ -243,22 +242,19 @@ def test_part_repeating_a_row_at_five_is_a_count_fault_not_a_shared_point(capsys
         f"closed form {size_cwdd_a(n)}, n mod 6 = {n % 6}\n" for n in (5, 6))
 
 
-# the containment checks as (sub, sup, min_depth): sub's points, or the pairs
-# (a, d) of its tuples (a, r, d, d) with a >= min_depth, lie in sup
+# the containment checks as (sub, sup): sub's points lie in sup, and for
+# the projection the pairs (a, d) of ra's tuples (a, r, d, d) are exactly cwdd
 CONTAINMENTS = {
-    "cwdd in c-plus": (NamedSet.CWDD, NamedSet.C_PLUS, None),
-    "c-minus in c-plus": (NamedSet.C_MINUS, NamedSet.C_PLUS, None),
-    "beta in c-minus": (NamedSet.BETA, NamedSet.C_MINUS, None),
-    "ra projects into cwdd": (NamedSet.RA, NamedSet.CWDD, 3),
-    "ra-a projects into cwdd-a": (NamedSet.RA_A, NamedSet.CWDD_A, 2),
+    "cwdd in c-plus": (NamedSet.CWDD, NamedSet.C_PLUS),
+    "c-minus in c-plus": (NamedSet.C_MINUS, NamedSet.C_PLUS),
+    "beta in c-minus": (NamedSet.BETA, NamedSet.C_MINUS),
+    "ra projects onto cwdd": (NamedSet.RA, NamedSet.CWDD),
 }
 
 
-def _pairs(rows, min_depth):
-    """The pairs of pair rows, or the projected pairs of tuple rows."""
-    if min_depth is None:
-        return {(a, b) for (a,), lo, hi in rows for b in range(lo, hi + 1)}
-    return {(a, d) for (a, _), lo, hi in rows if a >= min_depth for d in range(lo, hi + 1)}
+def _pairs(rows):
+    """The pairs of pair rows, or the projected pairs (a, d) of tuple rows."""
+    return {(prefix[0], b) for prefix, lo, hi in rows for b in range(lo, hi + 1)}
 
 
 def _sup_repeats_a_row(table, sub, sup, n):
@@ -275,28 +271,51 @@ def _sub_gains_a_point_outside(table, sub, sup, n):
     table[sub] = sorted(table[sub] + [((n,), n, n) if sub.arity == 2 else ((n, 1), n, n)])
 
 
+def _sup_gains_a_point_uncovered(table, sub, sup, n):
+    # nothing in sub covers (n, n): a subset check still holds, the projection fails
+    table[sup] = sorted(table[sup] + [((n,), n, n)])
+
+
 @pytest.mark.parametrize("fault, verdicts", [
     (None, {True}),
     (_sup_repeats_a_row, {True}),
     (_sup_loses_a_row, {True, False}),
     (_sub_gains_a_point_outside, {False}),
-], ids=["none", "sup-repeats-a-row", "sup-loses-a-row", "sub-gains-a-point-outside"])
+    (_sup_gains_a_point_uncovered, {True, False}),
+], ids=["none", "sup-repeats-a-row", "sup-loses-a-row", "sub-gains-a-point-outside",
+        "sup-gains-a-point-uncovered"])
 def test_containment_agrees_with_python_set_containment(fault, verdicts):
-    # the oracle: Python-set containment of the expanded (projected) points;
-    # the witness is the least point of sub outside sup
+    # the oracle, on Python sets of the expanded (projected) points: the
+    # points of sub outside sup, and for the projection the symmetric
+    # difference of the two; the witness is its least point
     assert set(CONTAINMENTS) == {name for name, entry in CHECKS.items()
                                  if entry.kind == "containment"}
     seen = set()
-    for name, (sub, sup, min_depth) in CONTAINMENTS.items():
+    for name, (sub, sup) in CONTAINMENTS.items():
         for n in range(CHECKS[name].first_n, 81):
             table = sets.RowTable(n)
             if fault is not None:
                 fault(table, sub, sup, n)
-            outside = _pairs(table[sub], min_depth) - _pairs(table[sup], None)
+            xs, ys = _pairs(table[sub]), _pairs(table[sup])
+            wrong = xs ^ ys if sub is NamedSet.RA else xs - ys
             found = CHECKS[name].find(n, table)
             seen.add(found is None)
-            assert found == (((sub, sup), min(outside)) if outside else None), (name, n)
+            assert found == (((sub, sup), min(wrong)) if wrong else None), (name, n)
     assert seen == verdicts
+
+
+@pytest.mark.parametrize("part, witness", [
+    (NamedSet.RA_A, (2, 9)), (NamedSet.RA_C, (3, 8)), (NamedSet.RA_D, (3, 6)),
+], ids=["ra-a", "ra-c", "ra-d"])
+def test_ra_projection_names_a_pair_with_no_tuple_above_it(monkeypatch, part, witness):
+    # with one part's rows emptied, no ra tuple lies above the witness pair,
+    # which is still in cwdd; the one-way containment could not see this
+    monkeypatch.setitem(sets.ROW_SOURCES, part, lambda n: [])
+    assert check("ra projects onto cwdd", 12) == Failure(
+        "ra projects onto cwdd", "containment", (NamedSet.RA, NamedSet.CWDD), witness, 0)
+    assert sets.contains(NamedSet.CWDD, 12, witness)
+    record = run_census(12, 12, "ra").records[0]
+    assert not record.containment_ok and record.disjointness_ok
 
 
 @pytest.mark.parametrize("family", ["cwdd", "bounds", "all"])
@@ -362,6 +381,21 @@ def test_from_csv_rejects_a_header_of_no_family():
         CensusReport.from_csv(header + "\n" + "".join(text.splitlines(True)[1:]))
     with pytest.raises(ValueError, match="matches no census family"):
         CensusReport.from_csv("n,k,i\n5,0,5\n")
+
+
+def test_from_csv_rejects_a_header_with_no_record():
+    header = run_census(5, 6, "ra").to_csv().splitlines()[0]
+    for text in (header, header + "\n", header + "\n\n"):
+        with pytest.raises(ValueError, match="CSV has the ra header and no record"):
+            CensusReport.from_csv(text)
+    with pytest.raises(ValueError, match="CSV header '' matches no census family"):
+        CensusReport.from_csv("")
+
+
+def test_from_json_rejects_an_unknown_family():
+    text = run_census(5, 6, "cwdd").to_json().replace('"family": "cwdd"', '"family": "pairs"')
+    with pytest.raises(ValueError, match="JSON family 'pairs' is no census family"):
+        CensusReport.from_json(text)
 
 
 def test_census_deterministic():
