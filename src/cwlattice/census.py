@@ -11,7 +11,9 @@ parts share no point when its count is the sum of theirs
 (sets.parts_overlap).  Merged rows are canonical, so a containment
 relation holds when two merged row lists are equal: sub lies in sup when
 merging sub's rows into sup's gives sup's merged rows, and ra projects
-onto cwdd when its rows, projected to (a, d) and merged, are cwdd's rows.
+onto cwdd when its rows, projected to (a, d) and merged, are cwdd's rows
+(the ra rows come grouped by depth, so they are projected and merged one
+depth at a time, and each sort compares ints).
 Rows are intersected or expanded only to name a witness, or at
 n = 5, where cwdd-a and cwdd-b are expected to share (2, 2).  Failures are
 recorded and the run continues, so one bad polynomial branch produces a
@@ -19,7 +21,9 @@ complete diagnostic map across residues instead of a single abort.
 
 Reports serialize to CSV (one row per n; the diffable golden format) and
 JSON, with one boolean per kind of check, and parse back losslessly; a
-text of no family, or a CSV header with no record, raises ValueError.  Each
+text of no family, a CSV header with no record, and a CSV record line whose
+cell count differs from its header's or whose flag cell is neither true nor
+false (both named by their 1-based line) raise ValueError.  Each
 family's CSV header line is built once, from FAMILY_SETS: to_csv writes it
 and from_csv finds the family by it, then reads the cells by position.
 Both parsers list a record's counts in its family's set order.
@@ -45,6 +49,7 @@ FAMILY_SETS["all"] = FAMILY_SETS["cwdd"] + FAMILY_SETS["ra"] + FAMILY_SETS["boun
 
 KINDS = ("disjointness", "sandwich", "containment")  # of CHECKS; one boolean each
 _BOOL_FIELDS = tuple(f"{kind}_ok" for kind in KINDS)
+_FLAGS = {"true": True, "false": False}  # a boolean's CSV cell, read back
 # each family's CSV header line: the one place its columns are named
 _HEADER = {
     family: ",".join(["n", "k", "i",
@@ -137,19 +142,28 @@ class CensusReport:
 
     @classmethod
     def from_csv(cls, text: str) -> "CensusReport":
-        header, *lines = [ln for ln in text.splitlines() if ln] or [""]
+        (_, header), *lines = [(number, line) for number, line
+                               in enumerate(text.splitlines(), 1) if line] or [(1, "")]
         family = next((f for f, line in _HEADER.items() if line == header), None)
         if family is None:
             raise ValueError(f"CSV header {header!r} matches no census family")
         if not lines:
             raise ValueError(f"CSV has the {family} header and no record")
         tags = [s.value for s in FAMILY_SETS[family]]
+        width = header.count(",") + 1
         records = []
-        for line in lines:
+        for number, line in lines:
             cells = line.split(",")
+            if len(cells) != width:
+                raise ValueError(f"CSV line {number} has {len(cells)} cells where "
+                                 f"the {family} header has {width}")
             counts = [int(cell) if cell else None for cell in cells[3:-len(KINDS)]]
             pairs = dict(zip(tags, zip(counts[0::2], counts[1::2])))
-            flags = [cell == "true" for cell in cells[-len(KINDS):]]
+            flag_cells = cells[-len(KINDS):]
+            flags = [_FLAGS.get(cell) for cell in flag_cells]
+            if None in flags:
+                raise ValueError(f"CSV line {number}: flag {flag_cells[flags.index(None)]!r}"
+                                 " is neither true nor false")
             records.append(CensusRecord(*map(int, cells[:3]), pairs, *flags))
         return cls(family=family, n_lo=records[0].n, n_hi=records[-1].n, records=records)
 
@@ -241,8 +255,20 @@ def _inside(sub: NamedSet, sup: NamedSet) -> Check:
 
 def _ra_onto_cwdd(n, table):
     # the pairs (a, d) of the tuples (a, r, d, d) are exactly cwdd: no tuple
-    # projects outside it, and every pair has a tuple above it
-    projected = (((a,), lo, hi) for (a, _), lo, hi in table[NamedSet.RA])
+    # projects outside it, and every pair has a tuple above it.  The ra rows
+    # come grouped by depth, so each run of one depth is projected and merged
+    # on its own, its rows sharing one prefix object (a,), and the sort
+    # compares ints.  _same_points merges the result again, so rows out of
+    # depth order would cost time, not correctness.
+    projected: list[sets.Row] = []
+    same_depth: list[sets.Row] = []
+    current = None
+    for (a, _), lo, hi in table[NamedSet.RA]:
+        if a != current:
+            projected += sets.merge_rows(same_depth)
+            current, prefix, same_depth = a, (a,), []
+        same_depth.append((prefix, lo, hi))
+    projected += sets.merge_rows(same_depth)
     return _same_points((NamedSet.RA, NamedSet.CWDD), projected, table[NamedSet.CWDD])
 
 

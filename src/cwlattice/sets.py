@@ -59,6 +59,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from enum import Enum, unique
 from itertools import chain, combinations
+from operator import itemgetter
 
 from .errors import ArityMismatchError, DomainError, InternalInconsistencyError
 
@@ -155,8 +156,8 @@ def intersect_rows(xs: list[Row], ys: list[Row]) -> list[Row]:
 
 
 def count_rows(rows: list[Row]) -> int:
-    """The number of points in non-overlapping rows."""
-    return sum([hi - lo + 1 for _, lo, hi in rows])
+    """The number of points in non-overlapping rows: the sum of hi - lo + 1."""
+    return sum(map(itemgetter(2), rows)) - sum(map(itemgetter(1), rows)) + len(rows)
 
 
 def expand_rows(rows: list[Row]) -> list[tuple[int, ...]]:
@@ -215,14 +216,20 @@ def _rows_ra_c(n: int) -> list[Row]:
 def _rows_ra_d(n: int) -> list[Row]:
     """r < d < n - r forces r <= floor(n/2) - 1 and hence a <= floor(n/2) - 2;
     for fixed (a, r) the valid d form the nonempty range
-    max(r + 1, n - a - r + 2) .. n - r - 1.  A naive scan of the full cube
-    [1, n]^3 gives the same set (checked in the test suite)."""
-    half = n // 2
-    return [
-        ((a, r), max(r + 1, n - a - r + 2), n - r - 1)
-        for a in range(3, half - 1)
-        for r in range(a + 1, half)
-    ]
+    max(r + 1, n - a - r + 2) .. n - r - 1.  The max turns at
+    r = (n - a + 2) // 2: below the turn the low end is n - a - r + 2, from
+    it on r + 1.  So each depth a splits its r range a + 1 .. floor(n/2) - 1
+    at the turn, raised to a + 1 (a >= 3 keeps it at most floor(n/2)), into
+    two comprehensions, and no row calls max().  A naive scan of the full
+    cube [1, n]^3 gives the same set (checked in the test suite)."""
+    half, top = n // 2, n - 1
+    rows: list[Row] = []
+    for a in range(3, half - 1):
+        turn = max((n - a + 2) // 2, a + 1)
+        below = n - a + 2  # the low end below the turn is below - r
+        rows += [((a, r), below - r, top - r) for r in range(a + 1, turn)]
+        rows += [((a, r), r + 1, top - r) for r in range(turn, half)]
+    return rows
 
 
 def _rows_c_minus(n: int) -> list[Row]:

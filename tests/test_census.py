@@ -266,9 +266,24 @@ def _sup_loses_a_row(table, sub, sup, n):
     table[sup] = table[sup][:mid] + table[sup][mid + 1:]
 
 
+def _sub_loses_a_row(table, sub, sup, n):
+    # a subset check still holds; the projection fails where no other ra row
+    # at the lost row's depth covers its pairs
+    mid = len(table[sub]) // 2
+    table[sub] = table[sub][:mid] + table[sub][mid + 1:]
+
+
 def _sub_gains_a_point_outside(table, sub, sup, n):
-    # (n, n) lies in no pair set at n, and the tuple row ((n, 1), n, n) projects to it
+    # (n, n) lies in no pair set at n, and the tuple row ((n, 1), n, n) projects
+    # to it; it is sub's last row, so for ra the last depth grows
     table[sub] = sorted(table[sub] + [((n,), n, n) if sub.arity == 2 else ((n, 1), n, n)])
+
+
+def _sub_gains_a_point_at_its_first_depth(table, sub, sup, n):
+    # (a, n) lies in no pair set at n; the tuple row ((a, 1), n, n) projects to
+    # it and sorts first, so for ra the first depth grows
+    a = table[sub][0][0][0] if table[sub] else 1
+    table[sub] = sorted(table[sub] + [((a,), n, n) if sub.arity == 2 else ((a, 1), n, n)])
 
 
 def _sup_gains_a_point_uncovered(table, sub, sup, n):
@@ -280,9 +295,12 @@ def _sup_gains_a_point_uncovered(table, sub, sup, n):
     (None, {True}),
     (_sup_repeats_a_row, {True}),
     (_sup_loses_a_row, {True, False}),
+    (_sub_loses_a_row, {True, False}),
     (_sub_gains_a_point_outside, {False}),
+    (_sub_gains_a_point_at_its_first_depth, {False}),
     (_sup_gains_a_point_uncovered, {True, False}),
-], ids=["none", "sup-repeats-a-row", "sup-loses-a-row", "sub-gains-a-point-outside",
+], ids=["none", "sup-repeats-a-row", "sup-loses-a-row", "sub-loses-a-row",
+        "sub-gains-a-point-outside", "sub-gains-a-point-at-its-first-depth",
         "sup-gains-a-point-uncovered"])
 def test_containment_agrees_with_python_set_containment(fault, verdicts):
     # the oracle, on Python sets of the expanded (projected) points: the
@@ -390,6 +408,26 @@ def test_from_csv_rejects_a_header_with_no_record():
             CensusReport.from_csv(text)
     with pytest.raises(ValueError, match="CSV header '' matches no census family"):
         CensusReport.from_csv("")
+
+
+def test_from_csv_rejects_a_line_whose_cell_count_differs_from_its_header():
+    header = run_census(5, 6, "cwdd").to_csv().splitlines()[0]
+    with pytest.raises(ValueError, match="CSV line 2 has 8 cells where the cwdd header has 14"):
+        CensusReport.from_csv(header + "\n5,0,5,2,2,true,true,true\n")
+    line = run_census(5, 5, "cwdd").to_csv().splitlines()[1]
+    with pytest.raises(ValueError, match="CSV line 4 has 15 cells where the cwdd header has 14"):
+        CensusReport.from_csv(f"{header}\n{line}\n\n{line},true\n")
+
+
+def test_from_csv_rejects_a_flag_that_is_neither_true_nor_false():
+    text = run_census(5, 7, "ra").to_csv()
+    assert text.splitlines()[2].endswith(",true,true,true")
+    lines = text.splitlines()
+    lines[2] = lines[2][:-len("true")] + "yes"
+    with pytest.raises(ValueError, match="CSV line 3: flag 'yes' is neither true nor false"):
+        CensusReport.from_csv("\n".join(lines))
+    lines[2] = lines[2][:-len("yes")] + "false"
+    assert not CensusReport.from_csv("\n".join(lines)).records[1].containment_ok
 
 
 def test_from_json_rejects_an_unknown_family():

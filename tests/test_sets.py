@@ -165,6 +165,18 @@ def test_ra_d_matches_full_cube_scan(n):
     assert enumerate_ra_d(n) == sorted(naive_ra_d(n))
 
 
+@pytest.mark.parametrize("n", range(5, 151))
+def test_ra_d_rows_split_at_the_turn_equal_the_per_row_max(n):
+    # the rows split at each depth's turn (n - a + 2) // 2 are the per-row
+    # max() form, to n = 150, past the cube scan's n = 36
+    half = n // 2
+    assert sets._rows_ra_d(n) == [
+        ((a, r), max(r + 1, n - a - r + 2), n - r - 1)
+        for a in range(3, half - 1)
+        for r in range(a + 1, half)
+    ]
+
+
 def test_cw_sets_empty_below_five():
     for n in range(-3, 5):
         assert enumerate_cwdd_a(n) == []
