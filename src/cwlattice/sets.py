@@ -225,8 +225,8 @@ def _rows_ra_d(n: int) -> list[Row]:
     half, top = n // 2, n - 1
     rows: list[Row] = []
     for a in range(3, half - 1):
-        turn = max((n - a + 2) // 2, a + 1)
         below = n - a + 2  # the low end below the turn is below - r
+        turn = max(below // 2, a + 1)
         rows += [((a, r), below - r, top - r) for r in range(a + 1, turn)]
         rows += [((a, r), r + 1, top - r) for r in range(turn, half)]
     return rows
