@@ -20,13 +20,17 @@ recorded and the run continues, so one bad polynomial branch produces a
 complete diagnostic map across residues instead of a single abort.
 
 Reports serialize to CSV (one row per n; the diffable golden format) and
-JSON, with one boolean per kind of check, and parse back losslessly; a
-text of no family, a CSV header with no record, and a CSV record line whose
-cell count differs from its header's or whose flag cell is neither true nor
-false (both named by their 1-based line) raise ValueError.  Each
-family's CSV header line is built once, from FAMILY_SETS: to_csv writes it
-and from_csv finds the family by it, then reads the cells by position.
-Both parsers list a record's counts in its family's set order.
+JSON, with one boolean per kind of check, and parse back losslessly.
+Each parser raises ValueError on what the writers never write: a text of
+no family, a CSV header with no record, a JSON record that lacks one of
+its family's counts (named by its n and the set), and a CSV record line
+(named by its 1-based line) whose cell count differs from its header's,
+whose number cell is not an integer, whose flag cell is neither true nor
+false, whose k, i are not divmod(n, 6), or whose n is not one more than
+the line before's.  Each family's CSV header line is built once, from
+FAMILY_SETS: to_csv writes it and from_csv finds the family by it, then
+reads the cells by position.  Both parsers list a record's counts in its
+family's set order.
 """
 
 from __future__ import annotations
@@ -157,14 +161,22 @@ class CensusReport:
             if len(cells) != width:
                 raise ValueError(f"CSV line {number} has {len(cells)} cells where "
                                  f"the {family} header has {width}")
-            counts = [int(cell) if cell else None for cell in cells[3:-len(KINDS)]]
+            n, k, i = (_csv_int(cell, number) for cell in cells[:3])
+            if (k, i) != divmod(n, 6):
+                raise ValueError(f"CSV line {number}: k, i = {k}, {i} where n = {n} "
+                                 f"gives {n // 6}, {n % 6}")
+            if records and n != records[-1].n + 1:
+                raise ValueError(f"CSV line {number}: n = {n} does not follow "
+                                 f"n = {records[-1].n}")
+            counts = [_csv_int(cell, number) if cell else None
+                      for cell in cells[3:-len(KINDS)]]
             pairs = dict(zip(tags, zip(counts[0::2], counts[1::2])))
             flag_cells = cells[-len(KINDS):]
             flags = [_FLAGS.get(cell) for cell in flag_cells]
             if None in flags:
                 raise ValueError(f"CSV line {number}: flag {flag_cells[flags.index(None)]!r}"
                                  " is neither true nor false")
-            records.append(CensusRecord(*map(int, cells[:3]), pairs, *flags))
+            records.append(CensusRecord(n, k, i, pairs, *flags))
         return cls(family=family, n_lo=records[0].n, n_hi=records[-1].n, records=records)
 
     @classmethod
@@ -173,13 +185,24 @@ class CensusReport:
         family = payload["family"]
         if family not in FAMILY_SETS:
             raise ValueError(f"JSON family {family!r} is no census family")
-        records = [
-            CensusRecord(r["n"], r["k"], r["i"],
-                         {s.value: tuple(r["counts"][s.value]) for s in FAMILY_SETS[family]},
-                         *(r[b] for b in _BOOL_FIELDS))
-            for r in payload["records"]
-        ]
+        records = []
+        for r in payload["records"]:
+            missing = [s.value for s in FAMILY_SETS[family] if s.value not in r["counts"]]
+            if missing:
+                raise ValueError(f"JSON record n = {r['n']} has no {missing[0]} counts")
+            records.append(CensusRecord(
+                r["n"], r["k"], r["i"],
+                {s.value: tuple(r["counts"][s.value]) for s in FAMILY_SETS[family]},
+                *(r[b] for b in _BOOL_FIELDS)))
         return cls(family, payload["n_lo"], payload["n_hi"], records)
+
+
+def _csv_int(cell: str, number: int) -> int:
+    """A CSV cell read as an int, or a ValueError naming its 1-based line."""
+    try:
+        return int(cell)
+    except ValueError:
+        raise ValueError(f"CSV line {number}: cell {cell!r} is not an integer") from None
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,19 @@ degrees alone: n - 1 edges and a vertex of degree n - 1.  So is a star
 triangle: n >= 3, one vertex of degree n - 1 and every other vertex of
 degree 2, so the edges avoiding the centre form a perfect matching.
 
-Both matching searches are exact branch and bound on bitmasks.  The
-matching number branches over vertices: a live vertex of least live
-degree is matched to each live neighbour or left unmatched (a vertex with
-one live neighbour is simply matched to it), pruned when the live vertices
-cannot add enough pairs to beat the best so far.  The induced matching
-number is a largest conflict-free set of edges, where an edge conflicts
-with every edge touching its endpoints or their neighbours; the conflict
-masks are unions of per-vertex incidence masks.  Both are capped at
-MAX_BRUTE_FORCE_EDGES edges; beyond the cap a GraphTooLargeError asks
-the caller to shrink the instance.
+Both matching numbers come from one exact branch and bound on bitmasks;
+they differ only in what a chosen edge rules out.  A table ``reach``
+holds, for each vertex v, ``1 << v`` for the matching number and v's
+closed neighbourhood for the induced matching number, and taking vw
+rules out ``reach[v] | reach[w]``.  A live vertex of least live degree
+is matched to each live neighbour or dropped, pruned when the live
+vertices cannot add enough pairs to beat the best so far.  A vertex v
+with one live neighbour w is matched to it (if w ends a chosen edge wx
+instead, swapping wx for vw rules out no more); dropping both v and w is
+tried too, but only when vw rules out some other live vertex, so never
+for a matching.  The search is capped at MAX_BRUTE_FORCE_EDGES edges;
+beyond the cap a GraphTooLargeError asks the caller to shrink the
+instance.
 """
 
 from __future__ import annotations
@@ -114,50 +117,28 @@ def is_connected(g: Graph) -> bool:
 # matching numbers by branch and bound
 # ---------------------------------------------------------------------------
 
-def _largest_conflict_free(conflicts: list[int]) -> int:
-    """Max number of items no two of which conflict (masks exclude self).
-
-    Branch and bound over a bitmask of still-available items: take the
-    lowest available item or skip it, pruning when even taking everything
-    left cannot beat the incumbent.
-    """
-    best = 0
-
-    def grow(avail: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        while avail:
-            if size + avail.bit_count() <= best:
-                return
-            low = avail & -avail
-            avail &= ~low
-            grow(avail & ~conflicts[low.bit_length() - 1], size + 1)
-
-    grow((1 << len(conflicts)) - 1, 0)
-    return best
-
-
-def _check_size(g: Graph) -> list[tuple[int, int]]:
+def _check_size(g: Graph) -> None:
     if len(g.edges) > MAX_BRUTE_FORCE_EDGES:
         raise GraphTooLargeError(
             f"{len(g.edges)} edges exceeds the exhaustive-search cap of "
             f"{MAX_BRUTE_FORCE_EDGES}; shrink the instance"
         )
-    return sorted(g.edges)
 
 
-def matching_number(g: Graph) -> int:
-    """Maximum size of a set of pairwise vertex-disjoint edges (exact).
+def _largest_matching(g: Graph, reach: list[int]) -> int:
+    """Most edges that can be chosen when a chosen edge vw rules out the
+    vertices reach[v] | reach[w] (each reach[v] holds v itself).
 
-    Branch and bound over a bitmask of live vertices (unmatched and not
-    given up).  A node picks a live vertex of least live degree and either
-    matches it to each live neighbour in turn or leaves it unmatched; a
-    vertex with one live neighbour is matched to it outright, which some
-    maximum matching always does.  A node is pruned when even matching
-    every pair of live vertices cannot beat the incumbent.
+    Branch and bound over a bitmask of live vertices, those that may still
+    end a chosen edge.  A node picks a live vertex v of least live degree
+    and either takes each edge from v to a live neighbour w in turn, or
+    drops v.  When v has one live neighbour w, the search takes vw: if w
+    ends a chosen edge wx instead, swapping wx for vw rules out no more.
+    Then the only other case is that neither v nor w ends a chosen edge,
+    which is worth trying only when vw rules out some other live vertex.
+    A node is pruned when even pairing off every live vertex cannot beat
+    the incumbent.
     """
-    _check_size(g)
     adj = g.neighbour_masks
     best = 0
 
@@ -173,7 +154,7 @@ def matching_number(g: Graph) -> int:
             v = low.bit_length() - 1
             nbrs = adj[v] & live
             if not nbrs:
-                live ^= low  # no live neighbour left: it stays unmatched
+                live ^= low  # no live neighbour left: it ends no chosen edge
                 continue
             degree = nbrs.bit_count()
             if pick < 0 or degree < least:
@@ -182,40 +163,32 @@ def matching_number(g: Graph) -> int:
                     break
         if pick < 0 or size + live.bit_count() // 2 <= best:
             return
-        live &= ~(1 << pick)
-        while pick_nbrs:
-            low = pick_nbrs & -pick_nbrs
-            pick_nbrs ^= low
-            grow(live & ~low, size + 1)
+        for w in _bits(pick_nbrs):
+            ruled = reach[pick] | reach[w]
+            grow(live & ~ruled, size + 1)
         if least > 1:
-            grow(live, size)
+            grow(live ^ (1 << pick), size)
+        elif live & ruled != (1 << pick) | pick_nbrs:  # ruled by the one edge vw
+            grow(live & ~((1 << pick) | pick_nbrs), size)
 
     grow((1 << g.vertex_count) - 1, 0)
     return best
 
 
-def induced_matching_number(g: Graph) -> int:
-    """Maximum matching whose edges are also pairwise unjoined by any edge.
+def matching_number(g: Graph) -> int:
+    """Maximum size of a set of pairwise vertex-disjoint edges (exact):
+    a chosen edge rules out its two ends."""
+    _check_size(g)
+    return _largest_matching(g, [1 << v for v in range(g.vertex_count)])
 
-    Two chosen edges conflict when they share a vertex or when some edge of
-    the graph connects an endpoint of one to an endpoint of the other: edge
-    uv conflicts with every edge at a vertex of N(u) | N(v), which holds u
-    and v.  So its conflict mask is the union of those vertices' incidence
-    masks (bit i for each edge i at the vertex).
-    """
-    edges = _check_size(g)
-    incident = [0] * g.vertex_count
-    for index, (u, v) in enumerate(edges):
-        incident[u] |= 1 << index
-        incident[v] |= 1 << index
-    nbrs = g.neighbour_masks
-    conflicts = []
-    for index, (u, v) in enumerate(edges):
-        mask = 0
-        for w in _bits(nbrs[u] | nbrs[v]):
-            mask |= incident[w]
-        conflicts.append(mask & ~(1 << index))
-    return _largest_conflict_free(conflicts)
+
+def induced_matching_number(g: Graph) -> int:
+    """Maximum matching whose edges are also pairwise unjoined by any edge
+    (exact): a chosen edge rules out its ends and all their neighbours."""
+    _check_size(g)
+    return _largest_matching(
+        g, [mask | 1 << v for v, mask in enumerate(g.neighbour_masks)]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Census engine tests: verification runs, serialization, determinism."""
 
+import json
 import re
 from itertools import combinations
 
@@ -428,6 +429,36 @@ def test_from_csv_rejects_a_flag_that_is_neither_true_nor_false():
         CensusReport.from_csv("\n".join(lines))
     lines[2] = lines[2][:-len("yes")] + "false"
     assert not CensusReport.from_csv("\n".join(lines)).records[1].containment_ok
+
+
+def test_from_csv_rejects_a_gap_between_records():
+    lines = run_census(5, 7, "cwdd").to_csv().splitlines()
+    with pytest.raises(ValueError, match="CSV line 3: n = 7 does not follow n = 5"):
+        CensusReport.from_csv("\n".join(lines[:2] + lines[3:]))
+
+
+def test_from_csv_rejects_k_and_i_other_than_divmod_n_6():
+    lines = run_census(5, 5, "cwdd").to_csv().splitlines()
+    assert lines[1].startswith("5,0,5,")
+    lines[1] = "5,3,1," + lines[1][len("5,0,5,"):]
+    with pytest.raises(ValueError, match="CSV line 2: k, i = 3, 1 where n = 5 gives 0, 5"):
+        CensusReport.from_csv("\n".join(lines))
+
+
+def test_from_csv_rejects_a_count_cell_that_is_no_integer():
+    lines = run_census(5, 6, "cwdd").to_csv().splitlines()
+    cells = lines[2].split(",")
+    cells[3] = "x"
+    lines[2] = ",".join(cells)
+    with pytest.raises(ValueError, match="CSV line 3: cell 'x' is not an integer"):
+        CensusReport.from_csv("\n".join(lines))
+
+
+def test_from_json_rejects_a_record_that_lacks_a_count():
+    payload = json.loads(run_census(5, 7, "cwdd").to_json())
+    del payload["records"][1]["counts"]["cwdd-a"]
+    with pytest.raises(ValueError, match="JSON record n = 6 has no cwdd-a counts"):
+        CensusReport.from_json(json.dumps(payload))
 
 
 def test_from_json_rejects_an_unknown_family():

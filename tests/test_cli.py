@@ -402,6 +402,14 @@ def test_readme_example_file(capsys):
         0, "ab\naf\nbc\nbf\ncd\nce\nde\nef\n", "")
 
 
+@pytest.mark.parametrize("name", ["chorded-hexagon", "cycle-31"])
+def test_recognize_json_matches_the_golden_files(capsys, name):
+    # the JSON bytes, and the 31-cycle is a search near the 32-edge cap
+    expected = (DATA_DIR / f"{name}.json").read_bytes().decode("utf-8")
+    assert run_cli(capsys, "recognize", "--input", str(DATA_DIR / f"{name}.edges"),
+                   "--format", "json") == (0, expected, "")
+
+
 def test_recognize_cw_graph(capsys, tmp_path):
     path = tmp_path / "cw.edges"
     path.write_text("u0 v0\nu0 l0\nv0 w0\nv0 w1\nw0 w1\n", encoding="utf-8")

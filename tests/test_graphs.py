@@ -178,6 +178,51 @@ def test_matching_numbers_at_the_cap():
     assert (matching_number(forest), induced_matching_number(forest)) == (17, 9)
 
 
+def test_leaf_rule_examples():
+    # the search takes a leaf's edge, and also tries dropping both its ends
+    # when that edge rules out more: taking 0-1 outright would give im = 1
+    spider = Graph.from_edges(6, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 5)])
+    assert (matching_number(spider), induced_matching_number(spider)) == (3, 2)
+    edge_and_square = Graph.from_edges(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)])
+    assert (matching_number(edge_and_square), induced_matching_number(edge_and_square)) == (3, 2)
+    stars = Graph.from_edges(40, [(5 * s, 5 * s + j) for s in range(8) for j in range(1, 5)])
+    assert len(stars.edges) == MAX_BRUTE_FORCE_EDGES
+    assert (matching_number(stars), induced_matching_number(stars)) == (8, 8)
+
+
+def _leafy_edges(rng):
+    """The edges of a random forest, caterpillar or spider, at most 14."""
+    shape = rng.choice(("forest", "caterpillar", "spider"))
+    if shape == "forest":  # a vertex starts a new tree with probability 1/5
+        return [(rng.randrange(v), v) for v in range(1, rng.randint(2, 15))
+                if rng.random() < 0.8]
+    if shape == "caterpillar":
+        spine = rng.randint(1, 6)
+        edges = [(v, v + 1) for v in range(spine - 1)]
+        return edges + [(rng.randrange(spine), v)
+                        for v in range(spine, spine + rng.randint(1, 15 - spine))]
+    edges, nxt = [], 1
+    while nxt < 14:
+        length = rng.randint(1, min(4, 15 - nxt))
+        edges += [(0 if step == 0 else nxt + step - 1, nxt + step) for step in range(length)]
+        nxt += length
+        if rng.random() < 0.25:
+            break
+    return edges
+
+
+def test_matching_matches_subset_oracle_on_leafy_graphs():
+    rng = random.Random(1505)
+    for _ in range(200):
+        edges = _leafy_edges(rng)
+        n = 1 + max((v for e in edges for v in e), default=0)
+        label = rng.sample(range(n), n)  # so the search meets leaves in any order
+        g = Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+        assert len(g.edges) <= 14
+        assert matching_number(g) == oracle_matching(g), sorted(g.edges)
+        assert induced_matching_number(g) == oracle_induced_matching(g), sorted(g.edges)
+
+
 def test_matching_size_cap():
     g = Graph.from_edges(34, [(i, i + 1) for i in range(33)])
     assert len(g.edges) == MAX_BRUTE_FORCE_EDGES + 1
