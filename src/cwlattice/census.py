@@ -20,17 +20,8 @@ recorded and the run continues, so one bad polynomial branch produces a
 complete diagnostic map across residues instead of a single abort.
 
 Reports serialize to CSV (one row per n; the diffable golden format) and
-JSON, with one boolean per kind of check, and parse back losslessly.
-Each parser raises ValueError on what the writers never write: a text of
-no family, a CSV header with no record, a JSON record that lacks one of
-its family's counts (named by its n and the set), and a CSV record line
-(named by its 1-based line) whose cell count differs from its header's,
-whose number cell is not an integer, whose flag cell is neither true nor
-false, whose k, i are not divmod(n, 6), or whose n is not one more than
-the line before's.  Each family's CSV header line is built once, from
-FAMILY_SETS: to_csv writes it and from_csv finds the family by it, then
-reads the cells by position.  Both parsers list a record's counts in its
-family's set order.
+JSON, with one boolean per kind of check.  Each family's CSV header line
+is built once, from FAMILY_SETS, in _HEADER.
 """
 
 from __future__ import annotations
@@ -53,7 +44,6 @@ FAMILY_SETS["all"] = FAMILY_SETS["cwdd"] + FAMILY_SETS["ra"] + FAMILY_SETS["boun
 
 KINDS = ("disjointness", "sandwich", "containment")  # of CHECKS; one boolean each
 _BOOL_FIELDS = tuple(f"{kind}_ok" for kind in KINDS)
-_FLAGS = {"true": True, "false": False}  # a boolean's CSV cell, read back
 # each family's CSV header line: the one place its columns are named
 _HEADER = {
     family: ",".join(["n", "k", "i",
@@ -70,7 +60,7 @@ class CensusRecord:
     counts maps each set tag to (enumerated size, closed-form size); a
     (None, None) pair marks a set undefined at this n (see sets.FIRST_N;
     the census starts at n = 3, so only beta at n = 3).  failures, behind
-    the false booleans, is neither serialized nor compared.
+    the false booleans, is not serialized.
     """
 
     n: int
@@ -80,7 +70,7 @@ class CensusRecord:
     disjointness_ok: bool
     sandwich_ok: bool
     containment_ok: bool
-    failures: tuple[Failure, ...] = field(default=(), compare=False)
+    failures: tuple[Failure, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -143,66 +133,6 @@ class CensusReport:
             "first_failure": self.first_failure,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "CensusReport":
-        (_, header), *lines = [(number, line) for number, line
-                               in enumerate(text.splitlines(), 1) if line] or [(1, "")]
-        family = next((f for f, line in _HEADER.items() if line == header), None)
-        if family is None:
-            raise ValueError(f"CSV header {header!r} matches no census family")
-        if not lines:
-            raise ValueError(f"CSV has the {family} header and no record")
-        tags = [s.value for s in FAMILY_SETS[family]]
-        width = header.count(",") + 1
-        records = []
-        for number, line in lines:
-            cells = line.split(",")
-            if len(cells) != width:
-                raise ValueError(f"CSV line {number} has {len(cells)} cells where "
-                                 f"the {family} header has {width}")
-            n, k, i = (_csv_int(cell, number) for cell in cells[:3])
-            if (k, i) != divmod(n, 6):
-                raise ValueError(f"CSV line {number}: k, i = {k}, {i} where n = {n} "
-                                 f"gives {n // 6}, {n % 6}")
-            if records and n != records[-1].n + 1:
-                raise ValueError(f"CSV line {number}: n = {n} does not follow "
-                                 f"n = {records[-1].n}")
-            counts = [_csv_int(cell, number) if cell else None
-                      for cell in cells[3:-len(KINDS)]]
-            pairs = dict(zip(tags, zip(counts[0::2], counts[1::2])))
-            flag_cells = cells[-len(KINDS):]
-            flags = [_FLAGS.get(cell) for cell in flag_cells]
-            if None in flags:
-                raise ValueError(f"CSV line {number}: flag {flag_cells[flags.index(None)]!r}"
-                                 " is neither true nor false")
-            records.append(CensusRecord(n, k, i, pairs, *flags))
-        return cls(family=family, n_lo=records[0].n, n_hi=records[-1].n, records=records)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CensusReport":
-        payload = json.loads(text)
-        family = payload["family"]
-        if family not in FAMILY_SETS:
-            raise ValueError(f"JSON family {family!r} is no census family")
-        records = []
-        for r in payload["records"]:
-            missing = [s.value for s in FAMILY_SETS[family] if s.value not in r["counts"]]
-            if missing:
-                raise ValueError(f"JSON record n = {r['n']} has no {missing[0]} counts")
-            records.append(CensusRecord(
-                r["n"], r["k"], r["i"],
-                {s.value: tuple(r["counts"][s.value]) for s in FAMILY_SETS[family]},
-                *(r[b] for b in _BOOL_FIELDS)))
-        return cls(family, payload["n_lo"], payload["n_hi"], records)
-
-
-def _csv_int(cell: str, number: int) -> int:
-    """A CSV cell read as an int, or a ValueError naming its 1-based line."""
-    try:
-        return int(cell)
-    except ValueError:
-        raise ValueError(f"CSV line {number}: cell {cell!r} is not an integer") from None
 
 
 # ---------------------------------------------------------------------------

@@ -182,9 +182,11 @@ def cmd_realize(args: argparse.Namespace) -> int:
         )
         return 3
     cw = result.structure
-    if args.emit_graph and cw.edge_count > EMIT_EDGE_LIMIT:
-        raise DomainError(f"the graph has {cw.edge_count} edges, over the --emit-graph "
-                          f"limit of {EMIT_EDGE_LIMIT}")
+    if args.emit_graph:
+        if cw.edge_count > EMIT_EDGE_LIMIT:
+            raise DomainError(f"the graph has {cw.edge_count} edges, over the --emit-graph "
+                              f"limit of {EMIT_EDGE_LIMIT}")
+        edges = edge_ideal_generators(build_graph(cw), structure_vertex_names(cw))
     if args.format == "json":
         payload = {
             "kind": result.kind.value,
@@ -195,7 +197,6 @@ def cmd_realize(args: argparse.Namespace) -> int:
             "t": list(cw.t),
         }
         if args.emit_graph:
-            edges = edge_ideal_generators(build_graph(cw), structure_vertex_names(cw))
             payload["edges"] = []
             _write_json(sys.stdout, payload, ((json.dumps(a), json.dumps(b)) for a, b in edges), 2)
         else:
@@ -205,7 +206,6 @@ def cmd_realize(args: argparse.Namespace) -> int:
         t_txt = ",".join(str(x) for x in cw.t)
         print(f"m={cw.m} p={cw.p} s={s_txt} t={t_txt}")
         if args.emit_graph:
-            edges = edge_ideal_generators(build_graph(cw), structure_vertex_names(cw))
             sys.stdout.writelines(f"{a} {b}\n" for a, b in edges)
     return 0
 

@@ -48,11 +48,6 @@ class ResidueKey:
             raise DomainError(f"invalid residue key (k={self.k}, i={self.i})")
 
     @property
-    def k_parity(self) -> str:
-        """The parity of k, "even" or "odd", as the piecewise formulas name it."""
-        return "even" if self.k % 2 == 0 else "odd"
-
-    @property
     def n(self) -> int:
         return 6 * self.k + self.i
 

@@ -40,11 +40,11 @@ def test_each_size_function_registers_itself():
 
 def test_residue_decompose_examples():
     key = residue_decompose(17)
-    assert (key.k, key.i, key.k_parity) == (2, 5, "even")
+    assert (key.k, key.i) == (2, 5)
     key = residue_decompose(6)
-    assert (key.k, key.i, key.k_parity) == (1, 0, "odd")
+    assert (key.k, key.i) == (1, 0)
     key = residue_decompose(5)
-    assert (key.k, key.i, key.k_parity) == (0, 5, "even")
+    assert (key.k, key.i) == (0, 5)
 
 
 def test_residue_decompose_round_trip():
@@ -52,14 +52,9 @@ def test_residue_decompose_round_trip():
         key = residue_decompose(n)
         assert key.n == n
         assert 0 <= key.i <= 5
-        assert key.k_parity == ("even" if key.k % 2 == 0 else "odd")
 
 
 def test_residue_key_parity_is_derived_from_k():
-    assert ResidueKey(k=3, i=2).k_parity == "odd"
-    assert ResidueKey(k=4, i=0).k_parity == "even"
-    with pytest.raises(TypeError):
-        ResidueKey(k=1, i=0, k_parity="odd")
     with pytest.raises(DomainError):
         ResidueKey(k=0, i=6)
 
