@@ -28,9 +28,7 @@ from .errors import (
 )
 from .formulas import (
     RatioReport,
-    ResidueKey,
     ratio_report,
-    residue_decompose,
     sandwich_bounds_cwdd,
     size_beta,
     size_c_minus,

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
-from . import formulas, sets
+from . import sets
 from .errors import DomainError
 from .formulas import SIZE_BY_SET, sandwich_bounds_cwdd, size_cwdd
 from .sets import NamedSet
@@ -43,12 +43,11 @@ FAMILY_SETS["bounds"] = (NamedSet.C_MINUS, NamedSet.C_PLUS, NamedSet.BETA)
 FAMILY_SETS["all"] = FAMILY_SETS["cwdd"] + FAMILY_SETS["ra"] + FAMILY_SETS["bounds"]
 
 KINDS = ("disjointness", "sandwich", "containment")  # of CHECKS; one boolean each
-_BOOL_FIELDS = tuple(f"{kind}_ok" for kind in KINDS)
 # each family's CSV header line: the one place its columns are named
 _HEADER = {
     family: ",".join(["n", "k", "i",
                       *(f"{s.value}_{end}" for s in members for end in ("enum", "closed")),
-                      *_BOOL_FIELDS])
+                      *(f"{kind}_ok" for kind in KINDS)])
     for family, members in FAMILY_SETS.items()
 }
 
@@ -59,31 +58,31 @@ class CensusRecord:
 
     counts maps each set tag to (enumerated size, closed-form size); a
     (None, None) pair marks a set undefined at this n (see sets.FIRST_N;
-    the census starts at n = 3, so only beta at n = 3).  failures, behind
-    the false booleans, is not serialized.
+    the census starts at n = 3, so only beta at n = 3).  failures holds the
+    structural checks that failed.  The reports write, beside n, the k and i
+    of n = 6k + i, and ok(kind) for each kind of KINDS.
     """
 
     n: int
-    k: int
-    i: int
     counts: dict[str, tuple[int | None, int | None]]
-    disjointness_ok: bool
-    sandwich_ok: bool
-    containment_ok: bool
     failures: tuple[Failure, ...] = ()
+
+    def ok(self, kind: str) -> bool:
+        """No check of this kind failed: the census boolean of the kind."""
+        return all(failure.kind != kind for failure in self.failures)
 
     @property
     def passed(self) -> bool:
-        return (all(getattr(self, b) for b in _BOOL_FIELDS)
-                and all(e == c for e, c in self.counts.values()))
+        return not self.failures and all(e == c for e, c in self.counts.values())
 
 
 @dataclass(frozen=True)
 class CensusReport:
+    """The records of one family, one per n in ascending order; run_census
+    always builds at least one."""
+
     family: str
-    n_lo: int
-    n_hi: int
-    records: list[CensusRecord] = field(default_factory=list)
+    records: list[CensusRecord]
 
     @property
     def pass_count(self) -> int:
@@ -106,25 +105,25 @@ class CensusReport:
     def to_csv(self) -> str:
         lines = [_HEADER[self.family]]
         for r in self.records:
-            row = [str(r.n), str(r.k), str(r.i)]
+            row = [str(r.n), str(r.n // 6), str(r.n % 6)]
             for member in FAMILY_SETS[self.family]:
                 row += ["" if count is None else str(count) for count in r.counts[member.value]]
-            row += ["true" if getattr(r, b) else "false" for b in _BOOL_FIELDS]
+            row += ["true" if r.ok(kind) else "false" for kind in KINDS]
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         payload = {
             "family": self.family,
-            "n_lo": self.n_lo,
-            "n_hi": self.n_hi,
+            "n_lo": self.records[0].n,
+            "n_hi": self.records[-1].n,
             "records": [
                 {
                     "n": r.n,
-                    "k": r.k,
-                    "i": r.i,
+                    "k": r.n // 6,
+                    "i": r.n % 6,
                     "counts": {tag: list(pair) for tag, pair in r.counts.items()},
-                    **{b: getattr(r, b) for b in _BOOL_FIELDS},
+                    **{f"{kind}_ok": r.ok(kind) for kind in KINDS},
                     "pass": r.passed,
                 }
                 for r in self.records
@@ -259,7 +258,6 @@ def check(name: str, n: int) -> Failure | None:
 # ---------------------------------------------------------------------------
 
 def _compute_record(n: int, family: str) -> CensusRecord:
-    key = formulas.residue_decompose(n)
     members = FAMILY_SETS[family]
     table = sets.RowTable(n)
     counts: dict[str, tuple[int | None, int | None]] = {
@@ -272,9 +270,7 @@ def _compute_record(n: int, family: str) -> CensusRecord:
         if n >= entry.first_n and any(s in members for s in entry.on)
         and (failure := _failure(name, n, table)) is not None
     )
-    failed = {failure.kind for failure in failures}
-    return CensusRecord(n, key.k, key.i, counts, *(kind not in failed for kind in KINDS),
-                        failures=failures)
+    return CensusRecord(n, counts, failures)
 
 
 def run_census(n_lo: int, n_hi: int, family: str = "all") -> CensusReport:
@@ -290,4 +286,4 @@ def run_census(n_lo: int, n_hi: int, family: str = "all") -> CensusReport:
     if n_lo > n_hi:
         raise DomainError(f"empty range: {n_lo} > {n_hi}")
     records = [_compute_record(n, family) for n in range(n_lo, n_hi + 1)]
-    return CensusReport(family=family, n_lo=n_lo, n_hi=n_hi, records=records)
+    return CensusReport(family, records)

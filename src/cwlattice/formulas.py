@@ -36,31 +36,6 @@ from .errors import DomainError, InternalInconsistencyError
 from .sets import FIRST_N, NamedSet, _require_defined, _require_int
 
 
-@dataclass(frozen=True)
-class ResidueKey:
-    """The decomposition n = 6k + i."""
-
-    k: int
-    i: int
-
-    def __post_init__(self):
-        if self.k < 0 or not 0 <= self.i <= 5:
-            raise DomainError(f"invalid residue key (k={self.k}, i={self.i})")
-
-    @property
-    def n(self) -> int:
-        return 6 * self.k + self.i
-
-
-def residue_decompose(n: int) -> ResidueKey:
-    """Split n >= 0 as 6k + i with 0 <= i <= 5."""
-    _require_int(n)
-    if n < 0:
-        raise DomainError(f"residue decomposition needs n >= 0, got {n}")
-    k, i = divmod(n, 6)
-    return ResidueKey(k=k, i=i)
-
-
 ResidueTable = tuple[tuple[int, int, int, int, int], ...]
 
 

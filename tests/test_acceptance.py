@@ -79,7 +79,7 @@ def test_criterion_2_oracle_equivalence(full_census):
 
 def test_criterion_3_disjointness(full_census):
     census, _ = full_census
-    bad = [r.n for r in census.records if not r.disjointness_ok]
+    bad = [r.n for r in census.records if not r.ok("disjointness")]
     # None at n = 5: cwdd-a and cwdd-b share exactly {(2, 2)}, nothing else overlaps
     content_ok = check("cwdd parts disjoint", 5) is None and check("ra parts disjoint", 5) is None
     sample_ok = all(check(name, n) is None for n in range(5, 61)
@@ -91,7 +91,7 @@ def test_criterion_3_disjointness(full_census):
 
 def test_criterion_4_sandwich(full_census):
     census, _ = full_census
-    flag_failures = [r.n for r in census.records if not r.sandwich_ok]
+    flag_failures = [r.n for r in census.records if not r.ok("sandwich")]
     exact_failures = []
     for n in range(6, 301):
         lower, upper = sandwich_bounds_cwdd(n)

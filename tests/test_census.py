@@ -22,7 +22,7 @@ from cwlattice import (
     size_ra,
     size_ra_d,
 )
-from cwlattice.census import FAMILY_SETS
+from cwlattice.census import FAMILY_SETS, KINDS
 from cwlattice.cli import main
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -129,7 +129,7 @@ def test_checks_on_faulty_row_sources(monkeypatch):
     assert str(failure) == "ra parts disjoint on ra-b, ra-d: witness (3, 4, 7, 7), n mod 6 = 0"
     record = run_census(12, 12, "ra").records[0]
     assert record.failures == (failure,)
-    assert not record.disjointness_ok and record.containment_ok
+    assert not record.ok("disjointness") and record.ok("containment")
 
 
 def test_cwdd_disjointness_names_a_missing_shared_point(monkeypatch):
@@ -205,7 +205,7 @@ def test_part_repeating_its_own_row_is_a_count_fault_not_a_shared_point(capsys, 
     assert check("ra parts disjoint", 12) is None
     assert sets.count_rows(sets.rows(NamedSet.RA, 12)) == size_ra(12)  # no raise
     record = run_census(12, 12, "ra").records[0]
-    assert record.failures == () and record.disjointness_ok and not record.passed
+    assert record.failures == () and record.ok("disjointness") and not record.passed
     assert record.counts["ra-d"] == (size_ra_d(12) + 1, size_ra_d(12))
     # the union merges the repeat away, so its own count still equals its
     # closed form, and the parts' counts add up to one more
@@ -335,7 +335,7 @@ def test_ra_projection_names_a_pair_with_no_tuple_above_it(monkeypatch, part, wi
         "ra projects onto cwdd", "containment", (NamedSet.RA, NamedSet.CWDD), witness, 0)
     assert sets.contains(NamedSet.CWDD, 12, witness)
     record = run_census(12, 12, "ra").records[0]
-    assert not record.containment_ok and record.disjointness_ok
+    assert not record.ok("containment") and record.ok("disjointness")
 
 
 @pytest.mark.parametrize("family", ["cwdd", "bounds", "all"])
@@ -349,8 +349,8 @@ def test_short_c_plus_row_fails_containment(monkeypatch, family):
 
     monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.C_PLUS, cut_short)
     record = run_census(12, 12, family).records[0]
-    assert not record.containment_ok
-    assert record.disjointness_ok and record.sandwich_ok
+    assert not record.ok("containment")
+    assert record.ok("disjointness") and record.ok("sandwich")
     assert not record.passed
     # (2, 9) is in cwdd and c-minus, and no longer in c-plus
     subsets = {"cwdd": [NamedSet.CWDD], "bounds": [NamedSet.C_MINUS],
@@ -384,14 +384,14 @@ def _assert_writers_agree(report):
         cells = line.split(",")
         assert len(cells) == len(header.split(",")) == 3 + 2 * len(tags) + len(flags)
         assert cells[:3] == [str(record[key]) for key in ("n", "k", "i")]
-        assert [int(cell) for cell in cells[:3]] == [computed.n, computed.k, computed.i]
+        assert [int(cell) for cell in cells[:3]] == [computed.n, *divmod(computed.n, 6)]
         assert list(computed.counts) == tags
         json_pairs = [tuple(record["counts"][tag]) for tag in tags]
         assert json_pairs == list(computed.counts.values())
         pairs = [tuple(cells[j:j + 2]) for j in range(3, 3 + 2 * len(tags), 2)]
         assert pairs == [tuple("" if c is None else str(c) for c in pair) for pair in json_pairs]
         assert cells[-len(flags):] == [{True: "true", False: "false"}[record[f]] for f in flags]
-        assert [record[f] for f in flags] == [getattr(computed, f) for f in flags]
+        assert [record[f] for f in flags] == [computed.ok(f.removesuffix("_ok")) for f in flags]
 
 
 @pytest.mark.parametrize("fault", [False, True])
@@ -406,8 +406,7 @@ def test_csv_and_json_writers_agree_on_every_record(monkeypatch, fault):
         _assert_writers_agree(report)
         records += report.records
     unequal = any(e != c for r in records for e, c in r.counts.values())
-    false_flag = not all(r.disjointness_ok and r.sandwich_ok and r.containment_ok
-                         for r in records)
+    false_flag = not all(r.ok(kind) for r in records for kind in KINDS)
     assert (unequal, false_flag) == (fault, fault)
 
 

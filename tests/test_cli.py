@@ -160,6 +160,11 @@ def test_verify_pass_and_fail_free(capsys):
     assert "verdict: pass" in out
 
 
+def test_verify_text_is_the_golden_file(capsys):
+    expected = (DATA_DIR / "verify-12.txt").read_bytes().decode("utf-8")
+    assert run_cli(capsys, "verify", "--n", "12") == (0, expected, "")
+
+
 def test_verify_refuses_n_above_the_census_cap(capsys, monkeypatch):
     def refused(n):
         raise AssertionError("a refused verify built rows")
@@ -179,6 +184,38 @@ def test_closed_form_fault_fails_census_and_verify(capsys, monkeypatch):
     assert code == 1
     size = size_ra_d(12)
     assert f"ra-d: enumerated {size}, closed form {size + 1} [MISMATCH]" in out.splitlines()
+    assert out.splitlines()[-1] == "verdict: FAIL"
+
+
+@pytest.mark.parametrize("family", ["cwdd", "bounds", "all"])
+def test_cwdd_size_below_its_envelope_fails_the_sandwich(capsys, monkeypatch, family):
+    # the sandwich check reads census.size_cwdd, while the cwdd count pair
+    # reads SIZE_BY_SET, so only the sandwich sees the zero; it applies from n = 6
+    monkeypatch.setattr(census, "size_cwdd", lambda n: 0)
+    report = run_census(5, 7, family)
+    first, *rest = report.records
+    assert first.passed
+    for record in rest:
+        assert [record.ok(kind) for kind in census.KINDS] == [True, False, True]
+        assert not record.passed
+    failures = [f"cwdd sandwich on cwdd: witness (0,), n mod 6 = {n % 6}" for n in (6, 7)]
+    assert [[str(f) for f in record.failures] for record in rest] == [[f] for f in failures]
+    header, *lines = report.to_csv().splitlines()
+    flags = header.split(",")[-3:]
+    assert flags == ["disjointness_ok", "sandwich_ok", "containment_ok"]
+    assert [line.split(",")[-3:] for line in lines] == [
+        ["true", "true", "true"], ["true", "false", "true"], ["true", "false", "true"]]
+    payload = json.loads(report.to_json())
+    assert [[json.dumps(record[flag]) for flag in flags] for record in payload["records"]] == [
+        line.split(",")[-3:] for line in lines]
+    assert [record["pass"] for record in payload["records"]] == [True, False, False]
+    assert payload["first_failure"] == 6
+    err = "".join(f"census: n = {n}: {f}\n" for n, f in zip((6, 7), failures))
+    argv = ("census", "--from", "5", "--to", "7", "--family", family)
+    assert run_cli(capsys, *argv) == (1, report.to_csv(), err)
+    code, out, _ = run_cli(capsys, "verify", "--n", "6")
+    assert code == 1
+    assert f"sandwich: FAIL; {failures[0]}" in out.splitlines()
     assert out.splitlines()[-1] == "verdict: FAIL"
 
 

@@ -8,10 +8,8 @@ from cwlattice import (
     DomainError,
     InternalInconsistencyError,
     NamedSet,
-    ResidueKey,
     enumerate_set,
     ratio_report,
-    residue_decompose,
     sandwich_bounds_cwdd,
     size_beta,
     size_c_minus,
@@ -36,32 +34,6 @@ def test_each_size_function_registers_itself():
         name = "size_" + set_id.value.replace("-", "_")
         assert SIZE_BY_SET[set_id] is getattr(formulas, name)
         assert SIZE_BY_SET[set_id].__name__ == name
-
-
-def test_residue_decompose_examples():
-    key = residue_decompose(17)
-    assert (key.k, key.i) == (2, 5)
-    key = residue_decompose(6)
-    assert (key.k, key.i) == (1, 0)
-    key = residue_decompose(5)
-    assert (key.k, key.i) == (0, 5)
-
-
-def test_residue_decompose_round_trip():
-    for n in range(0, 200):
-        key = residue_decompose(n)
-        assert key.n == n
-        assert 0 <= key.i <= 5
-
-
-def test_residue_key_parity_is_derived_from_k():
-    with pytest.raises(DomainError):
-        ResidueKey(k=0, i=6)
-
-
-def test_residue_decompose_rejects_negative():
-    with pytest.raises(DomainError):
-        residue_decompose(-1)
 
 
 def test_size_examples():
