@@ -287,8 +287,6 @@ def size_c_plus(n: int) -> int:
     return n * (n - 1) // 2
 
 
-
-
 # ---------------------------------------------------------------------------
 # sandwich bounds and ratios
 # ---------------------------------------------------------------------------
@@ -302,13 +300,15 @@ def sandwich_bounds_cwdd(n: int) -> tuple[Fraction, Fraction]:
         (n-3)^2/6 + 1/2  <=  |cwdd|(n)  <=  (n-3)^2/6 + 7/3.
 
     Both ends are attained (residue 0 hits the lower bound, residues 1 and
-    5 the upper).
+    5 the upper).  Over the common denominator 6 the ends are the single
+    fractions ((n-3)^2 + 3)/6 and ((n-3)^2 + 14)/6, since 1/2 = 3/6 and
+    7/3 = 14/6; each is built as one Fraction, with no Fraction addition.
     """
     _require_int(n)
     if n <= 5:
         raise DomainError(f"sandwich bounds are defined only for n > 5, got {n}")
-    base = Fraction((n - 3) ** 2, 6)
-    return base + Fraction(1, 2), base + Fraction(7, 3)
+    s = (n - 3) ** 2
+    return Fraction(s + 3, 6), Fraction(s + 14, 6)
 
 
 @dataclass(frozen=True)

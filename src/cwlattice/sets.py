@@ -52,6 +52,11 @@ n/3 < b are cleared of division (3b > n, or b > n // 3), so boundary cases
 like n = 3b can never be corrupted by floating point.  Every entry point
 that takes n raises TypeError unless n is an int.  Enumerations return
 duplicate-free lists in ascending lexicographic order.
+
+NamedSet hashes by identity (object.__hash__, run in C, where
+Enum.__hash__ is a Python call on every dict lookup keyed by a set): its
+members are singletons compared by identity, so the identity hash agrees
+with equality.
 """
 
 from __future__ import annotations
@@ -87,6 +92,8 @@ class NamedSet(Enum):
     def __init__(self, value: str):
         # coordinate count of the set's points: 4 for the ra sets, else 2
         self.arity = 4 if value.startswith("ra") else 2
+
+    __hash__ = object.__hash__
 
 
 # The first n at which a bounding polytope (Hibi et al. 2021) is defined;

@@ -165,6 +165,15 @@ def test_verify_text_is_the_golden_file(capsys):
     assert run_cli(capsys, "verify", "--n", "12") == (0, expected, "")
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("bounds-12.txt", ["--n", "12"]),
+    ("bounds-1000000007.json", ["--n", "1000000007", "--format", "json"]),
+])
+def test_bounds_output_is_the_golden_file(capsys, name, argv):
+    expected = (DATA_DIR / name).read_bytes().decode("utf-8")
+    assert run_cli(capsys, "bounds", *argv) == (0, expected, "")
+
+
 def test_verify_refuses_n_above_the_census_cap(capsys, monkeypatch):
     def refused(n):
         raise AssertionError("a refused verify built rows")

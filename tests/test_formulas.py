@@ -122,6 +122,22 @@ def test_sandwich_holds_and_is_tight():
     assert hit_lower and hit_upper
 
 
+LARGE_N = [base + r for base in (10**9, 10**18) for r in range(6)]
+
+
+def test_sandwich_is_the_envelope_sum():
+    for n in [*range(6, 3001), *LARGE_N]:
+        base = Fraction((n - 3) ** 2, 6)
+        assert sandwich_bounds_cwdd(n) == (base + Fraction(1, 2), base + Fraction(7, 3))
+
+
+def test_cwdd_offset_from_the_envelope_base_per_residue():
+    offset = {0: Fraction(1, 2), 1: Fraction(7, 3), 2: Fraction(5, 6),
+              3: Fraction(2), 4: Fraction(5, 6), 5: Fraction(7, 3)}
+    for n in [*range(6, 301), *LARGE_N]:
+        assert size_cwdd(n) - Fraction((n - 3) ** 2, 6) == offset[n % 6], n
+
+
 def test_sandwich_domain_error():
     with pytest.raises(DomainError):
         sandwich_bounds_cwdd(5)
