@@ -60,7 +60,6 @@ from .graphs import (
     matching_number,
     not_cw_reason,
     parse_edge_list,
-    parse_graph,
     realize,
     structure_vertex_names,
 )

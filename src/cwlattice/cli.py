@@ -32,7 +32,8 @@ from .graphs import (
 )
 from .sets import NamedSet, expand_rows, rows
 
-DEFAULT_CENSUS_CAP = 300
+# the largest n that `census` and `verify` run; a census up to N costs about N^3
+CENSUS_CAP = 300
 # the most points `enumerate` lists (every set fits for n <= 500), and the
 # most vertices `realize` builds
 ENUMERATE_LIMIT = 2_000_000
@@ -84,16 +85,15 @@ def _frac_json(value: Fraction) -> dict[str, int]:
     return {"num": value.numerator, "den": value.denominator}
 
 
-def _census(n_lo: int, n_hi: int, family: str, force: bool):
-    """run_census, refused above DEFAULT_CENSUS_CAP unless forced (its cost grows as n^3)."""
-    if n_hi > DEFAULT_CENSUS_CAP and not force:
-        raise DomainError(f"census above n = {DEFAULT_CENSUS_CAP} needs --force: "
-                          f"census --from {n_lo} --to {n_hi} --force")
+def _census(n_lo: int, n_hi: int, family: str):
+    """run_census, refused above CENSUS_CAP before any record is built."""
+    if n_hi > CENSUS_CAP:
+        raise DomainError(f"the census needs n <= {CENSUS_CAP}, got {n_hi}")
     return run_census(n_lo, n_hi, family)
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    report = _census(args.n_lo, args.n_hi, args.family, args.force)
+    report = _census(args.n_lo, args.n_hi, args.family)
     with _output(args.out) as handle:
         handle.write(report.to_csv() if args.format == "csv" else report.to_json())
     for record in report.records:
@@ -128,7 +128,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
-    report = _census(n, n, "all", force=False)
+    report = _census(n, n, "all")
     record = report.records[0]
     k, i = divmod(n, 6)
     print(f"n = {n} (k = {k}, i = {i})")
@@ -264,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=sorted(FAMILY_SETS), default="all")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
-    p.add_argument("--force", action="store_true",
-                   help=f"allow ranges past n = {DEFAULT_CENSUS_CAP}")
 
     p = sub.add_parser("enumerate", help="list the points of one lattice set")
     p.add_argument("--n", type=int, required=True)

@@ -322,13 +322,9 @@ def structure_vertex_names(cw: CwStructure) -> list[str]:
 # edge ideal generators
 # ---------------------------------------------------------------------------
 
-def edge_ideal_generators(
-    g: Graph, names: list[str] | None = None
-) -> list[tuple[str, str]]:
+def edge_ideal_generators(g: Graph, names: list[str]) -> list[tuple[str, str]]:
     """One generator per edge as a label pair, endpoints in label order,
-    the list sorted lexicographically.  Default labels are x0, x1, ..."""
-    if names is None:
-        names = [f"x{i}" for i in range(g.vertex_count)]
+    the list sorted lexicographically.  names labels the vertices, one each."""
     if len(names) != g.vertex_count:
         raise ValueError(
             f"got {len(names)} labels for {g.vertex_count} vertices"
@@ -442,12 +438,7 @@ def parse_edge_list(text: str) -> tuple[Graph, list[str]]:
     return Graph.from_edges(len(names), edges), names
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse edge-list text, discarding the vertex labels."""
-    return parse_edge_list(text)[0]
-
-
-def format_edge_list(g: Graph, names: list[str] | None = None) -> str:
+def format_edge_list(g: Graph, names: list[str]) -> str:
     """Canonical edge-list emission: per-line tokens in label order, lines
     sorted lexicographically, trailing newline."""
     return "".join(f"{a} {b}\n" for a, b in edge_ideal_generators(g, names))

@@ -66,10 +66,19 @@ def test_census_bad_range_exits_2(capsys):
     assert "error" in err
 
 
-def test_census_cap_needs_force(capsys):
-    code, _, err = run_cli(capsys, "census", "--from", "5", "--to", "301")
-    assert code == 2
-    assert "--force" in err
+def test_census_refuses_n_above_the_cap(capsys, monkeypatch):
+    def refused(n):
+        raise AssertionError("a refused census built rows")
+
+    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.RA_D, refused)
+    code, out, err = run_cli(capsys, "census", "--from", "5", "--to", "301")
+    assert (code, out) == (2, "")
+    assert err == "error: the census needs n <= 300, got 301\n"
+    # the cap has no bypass: --force and its abbreviation are usage errors
+    for flag in ("--force", "--forc"):
+        code, out, err = run_cli(capsys, "census", "--from", "5", "--to", "301", flag)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag}" in err
 
 
 def test_census_json_and_out_file(capsys, tmp_path):
@@ -161,8 +170,10 @@ def test_verify_pass_and_fail_free(capsys):
 
 
 def test_verify_text_is_the_golden_file(capsys):
-    expected = (DATA_DIR / "verify-12.txt").read_bytes().decode("utf-8")
-    assert run_cli(capsys, "verify", "--n", "12") == (0, expected, "")
+    # at n = 3 beta is undefined, and verify says so in its line
+    for n in (3, 12):
+        expected = (DATA_DIR / f"verify-{n}.txt").read_bytes().decode("utf-8")
+        assert run_cli(capsys, "verify", "--n", str(n)) == (0, expected, "")
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -179,10 +190,9 @@ def test_verify_refuses_n_above_the_census_cap(capsys, monkeypatch):
         raise AssertionError("a refused verify built rows")
 
     monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.RA_D, refused)
-    for n in (cli.DEFAULT_CENSUS_CAP + 1, 10**9):
+    for n in (cli.CENSUS_CAP + 1, 10**9):
         code, out, err = run_cli(capsys, "verify", "--n", str(n))
-        assert (code, out) == (2, "")
-        assert f"census --from {n} --to {n} --force" in err
+        assert (code, out, err) == (2, "", f"error: the census needs n <= 300, got {n}\n")
 
 
 def test_closed_form_fault_fails_census_and_verify(capsys, monkeypatch):

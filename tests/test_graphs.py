@@ -16,6 +16,7 @@ from cwlattice import (
     GraphTooLargeError,
     MAX_BRUTE_FORCE_EDGES,
     RealizationKind,
+    RealizationResult,
     build_graph,
     edge_ideal_generators,
     enumerate_cwdd_a,
@@ -30,7 +31,6 @@ from cwlattice import (
     matching_number,
     not_cw_reason,
     parse_edge_list,
-    parse_graph,
     realize,
     structure_vertex_names,
 )
@@ -367,8 +367,20 @@ def test_structure_invariants_rejected():
         CwStructure(1, 0, (1,), ())
     with pytest.raises(ValueError):
         CwStructure(2, 1, (1,), (0,))
+    with pytest.raises(ValueError, match="need 2 triangle counts, got 1"):
+        CwStructure(1, 2, (1,), (0,))
     with pytest.raises(ValueError):
         CwStructure(1, 1, (1,), (-1,))
+
+
+def test_realization_result_has_a_structure_exactly_when_supported():
+    cw = CwStructure(1, 1, (1,), (1,))
+    with pytest.raises(ValueError):
+        RealizationResult(RealizationKind.UNSUPPORTED, cw)
+    for kind in RealizationKind:
+        if kind is not RealizationKind.UNSUPPORTED:
+            with pytest.raises(ValueError):
+                RealizationResult(kind, None)
 
 
 @st.composite
@@ -409,13 +421,13 @@ def test_edge_ideal_generators_chorded_hexagon(chorded_hexagon):
     }
 
 
-def test_edge_ideal_generators_defaults_and_errors():
+def test_edge_ideal_generators_needs_one_label_per_vertex():
     single = Graph.from_edges(2, [(0, 1)])
-    assert edge_ideal_generators(single) == [("x0", "x1")]
-    empty = Graph.from_edges(3, [])
-    assert edge_ideal_generators(empty) == []
+    with pytest.raises(TypeError):
+        edge_ideal_generators(single)
     with pytest.raises(ValueError):
         edge_ideal_generators(single, ["only-one"])
+    assert edge_ideal_generators(Graph.from_edges(3, []), list("abc")) == []
 
 
 def test_generators_round_trip_to_edges(chorded_hexagon):
@@ -523,10 +535,6 @@ def test_parse_edge_list_errors():
     assert info.value.line == 2
     with pytest.raises(EdgeListParseError):
         parse_edge_list("# nothing\n")
-
-
-def test_parse_graph_drops_names():
-    assert parse_graph("a b\nb c\n").vertex_count == 3
 
 
 def test_format_parse_round_trip():

@@ -273,7 +273,15 @@ def test_contains_rejects_malformed_tuple_shapes():
     assert not contains(NamedSet.RA_B, 12, (3, 5, 5, 4))
     assert not contains(NamedSet.RA_C, 12, (3, 4, 7, 7))
     assert not contains(NamedSet.RA_D, 12, (3, 4, 7, 6))
-    assert not contains(NamedSet.CWDD_A, 4, (2, 2))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_depth_two_sets_are_empty_below_five(n):
+    # the points the rules for n >= 5 would give are not members either
+    assert enumerate_ra_a(n) == [] and enumerate_cwdd_a(n) == []
+    for d in (n - 2, n - 3):
+        assert not contains(NamedSet.RA_A, n, (2, 2, d, d))
+    assert not contains(NamedSet.CWDD_A, n, (2, n - 2))
 
 
 def test_contains_rejects_non_integer_coordinates():
