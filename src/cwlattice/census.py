@@ -1,21 +1,18 @@
 """Batch cross-verification of the lattice sets against closed forms.
 
-For each n in a range the census builds the rows of the selected family of
-lattice sets in one sets.RowTable, counts their points by summing row
-lengths (once per set), evaluates the matching closed-form sizes, and runs
-the entries of CHECKS that the family switches on: component disjointness,
-the sandwich envelope and containment (the projection of ra onto cwdd
-among them), each returning, on a failure, the sets, a witness point and
-n mod 6.  Every relation between sets is decided from rows.  A union's
+For each n in a range the census builds the masks of the selected family
+of lattice sets in one sets.MaskTable, counts their points by summing
+popcounts (once per set), evaluates the matching closed-form sizes, and
+runs the entries of CHECKS that the family switches on: component
+disjointness, the sandwich envelope and containment (the projection of ra
+onto cwdd among them), each returning, on a failure, the sets, a witness
+point and n mod 6.  Every relation between sets is decided on the masks,
+with int operations: a record sorts nothing and builds no rows.  A union's
 parts share no point when its count is the sum of theirs
-(sets.parts_overlap).  Merged rows are canonical, so a containment
-relation holds when two merged row lists are equal: sub lies in sup when
-merging sub's rows into sup's gives sup's merged rows, and ra projects
-onto cwdd when its rows, projected to (a, d) and merged, are cwdd's rows
-(the ra rows come grouped by depth, so they are projected and merged one
-depth at a time, and each sort compares ints).
-Rows are intersected or expanded only to name a witness, or at
-n = 5, where cwdd-a and cwdd-b are expected to share (2, 2).  Failures are
+(sets.parts_overlap).  sub lies in sup when no mask of sub has a bit
+outside sup's mask of the same prefix, and ra projects onto cwdd when the
+OR of each depth's masks gives cwdd's table exactly.  A witness is the
+lowest bit under the least prefix where the check fails.  Failures are
 recorded and the run continues, so one bad polynomial branch produces a
 complete diagnostic map across residues instead of a single abort.
 
@@ -27,9 +24,10 @@ is built once, from FAMILY_SETS, in _HEADER.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import chain
+from functools import reduce
+from operator import or_
 
 from . import sets
 from .errors import DomainError
@@ -135,7 +133,7 @@ class CensusReport:
 
 
 # ---------------------------------------------------------------------------
-# structural checks, on the sets' rows
+# structural checks, on the sets' masks
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -159,13 +157,13 @@ class Failure:
 class Check:
     """An entry of CHECKS: its kind (the census boolean it feeds), the family
     sets that switch it on, the first n it applies to, and find(n, table),
-    which reads the sets' rows from a sets.RowTable at n and returns None
+    which reads the sets' masks from a sets.MaskTable at n and returns None
     when the check holds, else (sets involved, witness)."""
 
     kind: str
     on: tuple[NamedSet, ...]
     first_n: int
-    find: Callable[[int, sets.RowTable], tuple[tuple[NamedSet, ...], tuple[int, ...]] | None]
+    find: Callable[[int, sets.MaskTable], tuple[tuple[NamedSet, ...], tuple[int, ...]] | None]
 
 
 def _parts_disjoint(union: NamedSet) -> Check:
@@ -181,47 +179,30 @@ def _sandwich(n, table):
     return None if lo <= size <= hi else ((NamedSet.CWDD,), (size,))
 
 
-def _same_points(involved: tuple[NamedSet, ...], xs: Iterable[sets.Row],
-                 ys: Iterable[sets.Row]):
-    """None when the row lists xs and ys hold the same points, else
-    (involved, the least point in one and not the other).  Merged rows are
-    canonical (sorted, with rows of one prefix that overlap or touch
-    joined), so one list comparison decides; the rows are expanded only
-    when it fails."""
-    xs, ys = sets.merge_rows(xs), sets.merge_rows(ys)
-    wrong = xs != ys and set(sets.expand_rows(xs)) ^ set(sets.expand_rows(ys))
-    return (involved, min(wrong)) if wrong else None
-
-
 def _inside(sub: NamedSet, sup: NamedSet) -> Check:
-    """sub lies in sup: sub's and sup's points together are sup's, so the
-    witness, the least point of the difference, is the least point of sub
-    outside sup.  It applies from the census's first n, 3, or where a
-    polytope is defined."""
+    """sub lies in sup: no mask of sub has a bit outside sup's mask of its
+    prefix.  The witness is the least point of sub outside sup.  It applies
+    from the census's first n, 3, or where a polytope is defined."""
 
     def find(n, table):
-        return _same_points((sub, sup), chain(table[sub], table[sup]), table[sup])
+        outer = table[sup]
+        outside = {(a,): extra for a, mask in table[sub].items()
+                   if (extra := mask & ~outer.get(a, 0))}
+        return ((sub, sup), sets._least_difference(outside, {})) if outside else None
 
     return Check("containment", (sub,), max(sets.FIRST_N.get(s, 3) for s in (sub, sup)), find)
 
 
 def _ra_onto_cwdd(n, table):
     # the pairs (a, d) of the tuples (a, r, d, d) are exactly cwdd: no tuple
-    # projects outside it, and every pair has a tuple above it.  The ra rows
-    # come grouped by depth, so each run of one depth is projected and merged
-    # on its own, its rows sharing one prefix object (a,), and the sort
-    # compares ints.  _same_points merges the result again, so rows out of
-    # depth order would cost time, not correctness.
-    projected: list[sets.Row] = []
-    same_depth: list[sets.Row] = []
-    current = None
-    for (a, _), lo, hi in table[NamedSet.RA]:
-        if a != current:
-            projected += sets.merge_rows(same_depth)
-            current, prefix, same_depth = a, (a,), []
-        same_depth.append((prefix, lo, hi))
-    projected += sets.merge_rows(same_depth)
-    return _same_points((NamedSet.RA, NamedSet.CWDD), projected, table[NamedSet.CWDD])
+    # projects outside it, and every pair has a tuple above it.  Each depth's
+    # masks over d, ORed, are its projection; the witness is the least pair
+    # in one table and not the other.
+    projected = {a: reduce(or_, inner.values()) for a, inner in table[NamedSet.RA].items()}
+    if projected == table[NamedSet.CWDD]:
+        return None
+    return (NamedSet.RA, NamedSet.CWDD), sets._least_difference(
+        sets._flat(projected, 2), sets._flat(table[NamedSet.CWDD], 2))
 
 
 CHECKS = {
@@ -235,14 +216,14 @@ CHECKS = {
 }
 
 
-def _failure(name: str, n: int, table: sets.RowTable) -> Failure | None:
+def _failure(name: str, n: int, table: sets.MaskTable) -> Failure | None:
     entry = CHECKS[name]
     found = entry.find(n, table)
     return None if found is None else Failure(name, entry.kind, *found, n % 6)
 
 
 def check(name: str, n: int) -> Failure | None:
-    """Run the named entry of CHECKS at n on freshly built rows: None when
+    """Run the named entry of CHECKS at n on freshly built masks: None when
     it holds, else its Failure.  Raises DomainError for an unknown name or
     an n below the check's first n, and TypeError unless n is an int."""
     sets._require_int(n)
@@ -250,7 +231,7 @@ def check(name: str, n: int) -> Failure | None:
         raise DomainError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
     if n < CHECKS[name].first_n:
         raise DomainError(f"{name} applies from n = {CHECKS[name].first_n}, got {n}")
-    return _failure(name, n, sets.RowTable(n))
+    return _failure(name, n, sets.MaskTable(n))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +240,7 @@ def check(name: str, n: int) -> Failure | None:
 
 def _compute_record(n: int, family: str) -> CensusRecord:
     members = FAMILY_SETS[family]
-    table = sets.RowTable(n)
+    table = sets.MaskTable(n)
     counts: dict[str, tuple[int | None, int | None]] = {
         member.value: (table.count(member), SIZE_BY_SET[member](n))
         if sets.is_defined(member, n) else (None, None)
@@ -276,7 +257,7 @@ def _compute_record(n: int, family: str) -> CensusRecord:
 def run_census(n_lo: int, n_hi: int, family: str = "all") -> CensusReport:
     """Cross-verify the family over n_lo..n_hi inclusive, in ascending n.
 
-    Each record builds the rows of the family's sets at its n once, counts
+    Each record builds the masks of the family's sets at its n once, counts
     them and runs every structural check on them.
     """
     if family not in FAMILY_SETS:

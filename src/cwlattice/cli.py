@@ -250,13 +250,24 @@ COMMANDS = {
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it refuses arguments it does not know itself,
+    so the error shows the subcommand's usage, not the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cwlattice",
         description="Exact lattice-point censuses for Cameron-Walker edge ideals.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     p = sub.add_parser("census", help="cross-verify enumerations against closed forms")
     p.add_argument("--from", dest="n_lo", type=int, required=True, metavar="N")

@@ -1,25 +1,27 @@
-"""The lattice-point sets attached to Cameron-Walker graphs, as rows.
+"""The lattice-point sets attached to Cameron-Walker graphs, as bitmasks.
 
 A Cameron-Walker graph on n vertices determines a pair
 (depth, dimension) and a tuple (depth, regularity, dimension, deg h) of
 invariants of its edge ideal.  The achievable points form finite sets cut
-out by linear inequalities in the coordinates and n, so each set is a
-union of rows, a fixed prefix plus one interval in the last coordinate: a
-pair row ``((a,), lo, hi)`` holds the points (a, b) with lo <= b <= hi,
-and a tuple row ``((a, r), lo, hi)`` the points (a, r, d, d) with
-lo <= d <= hi (every tuple set has deg h = dim).
+out by linear inequalities in the coordinates and n.  A set at n is held
+as one int bitmask per prefix, the prefix being every coordinate but the
+last: a pair set as {a: mask} with bit b set when (a, b) is in the set,
+and a tuple set as {a: {r: mask}} with bit d set when (a, r, d, d) is
+(every tuple set has deg h = dim).  No entry is 0, so two tables are
+equal exactly when they hold the same points.
 
-Each base set is defined once, by a generator of its rows; a RowTable
-holds every set's rows at one n, and is the one place where a union's
-rows are merged from its parts'.  A set's rows at n are sorted and do not
-overlap.  Enumeration expands them and counting sums their lengths.  Every
-relation between sets is decided from rows: a union's parts are disjoint
-when their counts add up to the union's (parts_overlap), and merge_rows
-output is canonical, so a containment relation holds when the merged
-rows are equal (the census's containment checks).  Rows are intersected
-or expanded only to name a witness.  The membership predicates behind
-``contains`` test the inequalities directly, an oracle independent of the
-rows.
+Each base set is defined once, by a source of its masks; a MaskTable
+holds every set's masks at one n, and is the one place where a union's
+masks are ORed from its parts'.  Every relation is decided with int
+operations: a count is a sum of popcounts, a union's parts are disjoint
+when their counts add up to the union's (parts_overlap), and the
+census's containment checks AND, OR and compare masks.  A witness is the
+lowest set bit under the least prefix where a relation fails.  The rows
+that enumeration and the CLI read, a prefix plus an interval
+``(prefix, lo, hi)`` in the last coordinate, are derived: rows() splits
+each mask into its runs of set bits, in prefix order.  The membership
+predicates behind ``contains`` test the inequalities directly, an oracle
+independent of the masks.
 
 Two-coordinate sets, points (depth, dim):
 
@@ -61,10 +63,8 @@ with equality.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from enum import Enum, unique
 from itertools import chain, combinations
-from operator import itemgetter
 
 from .errors import ArityMismatchError, DomainError, InternalInconsistencyError
 
@@ -115,7 +115,7 @@ def _require_defined(set_id: NamedSet, n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# rows
+# masks and rows
 # ---------------------------------------------------------------------------
 
 Row = tuple[tuple[int, ...], int, int]
@@ -126,47 +126,6 @@ def _require_int(n: int) -> None:
         raise TypeError(f"n must be an int, got {n!r}")
 
 
-def merge_rows(rows: Iterable[Row]) -> list[Row]:
-    """The rows of the union of ``rows``: sorted, with rows of one prefix
-    that overlap or touch joined into one.  The result is canonical: two
-    lists of non-empty rows hold the same points exactly when their merges
-    are equal."""
-    merged: list[Row] = []
-    append = merged.append
-    # the row being joined, (current, start, top); no prefix equals None
-    current = start = top = None
-    for prefix, lo, hi in sorted(rows):
-        if prefix == current and lo <= top + 1:
-            if hi > top:
-                top = hi
-        else:
-            if current is not None:
-                append((current, start, top))
-            current, start, top = prefix, lo, hi
-    if current is not None:
-        append((current, start, top))
-    return merged
-
-
-def intersect_rows(xs: list[Row], ys: list[Row]) -> list[Row]:
-    """The rows of the points in both of two non-overlapping row lists, in
-    the order of ``xs``."""
-    spans: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for prefix, lo, hi in ys:
-        spans.setdefault(prefix, []).append((lo, hi))
-    return [
-        (prefix, max(lo, ylo), min(hi, yhi))
-        for prefix, lo, hi in xs
-        for ylo, yhi in spans.get(prefix, ())
-        if lo <= yhi and ylo <= hi
-    ]
-
-
-def count_rows(rows: list[Row]) -> int:
-    """The number of points in non-overlapping rows: the sum of hi - lo + 1."""
-    return sum(map(itemgetter(2), rows)) - sum(map(itemgetter(1), rows)) + len(rows)
-
-
 def expand_rows(rows: list[Row]) -> list[tuple[int, ...]]:
     """The points of ``rows`` in row order: (a, b) for a pair row and
     (a, r, d, d) for a tuple row."""
@@ -175,94 +134,137 @@ def expand_rows(rows: list[Row]) -> list[tuple[int, ...]]:
     return [(a, b) for (a,), lo, hi in rows for b in range(lo, hi + 1)]
 
 
+def _runs(mask: int) -> list[tuple[int, int]]:
+    """The runs of set bits of a non-zero mask, lowest first, as (lo, hi)."""
+    lo, hi = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+    if mask.bit_count() == hi - lo + 1:  # a single run
+        return [(lo, hi)]
+    above = mask + (1 << lo)  # the lowest run carried into the bit above it
+    return [(lo, (above & ~mask).bit_length() - 2), *_runs(mask & above)]
+
+
+def _flat(table: dict, arity: int) -> dict[tuple[int, ...], int]:
+    """The table keyed by whole prefixes: (a,) for a pair set, (a, r) for a
+    tuple set."""
+    if arity == 2:
+        return {(a,): mask for a, mask in table.items()}
+    return {(a, r): mask for a, inner in table.items() for r, mask in inner.items()}
+
+
+def _least_difference(xs: dict, ys: dict) -> tuple[int, ...] | None:
+    """None when two flat tables hold the same points, else the least point
+    in one and not the other: the lowest differing bit of the least prefix
+    whose masks differ."""
+    differ = [key for key in xs.keys() | ys.keys() if xs.get(key, 0) != ys.get(key, 0)]
+    if not differ:
+        return None
+    prefix = min(differ)
+    diff = xs.get(prefix, 0) ^ ys.get(prefix, 0)
+    low = (diff & -diff).bit_length() - 1
+    return (*prefix, low) if len(prefix) == 1 else (*prefix, low, low)
+
+
+def _or_masks(tables: list[dict]) -> dict:
+    """The points of all the tables, ORed prefix by prefix: the smaller
+    tables folded into a copy of the largest.  A tuple set's depths are
+    ORed the same way, and no table passed in is changed."""
+    largest = max(tables, key=len)
+    union = dict(largest)
+    for table in tables:
+        if table is not largest:
+            for key, mask in table.items():
+                held = union.get(key)
+                union[key] = mask if held is None else (
+                    _or_masks([held, mask]) if isinstance(mask, dict) else held | mask)
+    return union
+
+
 # ---------------------------------------------------------------------------
-# the ten base sets, each defined once by its rows (see the module docstring)
+# the ten base sets, each defined once by its masks (see the module
+# docstring); the bits lo..hi are (2 << hi) - (1 << lo)
 # ---------------------------------------------------------------------------
 
-def _rows_cwdd_a(n: int) -> list[Row]:
-    # at n = 5 the odd-n point (2, (n-1)/2) is (2, n-3); the merge keeps it once
-    if n < 5:
-        return []
-    odd = [((2,), n // 2, n // 2)] if n % 2 else []
-    return merge_rows([((2,), n - 3, n - 2)] + odd)
+def _masks_cwdd_a(n: int) -> dict:
+    # the bit (n - 1) / 2 is set for odd n only; at n = 5 it is n - 3 again
+    return {2: (2 << (n - 2)) - (1 << (n - 3)) | (n % 2) << (n // 2)} if n >= 5 else {}
 
 
-def _rows_cwdd_b(n: int) -> list[Row]:
+def _masks_cwdd_b(n: int) -> dict:
     # n/3 < b < n/2 is n // 3 < b <= (n - 1) // 2
-    return [((b,), b, b) for b in range(n // 3 + 1, (n - 1) // 2 + 1)]
+    return {b: 1 << b for b in range(n // 3 + 1, (n - 1) // 2 + 1)}
 
 
-def _rows_cwdd_c(n: int) -> list[Row]:
+def _masks_cwdd_c(n: int) -> dict:
     # (n-a)/2 < b is b > (n - a) // 2
-    return [((a,), max(a + 1, (n - a) // 2 + 1), n - a) for a in range(3, (n - 1) // 2 + 1)]
+    return {a: (2 << (n - a)) - (1 << max(a + 1, (n - a) // 2 + 1))
+            for a in range(3, (n - 1) // 2 + 1)}
 
 
-def _rows_ra_a(n: int) -> list[Row]:
-    # at n = 5 the odd-n tuple (2, h, h, h) is (2, 2, n-3, n-3); the merge keeps it once
+def _masks_ra_a(n: int) -> dict:
+    # (2, 2, d, d) for d = n-3, n-2, and (2, h, h, h) with h = (n-1)/2 for odd
+    # n, which at n = 5 is (2, 2, n-3, n-3) again
     if n < 5:
-        return []
-    odd = [((2, n // 2), n // 2, n // 2)] if n % 2 else []
-    return merge_rows([((2, 2), n - 3, n - 2)] + odd)
+        return {}
+    h = n // 2
+    return {2: _or_masks([{2: (2 << (n - 2)) - (1 << (n - 3))}, {h: 1 << h} if n % 2 else {}])}
 
 
-def _rows_ra_b(n: int) -> list[Row]:
-    # one point per row, since r = d; n < a + 2d is d > (n - a) // 2
+def _masks_ra_b(n: int) -> dict:
+    # one point per mask, since r = d; n < a + 2d is d > (n - a) // 2
     top = (n - 1) // 2
-    return [
-        ((a, d), d, d)
-        for a in range(3, top + 1)
-        for d in range(max(a, (n - a) // 2 + 1), top + 1)
-    ]
+    return {a: {d: 1 << d for d in range(max(a, (n - a) // 2 + 1), top + 1)}
+            for a in range(3, top + 1)}
 
 
-def _rows_ra_c(n: int) -> list[Row]:
+def _masks_ra_c(n: int) -> dict:
     # a < d <= n - a forces a <= floor((n-1)/2)
-    return [((a, a), max(a + 1, n - 2 * a + 1), n - a) for a in range(3, (n - 1) // 2 + 1)]
+    return {a: {a: (2 << (n - a)) - (1 << max(a + 1, n - 2 * a + 1))}
+            for a in range(3, (n - 1) // 2 + 1)}
 
 
-def _rows_ra_d(n: int) -> list[Row]:
+def _masks_ra_d(n: int) -> dict:
     """r < d < n - r forces r <= floor(n/2) - 1 and hence a <= floor(n/2) - 2;
     for fixed (a, r) the valid d form the nonempty range
     max(r + 1, n - a - r + 2) .. n - r - 1.  The max turns at
     r = (n - a + 2) // 2: below the turn the low end is n - a - r + 2, from
     it on r + 1.  So each depth a splits its r range a + 1 .. floor(n/2) - 1
     at the turn, raised to a + 1 (a >= 3 keeps it at most floor(n/2)), into
-    two comprehensions, and no row calls max().  A naive scan of the full
+    two comprehensions, and no mask calls max().  A naive scan of the full
     cube [1, n]^3 gives the same set (checked in the test suite)."""
     half, top = n // 2, n - 1
-    rows: list[Row] = []
+    table = {}
     for a in range(3, half - 1):
         below = n - a + 2  # the low end below the turn is below - r
         turn = max(below // 2, a + 1)
-        rows += [((a, r), below - r, top - r) for r in range(a + 1, turn)]
-        rows += [((a, r), r + 1, top - r) for r in range(turn, half)]
-    return rows
+        inner = table[a] = {r: (2 << (top - r)) - (1 << (below - r)) for r in range(a + 1, turn)}
+        inner.update({r: (2 << (top - r)) - (2 << r) for r in range(turn, half)})
+    return table
 
 
-def _rows_c_minus(n: int) -> list[Row]:
+def _masks_c_minus(n: int) -> dict:
     # the slab of beta, its row a = 1 extended by the apex (1, n-1)
-    return [((a,), a, n - 1 if a == 1 else n - 2) for a in range(1, n // 2 + 1)]
+    return {a: (2 << (n - 1 if a == 1 else n - 2)) - (1 << a) for a in range(1, n // 2 + 1)}
 
 
-def _rows_c_plus(n: int) -> list[Row]:
-    return [((a,), a, n - 1) for a in range(1, n)]
+def _masks_c_plus(n: int) -> dict:
+    return {a: (2 << (n - 1)) - (1 << a) for a in range(1, n)}
 
 
-def _rows_beta(n: int) -> list[Row]:
-    return [((a,), a, n - 2) for a in range(1, n // 2 + 1)]
+def _masks_beta(n: int) -> dict:
+    return {a: (2 << (n - 2)) - (1 << a) for a in range(1, n // 2 + 1)}
 
 
-ROW_SOURCES = {
-    NamedSet.CWDD_A: _rows_cwdd_a,
-    NamedSet.CWDD_B: _rows_cwdd_b,
-    NamedSet.CWDD_C: _rows_cwdd_c,
-    NamedSet.RA_A: _rows_ra_a,
-    NamedSet.RA_B: _rows_ra_b,
-    NamedSet.RA_C: _rows_ra_c,
-    NamedSet.RA_D: _rows_ra_d,
-    NamedSet.C_MINUS: _rows_c_minus,
-    NamedSet.C_PLUS: _rows_c_plus,
-    NamedSet.BETA: _rows_beta,
+MASK_SOURCES = {
+    NamedSet.CWDD_A: _masks_cwdd_a,
+    NamedSet.CWDD_B: _masks_cwdd_b,
+    NamedSet.CWDD_C: _masks_cwdd_c,
+    NamedSet.RA_A: _masks_ra_a,
+    NamedSet.RA_B: _masks_ra_b,
+    NamedSet.RA_C: _masks_ra_c,
+    NamedSet.RA_D: _masks_ra_d,
+    NamedSet.C_MINUS: _masks_c_minus,
+    NamedSet.C_PLUS: _masks_c_plus,
+    NamedSet.BETA: _masks_beta,
 }
 
 # The components of the two union sets
@@ -272,71 +274,78 @@ UNION_PARTS = {
 }
 
 
-class RowTable(dict):
-    """The rows of the named sets at one n, each built on first use: a base
-    set's from its row source, a union's by merging its parts' rows, so no
-    set is built twice.  count(set) sums a set's row lengths once."""
+class MaskTable(dict):
+    """The masks of the named sets at one n, each built on first use: a base
+    set's from its mask source, a union's by ORing its parts' masks, so no
+    set is built twice.  count(set) sums a set's popcounts once."""
 
     def __init__(self, n: int):
         super().__init__()
         self.n = n
         self.counts: dict[NamedSet, int] = {}
 
-    def __missing__(self, set_id: NamedSet) -> list[Row]:
+    def __missing__(self, set_id: NamedSet) -> dict:
         if set_id in UNION_PARTS:
-            built = merge_rows(chain.from_iterable(self[part] for part in UNION_PARTS[set_id]))
+            built = _or_masks([self[part] for part in UNION_PARTS[set_id]])
         else:
             _require_defined(set_id, self.n)
-            built = ROW_SOURCES[set_id](self.n)
+            built = MASK_SOURCES[set_id](self.n)
         self[set_id] = built
         return built
 
     def count(self, set_id: NamedSet) -> int:
-        """The number of points in the set's rows, summed on first use."""
+        """The number of points in the set, summed on first use."""
         if set_id not in self.counts:
-            self.counts[set_id] = count_rows(self[set_id])
+            table = self[set_id]
+            masks = table.values() if set_id.arity == 2 else chain.from_iterable(
+                map(dict.values, table.values()))
+            self.counts[set_id] = sum(map(int.bit_count, masks))
         return self.counts[set_id]
 
 
 # the one point two parts of a union share: (2, 2), in cwdd-a and cwdd-b at n = 5
-_SHARED = {(NamedSet.CWDD, 5): {(NamedSet.CWDD_A, NamedSet.CWDD_B): {(2, 2)}}}
+_SHARED = {(NamedSet.CWDD, 5): {(NamedSet.CWDD_A, NamedSet.CWDD_B): {(2,): 1 << 2}}}
 
 
-def parts_overlap(union: NamedSet, table: RowTable):
+def parts_overlap(union: NamedSet, table: MaskTable):
     """None when no two parts of the union share a point, except as _SHARED
     allows, at the table's n; else ((part, part), witness) for the first
     pair in UNION_PARTS order whose shared points differ from the allowed
     ones, the witness being the least point of the difference.
 
-    The merged union rows count each point once and a part's rows count it
-    once per row, so when no shared point is expected the counts decide:
-    they add up exactly when no two parts share a point and no part's rows
-    overlap each other.  The pairwise scan runs only when they do not.
+    A mask holds each point once, so when no shared point is expected the
+    counts decide: the parts' counts add up to the union's exactly when no
+    two parts share a point.  The pairwise scan, which ANDs the masks of
+    the prefixes two parts share, runs only when they do not.
     """
     expected = _SHARED.get((union, table.n), {})
     parts = UNION_PARTS[union]
     if not expected and table.count(union) == sum([table.count(part) for part in parts]):
         return None
     for pair in combinations(parts, 2):
-        shared = set(expand_rows(intersect_rows(table[pair[0]], table[pair[1]])))
-        if wrong := shared ^ expected.get(pair, set()):
-            return pair, min(wrong)
+        xs, ys = (_flat(table[part], union.arity) for part in pair)
+        shared = {key: xs[key] & ys[key] for key in xs.keys() & ys.keys()}
+        if (witness := _least_difference(shared, expected.get(pair, {}))) is not None:
+            return pair, witness
     return None
 
 
 def rows(set_id: NamedSet, n: int) -> list[Row]:
-    """The rows of the named set at n, sorted and non-overlapping.
+    """The rows of the named set at n: each mask split into its runs of set
+    bits, in ascending prefix order, so the rows are sorted, do not overlap,
+    and no two rows of one prefix touch.
 
     The ra components are provably pairwise disjoint; a point in two of
     them raises InternalInconsistencyError (an enumeration bug, not bad
     input).
     """
     _require_int(n)
-    table = RowTable(n)
+    table = MaskTable(n)
     if set_id is NamedSet.RA and (found := parts_overlap(set_id, table)) is not None:
         raise InternalInconsistencyError(
             f"ra components overlap at n={n}: {found[1]} is in two of them")
-    return table[set_id]
+    masks = _flat(table[set_id], set_id.arity)
+    return [(prefix, lo, hi) for prefix in sorted(masks) for lo, hi in _runs(masks[prefix])]
 
 
 # ---------------------------------------------------------------------------

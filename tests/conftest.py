@@ -15,3 +15,45 @@ CHORDED_HEXAGON_EDGES = [
 def chorded_hexagon() -> Graph:
     idx = {name: i for i, name in enumerate(CHORDED_HEXAGON_NAMES)}
     return Graph.from_edges(6, [(idx[a], idx[b]) for a, b in CHORDED_HEXAGON_EDGES])
+
+
+# Faults planted in mask form: a set's table is {a: mask over b} for a pair
+# set and {a: {r: mask over d}} for a tuple set (see cwlattice.sets).
+
+def or_masks(xs: dict, ys: dict) -> dict:
+    """A new table holding the points of both tables."""
+    union = dict(xs)
+    for key, value in ys.items():
+        if key not in union:
+            union[key] = value
+        elif isinstance(value, dict):
+            union[key] = or_masks(union[key], value)
+        else:
+            union[key] = union[key] | value
+    return union
+
+
+def first_mask(table: dict) -> dict:
+    """The table's least prefix with its mask, as a table of its own (empty
+    for an empty table): the set's first row when that mask is one run."""
+    if not table:
+        return {}
+    a = min(table)
+    if isinstance(table[a], dict):
+        r = min(table[a])
+        return {a: {r: table[a][r]}}
+    return {a: table[a]}
+
+
+def without_point(table: dict, point: tuple) -> dict:
+    """A new table without the point, (a, b) or (a, r, d, d); a mask or a
+    depth left empty is dropped, as a mask source never holds 0."""
+    a, *rest = point
+    if len(rest) == 1:
+        inner = table.get(a, 0) & ~(1 << rest[0])
+    else:
+        inner = without_point(table.get(a, {}), tuple(rest[:2]))
+    smaller = {key: value for key, value in table.items() if key != a}
+    if inner:
+        smaller[a] = inner
+    return smaller

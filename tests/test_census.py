@@ -18,12 +18,15 @@ from cwlattice import (
     run_census,
     sets,
     size_c_plus,
+    size_cwdd,
     size_cwdd_a,
     size_ra,
     size_ra_d,
 )
 from cwlattice.census import FAMILY_SETS, KINDS
 from cwlattice.cli import main
+
+from conftest import first_mask, or_masks, without_point
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 DISJOINTNESS = ("cwdd parts disjoint", "ra parts disjoint")
@@ -113,14 +116,15 @@ def test_check_rejects_unknown_names_and_non_int_n():
 
 
 def test_checks_on_faulty_row_sources(monkeypatch):
-    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.CWDD_C, lambda n: [])
+    monkeypatch.setitem(sets.MASK_SOURCES, NamedSet.CWDD_C, lambda n: {})
     assert check("ra projects onto cwdd", 12) == Failure(
         "ra projects onto cwdd", "containment", (NamedSet.RA, NamedSet.CWDD), (3, 5), 0)
     monkeypatch.undo()
-    rows_ra_b = sets.ROW_SOURCES[NamedSet.RA_B]
-    repeated = sets.ROW_SOURCES[NamedSet.RA_D](12)[0]
-    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.RA_B,
-                        lambda n: sorted(rows_ra_b(n) + [repeated]))
+    # ra-b gains ra-d's first row, ((3, 4), 7, 7)
+    masks_ra_b = sets.MASK_SOURCES[NamedSet.RA_B]
+    repeated = first_mask(sets.MASK_SOURCES[NamedSet.RA_D](12))
+    monkeypatch.setitem(sets.MASK_SOURCES, NamedSet.RA_B,
+                        lambda n: or_masks(masks_ra_b(n), repeated))
     assert check("cwdd parts disjoint", 12) is None
     failure = check("ra parts disjoint", 12)
     assert failure == Failure("ra parts disjoint", "disjointness",
@@ -134,28 +138,38 @@ def test_checks_on_faulty_row_sources(monkeypatch):
 
 def test_cwdd_disjointness_names_a_missing_shared_point(monkeypatch):
     # at n = 5 the check also fails when (2, 2) is no longer in both parts
-    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.CWDD_B, lambda n: [])
+    monkeypatch.setitem(sets.MASK_SOURCES, NamedSet.CWDD_B, lambda n: {})
     assert check("cwdd parts disjoint", 5) == Failure(
         "cwdd parts disjoint", "disjointness", (NamedSet.CWDD_A, NamedSet.CWDD_B), (2, 2), 5)
 
 
 def _gains_first_row_of(donor):
-    return lambda rows, n: sorted(rows + sets.ROW_SOURCES[donor](n)[:1])
+    return lambda masks, n: or_masks(masks, first_mask(sets.MASK_SOURCES[donor](n)))
+
+
+def _ra_d_loses_its_least_point(masks, n):
+    # a part short of a point shares none: only its count shows the fault
+    if not masks:
+        return masks
+    a = min(masks)
+    r = min(masks[a])
+    d = (masks[a][r] & -masks[a][r]).bit_length() - 1
+    return without_point(masks, (a, r, d, d))
 
 
 @pytest.mark.parametrize("victim, fault", [
     (None, None),
     (NamedSet.RA_B, _gains_first_row_of(NamedSet.RA_D)),
     (NamedSet.CWDD_C, _gains_first_row_of(NamedSet.CWDD_B)),
-    (NamedSet.RA_D, lambda rows, n: sorted(rows + rows[:1])),  # a part overlapping itself
-    (NamedSet.CWDD_B, lambda rows, n: []),  # (2, 2) is no longer shared at n = 5
-], ids=["none", "ra-b-shares", "cwdd-c-shares", "ra-d-repeats-itself", "cwdd-b-empty"])
+    (NamedSet.RA_D, _ra_d_loses_its_least_point),
+    (NamedSet.CWDD_B, lambda masks, n: {}),  # (2, 2) is no longer shared at n = 5
+], ids=["none", "ra-b-shares", "cwdd-c-shares", "ra-d-loses-a-point", "cwdd-b-empty"])
 def test_parts_disjoint_agrees_with_python_set_intersection(monkeypatch, victim, fault):
     # the oracle: the points each pair of parts shares, from Python sets of
     # their expanded points; only (2, 2), in cwdd-a and cwdd-b at n = 5, is allowed
     if victim is not None:
-        source = sets.ROW_SOURCES[victim]
-        monkeypatch.setitem(sets.ROW_SOURCES, victim, lambda n: fault(source(n), n))
+        source = sets.MASK_SOURCES[victim]
+        monkeypatch.setitem(sets.MASK_SOURCES, victim, lambda n: fault(source(n), n))
     verdicts = set()
     for n in range(5, 121):
         for name, union in zip(DISJOINTNESS, (NamedSet.CWDD, NamedSet.RA)):
@@ -177,71 +191,77 @@ def test_parts_disjoint_agrees_with_python_set_intersection(monkeypatch, victim,
 
 
 def test_parts_are_scanned_pairwise_only_for_a_witness(monkeypatch):
-    def scan(xs, ys):
-        raise AssertionError(f"pairwise scan of {xs} and {ys}")
+    def scan(table, arity):
+        raise AssertionError(f"pairwise scan of {table}")
 
-    def expand(rows):
-        raise AssertionError(f"witness expansion of {rows}")
+    def witness(xs, ys):
+        raise AssertionError(f"witness search in {xs} and {ys}")
 
-    rows_cwdd_a = sets.rows(NamedSet.CWDD_A, 5)
-    monkeypatch.setattr(sets, "intersect_rows", scan)
-    monkeypatch.setattr(sets, "expand_rows", expand)
+    masks_cwdd_a = sets.MaskTable(5)[NamedSet.CWDD_A]
+    monkeypatch.setattr(sets, "_least_difference", witness)
+    for n in (6, 60, 300):
+        assert sets.rows(NamedSet.RA, n)  # rows flatten the masks, but scan no pair
+    monkeypatch.setattr(sets, "_flat", scan)
     for n in (6, 60, 300):
         for name in CHECKS:  # the two disjointness checks among them
             assert check(name, n) is None
-        assert sets.rows(NamedSet.RA, n)
     # at n = 5 the shared point (2, 2) is expected, and only the scan finds it
-    with pytest.raises(AssertionError, match=re.escape(f"pairwise scan of {rows_cwdd_a}")):
+    with pytest.raises(AssertionError, match=re.escape(f"pairwise scan of {masks_cwdd_a}")):
         check("cwdd parts disjoint", 5)
 
 
-def test_part_repeating_its_own_row_is_a_count_fault_not_a_shared_point(capsys, monkeypatch):
-    # ra-d lists (3, 4, 7, 7) twice: its count exceeds its closed form, the
-    # union count is no longer the sum of the parts' counts, and yet no two
-    # parts share a point, so the pairwise scan decides that the check holds
-    rows_ra_d = sets.ROW_SOURCES[NamedSet.RA_D]
-    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.RA_D,
-                        lambda n: sorted(rows_ra_d(n) + rows_ra_d(n)[:1]))
+def test_part_losing_a_point_is_a_count_fault_not_a_shared_point(capsys, monkeypatch):
+    # ra-d loses (3, 4, 7, 7): its count and the union's fall short of their
+    # closed forms, and yet the parts' counts still add up to the union's, no
+    # two parts share a point, and ra-c's (3, 3, 7, 7) still lies above (3, 7)
+    masks_ra_d = sets.MASK_SOURCES[NamedSet.RA_D]
+    monkeypatch.setitem(sets.MASK_SOURCES, NamedSet.RA_D,
+                        lambda n: without_point(masks_ra_d(n), (3, 4, 7, 7)))
     assert check("ra parts disjoint", 12) is None
-    assert sets.count_rows(sets.rows(NamedSet.RA, 12)) == size_ra(12)  # no raise
+    assert len(sets.enumerate_ra(12)) == size_ra(12) - 1  # no raise
     record = run_census(12, 12, "ra").records[0]
     assert record.failures == () and record.ok("disjointness") and not record.passed
-    assert record.counts["ra-d"] == (size_ra_d(12) + 1, size_ra_d(12))
-    # the union merges the repeat away, so its own count still equals its
-    # closed form, and the parts' counts add up to one more
-    assert record.counts["ra"] == (size_ra(12), size_ra(12))
+    assert record.counts["ra-d"] == (size_ra_d(12) - 1, size_ra_d(12))
+    assert record.counts["ra"] == (size_ra(12) - 1, size_ra(12))
     assert sum(record.counts[part.value][0] for part in sets.UNION_PARTS[NamedSet.RA]) == (
-        size_ra(12) + 1)
+        size_ra(12) - 1)
     assert main(["census", "--from", "12", "--to", "12", "--family", "ra"]) == 1
     assert capsys.readouterr().err == (
-        f"census: n = 12: ra-d enumerated {size_ra_d(12) + 1}, "
-        f"closed form {size_ra_d(12)}, n mod 6 = 0\n")
+        f"census: n = 12: ra-d enumerated {size_ra_d(12) - 1}, "
+        f"closed form {size_ra_d(12)}, n mod 6 = 0\n"
+        f"census: n = 12: ra enumerated {size_ra(12) - 1}, "
+        f"closed form {size_ra(12)}, n mod 6 = 0\n")
 
 
-def test_sup_repeating_a_row_is_a_count_fault_not_a_containment_failure(capsys, monkeypatch):
-    # c-plus lists its first row, ((1,), 1, n - 1), twice: c-minus still lies
-    # in it, and only its count column reports the fault
-    rows_c_plus = sets.ROW_SOURCES[NamedSet.C_PLUS]
-    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.C_PLUS,
-                        lambda n: sorted(rows_c_plus(n) + rows_c_plus(n)[:1]))
+def test_sup_losing_a_point_is_a_count_fault_not_a_containment_failure(capsys, monkeypatch):
+    # c-plus loses (7, 9), which lies in neither c-minus nor cwdd: its mask
+    # a = 7 splits into two runs, c-minus still lies in it, and only its
+    # count column reports the fault
+    masks_c_plus = sets.MASK_SOURCES[NamedSet.C_PLUS]
+    monkeypatch.setitem(sets.MASK_SOURCES, NamedSet.C_PLUS,
+                        lambda n: without_point(masks_c_plus(n), (7, 9)))
+    assert [row for row in sets.rows(NamedSet.C_PLUS, 12) if row[0] == (7,)] == [
+        ((7,), 7, 8), ((7,), 10, 11)]
     assert check("c-minus in c-plus", 12) is None
+    assert check("cwdd in c-plus", 12) is None
     assert main(["census", "--from", "12", "--to", "12", "--family", "bounds"]) == 1
     assert capsys.readouterr().err == (
-        f"census: n = 12: c-plus enumerated {size_c_plus(12) + 11}, "
+        f"census: n = 12: c-plus enumerated {size_c_plus(12) - 1}, "
         f"closed form {size_c_plus(12)}, n mod 6 = 0\n")
 
 
-def test_part_repeating_a_row_at_five_is_a_count_fault_not_a_shared_point(capsys, monkeypatch):
-    # cwdd-a is one row at n = 5 and 6, listed twice here; at n = 5 the
-    # pairwise scan still finds exactly the expected (2, 2)
-    rows_cwdd_a = sets.ROW_SOURCES[NamedSet.CWDD_A]
-    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.CWDD_A,
-                        lambda n: sorted(rows_cwdd_a(n) + rows_cwdd_a(n)[:1]))
+def test_part_losing_a_point_at_five_is_a_count_fault_not_a_shared_point(capsys, monkeypatch):
+    # cwdd-a loses its top point (2, n - 2) at n = 5 and 6, in no other part;
+    # at n = 5 the pairwise scan still finds exactly the expected (2, 2)
+    masks_cwdd_a = sets.MASK_SOURCES[NamedSet.CWDD_A]
+    monkeypatch.setitem(sets.MASK_SOURCES, NamedSet.CWDD_A,
+                        lambda n: without_point(masks_cwdd_a(n), (2, n - 2)))
     assert check("cwdd parts disjoint", 5) is None
     assert main(["census", "--from", "5", "--to", "6", "--family", "cwdd"]) == 1
     assert capsys.readouterr().err == "".join(
-        f"census: n = {n}: cwdd-a enumerated {2 * size_cwdd_a(n)}, "
-        f"closed form {size_cwdd_a(n)}, n mod 6 = {n % 6}\n" for n in (5, 6))
+        f"census: n = {n}: {tag} enumerated {size(n) - 1}, "
+        f"closed form {size(n)}, n mod 6 = {n % 6}\n"
+        for n in (5, 6) for tag, size in (("cwdd-a", size_cwdd_a), ("cwdd", size_cwdd)))
 
 
 # the containment checks as (sub, sup): sub's points lie in sup, and for
@@ -254,54 +274,72 @@ CONTAINMENTS = {
 }
 
 
-def _pairs(rows):
-    """The pairs of pair rows, or the projected pairs (a, d) of tuple rows."""
-    return {(prefix[0], b) for prefix, lo, hi in rows for b in range(lo, hi + 1)}
+def _pairs(table):
+    """The pairs of a pair set's masks, or the projected pairs (a, d) of a
+    tuple set's, read bit by bit."""
+    return {(a, b) for a, masks in table.items()
+            for mask in (masks.values() if isinstance(masks, dict) else (masks,))
+            for b in range(mask.bit_length()) if mask >> b & 1}
 
 
-def _sup_repeats_a_row(table, sub, sup, n):
-    table[sup] = sorted(table[sup] + table[sup][:1])
+def _without_middle_prefix(table):
+    """The table without its middle mask in prefix order: one row of the
+    set, or two where that mask has two runs."""
+    if table and isinstance(next(iter(table.values())), dict):
+        keys = sorted((a, r) for a, inner in table.items() for r in inner)
+        a, r = keys[len(keys) // 2]
+        inner = {key: mask for key, mask in table[a].items() if key != r}
+        return {key: inner if key == a else value for key, value in table.items()
+                if key != a or inner}
+    middle = sorted(table)[len(table) // 2] if table else None
+    return {key: mask for key, mask in table.items() if key != middle}
+
+
+def _sup_loses_a_point(table, sub, sup, n):
+    # the middle bit of sup's middle mask: the mask splits in two
+    if table[sup]:
+        a = sorted(table[sup])[len(table[sup]) // 2]
+        bits = [b for b in range(table[sup][a].bit_length()) if table[sup][a] >> b & 1]
+        table[sup] = without_point(table[sup], (a, bits[len(bits) // 2]))
 
 
 def _sup_loses_a_row(table, sub, sup, n):
-    mid = len(table[sup]) // 2
-    table[sup] = table[sup][:mid] + table[sup][mid + 1:]
+    table[sup] = _without_middle_prefix(table[sup])
 
 
 def _sub_loses_a_row(table, sub, sup, n):
-    # a subset check still holds; the projection fails where no other ra row
-    # at the lost row's depth covers its pairs
-    mid = len(table[sub]) // 2
-    table[sub] = table[sub][:mid] + table[sub][mid + 1:]
+    # a subset check still holds; the projection fails where no other ra
+    # mask at the lost mask's depth covers its pairs
+    table[sub] = _without_middle_prefix(table[sub])
 
 
 def _sub_gains_a_point_outside(table, sub, sup, n):
-    # (n, n) lies in no pair set at n, and the tuple row ((n, 1), n, n) projects
-    # to it; it is sub's last row, so for ra the last depth grows
-    table[sub] = sorted(table[sub] + [((n,), n, n) if sub.arity == 2 else ((n, 1), n, n)])
+    # (n, n) lies in no pair set at n, and the tuple (n, 1, n, n) projects to
+    # it; for ra it opens a last depth
+    table[sub] = or_masks(table[sub], {n: 1 << n} if sub.arity == 2 else {n: {1: 1 << n}})
 
 
 def _sub_gains_a_point_at_its_first_depth(table, sub, sup, n):
-    # (a, n) lies in no pair set at n; the tuple row ((a, 1), n, n) projects to
-    # it and sorts first, so for ra the first depth grows
-    a = table[sub][0][0][0] if table[sub] else 1
-    table[sub] = sorted(table[sub] + [((a,), n, n) if sub.arity == 2 else ((a, 1), n, n)])
+    # (a, n) lies in no pair set at n; the tuple (a, 1, n, n) projects to it,
+    # so for ra the first depth grows
+    a = min(table[sub], default=1)
+    table[sub] = or_masks(table[sub], {a: 1 << n} if sub.arity == 2 else {a: {1: 1 << n}})
 
 
 def _sup_gains_a_point_uncovered(table, sub, sup, n):
     # nothing in sub covers (n, n): a subset check still holds, the projection fails
-    table[sup] = sorted(table[sup] + [((n,), n, n)])
+    table[sup] = or_masks(table[sup], {n: 1 << n})
 
 
 @pytest.mark.parametrize("fault, verdicts", [
     (None, {True}),
-    (_sup_repeats_a_row, {True}),
+    (_sup_loses_a_point, {True, False}),
     (_sup_loses_a_row, {True, False}),
     (_sub_loses_a_row, {True, False}),
     (_sub_gains_a_point_outside, {False}),
     (_sub_gains_a_point_at_its_first_depth, {False}),
     (_sup_gains_a_point_uncovered, {True, False}),
-], ids=["none", "sup-repeats-a-row", "sup-loses-a-row", "sub-loses-a-row",
+], ids=["none", "sup-loses-a-point", "sup-loses-a-row", "sub-loses-a-row",
         "sub-gains-a-point-outside", "sub-gains-a-point-at-its-first-depth",
         "sup-gains-a-point-uncovered"])
 def test_containment_agrees_with_python_set_containment(fault, verdicts):
@@ -313,7 +351,7 @@ def test_containment_agrees_with_python_set_containment(fault, verdicts):
     seen = set()
     for name, (sub, sup) in CONTAINMENTS.items():
         for n in range(CHECKS[name].first_n, 81):
-            table = sets.RowTable(n)
+            table = sets.MaskTable(n)
             if fault is not None:
                 fault(table, sub, sup, n)
             xs, ys = _pairs(table[sub]), _pairs(table[sup])
@@ -330,7 +368,7 @@ def test_containment_agrees_with_python_set_containment(fault, verdicts):
 def test_ra_projection_names_a_pair_with_no_tuple_above_it(monkeypatch, part, witness):
     # with one part's rows emptied, no ra tuple lies above the witness pair,
     # which is still in cwdd; the one-way containment could not see this
-    monkeypatch.setitem(sets.ROW_SOURCES, part, lambda n: [])
+    monkeypatch.setitem(sets.MASK_SOURCES, part, lambda n: {})
     assert check("ra projects onto cwdd", 12) == Failure(
         "ra projects onto cwdd", "containment", (NamedSet.RA, NamedSet.CWDD), witness, 0)
     assert sets.contains(NamedSet.CWDD, 12, witness)
@@ -340,14 +378,14 @@ def test_ra_projection_names_a_pair_with_no_tuple_above_it(monkeypatch, part, wi
 
 @pytest.mark.parametrize("family", ["cwdd", "bounds", "all"])
 def test_short_c_plus_row_fails_containment(monkeypatch, family):
-    rows_c_plus = sets.ROW_SOURCES[NamedSet.C_PLUS]
+    masks_c_plus = sets.MASK_SOURCES[NamedSet.C_PLUS]
 
     def cut_short(n):
-        rows = rows_c_plus(n)
-        prefix, lo, hi = rows[1]  # the row a = 2 ends at n - 1; cut it to n - 4
-        return [rows[0], (prefix, lo, hi - 3)] + rows[2:]
+        # the mask a = 2 ends at n - 1; cut it to n - 4
+        masks = masks_c_plus(n)
+        return {**masks, 2: masks[2] & ((2 << (n - 4)) - 1)}
 
-    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.C_PLUS, cut_short)
+    monkeypatch.setitem(sets.MASK_SOURCES, NamedSet.C_PLUS, cut_short)
     record = run_census(12, 12, family).records[0]
     assert not record.ok("containment")
     assert record.ok("disjointness") and record.ok("sandwich")
@@ -399,7 +437,7 @@ def test_csv_and_json_writers_agree_on_every_record(monkeypatch, fault):
     if fault:
         # cwdd-c loses its rows: its counts fall short, and the ra
         # projection then finds pairs outside cwdd
-        monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.CWDD_C, lambda n: [])
+        monkeypatch.setitem(sets.MASK_SOURCES, NamedSet.CWDD_C, lambda n: {})
     records = []
     for family in sorted(FAMILY_SETS):
         report = run_census(3, 20, family)

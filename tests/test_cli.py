@@ -14,7 +14,7 @@ from cwlattice import (NamedSet, build_graph, census, cli, edge_ideal_generators
                        size_ra_d, structure_vertex_names)
 from cwlattice.cli import main
 
-from conftest import CHORDED_HEXAGON_EDGES
+from conftest import CHORDED_HEXAGON_EDGES, first_mask, or_masks
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -68,9 +68,9 @@ def test_census_bad_range_exits_2(capsys):
 
 def test_census_refuses_n_above_the_cap(capsys, monkeypatch):
     def refused(n):
-        raise AssertionError("a refused census built rows")
+        raise AssertionError("a refused census built masks")
 
-    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.RA_D, refused)
+    monkeypatch.setitem(sets.MASK_SOURCES, NamedSet.RA_D, refused)
     code, out, err = run_cli(capsys, "census", "--from", "5", "--to", "301")
     assert (code, out) == (2, "")
     assert err == "error: the census needs n <= 300, got 301\n"
@@ -79,6 +79,18 @@ def test_census_refuses_n_above_the_cap(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "census", "--from", "5", "--to", "301", flag)
         assert (code, out) == (2, "")
         assert f"unrecognized arguments: {flag}" in err
+
+
+def test_unknown_option_shows_the_usage_of_the_parser_that_met_it(capsys):
+    # after the subcommand, the subcommand's usage; before it, the top-level one
+    code, out, err = run_cli(capsys, "census", "--from", "5", "--to", "10", "--bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: cwlattice census [-h] --from N --to M")
+    assert err.endswith("cwlattice census: error: unrecognized arguments: --bogus\n")
+    code, out, err = run_cli(capsys, "--bogus", "census", "--from", "5", "--to", "10")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: cwlattice [-h] [--version]")
+    assert err.endswith("cwlattice: error: unrecognized arguments: --bogus\n")
 
 
 def test_census_json_and_out_file(capsys, tmp_path):
@@ -187,9 +199,9 @@ def test_bounds_output_is_the_golden_file(capsys, name, argv):
 
 def test_verify_refuses_n_above_the_census_cap(capsys, monkeypatch):
     def refused(n):
-        raise AssertionError("a refused verify built rows")
+        raise AssertionError("a refused verify built masks")
 
-    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.RA_D, refused)
+    monkeypatch.setitem(sets.MASK_SOURCES, NamedSet.RA_D, refused)
     for n in (cli.CENSUS_CAP + 1, 10**9):
         code, out, err = run_cli(capsys, "verify", "--n", str(n))
         assert (code, out, err) == (2, "", f"error: the census needs n <= 300, got {n}\n")
@@ -239,8 +251,8 @@ def test_cwdd_size_below_its_envelope_fails_the_sandwich(capsys, monkeypatch, fa
 
 
 def test_count_mismatch_is_named_on_census_stderr(capsys, monkeypatch):
-    # cwdd-c loses its rows: both it and its union cwdd count short from n = 7
-    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.CWDD_C, lambda n: [])
+    # cwdd-c loses its masks: both it and its union cwdd count short from n = 7
+    monkeypatch.setitem(sets.MASK_SOURCES, NamedSet.CWDD_C, lambda n: {})
     csv = ("n,k,i,cwdd-a_enum,cwdd-a_closed,cwdd-b_enum,cwdd-b_closed,cwdd-c_enum,"
            "cwdd-c_closed,cwdd_enum,cwdd_closed,disjointness_ok,sandwich_ok,containment_ok\n"
            "6,1,0,2,2,0,0,0,0,2,2,true,true,true\n"
@@ -273,9 +285,10 @@ def test_repeated_component_point_fails_disjointness(capsys, monkeypatch, family
                                                     donor):
     failure = {"cwdd": "cwdd parts disjoint on cwdd-b, cwdd-c: witness (5, 5), n mod 6 = 0",
                "ra": "ra parts disjoint on ra-b, ra-d: witness (3, 4, 7, 7), n mod 6 = 0"}[family]
-    victim_rows = sets.ROW_SOURCES[victim]
-    repeated = sets.ROW_SOURCES[donor](12)[0]
-    monkeypatch.setitem(sets.ROW_SOURCES, victim, lambda n: sorted(victim_rows(n) + [repeated]))
+    # the victim gains the donor's first row: ((5,), 5, 5) or ((3, 4), 7, 7)
+    victim_masks = sets.MASK_SOURCES[victim]
+    repeated = first_mask(sets.MASK_SOURCES[donor](12))
+    monkeypatch.setitem(sets.MASK_SOURCES, victim, lambda n: or_masks(victim_masks(n), repeated))
     code, out, err = run_cli(capsys, "census", "--from", "12", "--to", "12", "--family", family)
     assert code == 1
     assert out.splitlines()[0].endswith("disjointness_ok,sandwich_ok,containment_ok")
@@ -292,13 +305,13 @@ def test_repeated_component_point_fails_disjointness(capsys, monkeypatch, family
 
 def test_verify_builds_ra_d_rows_once(capsys, monkeypatch):
     calls = []
-    rows_ra_d = sets.ROW_SOURCES[NamedSet.RA_D]
+    masks_ra_d = sets.MASK_SOURCES[NamedSet.RA_D]
 
     def counted(n):
         calls.append(n)
-        return rows_ra_d(n)
+        return masks_ra_d(n)
 
-    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.RA_D, counted)
+    monkeypatch.setitem(sets.MASK_SOURCES, NamedSet.RA_D, counted)
     code, _, _ = run_cli(capsys, "verify", "--n", "12")
     assert code == 0
     assert calls == [12]

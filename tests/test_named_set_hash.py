@@ -33,7 +33,7 @@ def test_pickle_and_deepcopy_return_the_member():
 
 
 def test_registries_resolve_members_looked_up_by_value():
-    registries = (sets.ROW_SOURCES, SIZE_BY_SET, sets._PREDICATES, sets.FIRST_N)
+    registries = (sets.MASK_SOURCES, SIZE_BY_SET, sets._PREDICATES, sets.FIRST_N)
     for registry in registries:
         for member, value in registry.items():
             assert registry[NamedSet(member.value)] is value
@@ -41,10 +41,10 @@ def test_registries_resolve_members_looked_up_by_value():
 
 
 def test_row_table_resolves_members_looked_up_by_value():
-    table = sets.RowTable(12)
+    table = sets.MaskTable(12)
     for member in NamedSet:
-        rows = table[member]
-        assert table[NamedSet(member.value)] is rows
+        masks = table[member]
+        assert table[NamedSet(member.value)] is masks
         assert table.count(pickle.loads(pickle.dumps(member))) == SIZE_BY_SET[member](12)
     assert len(table) == len(table.counts) == 12
 

@@ -1,8 +1,10 @@
 """Enumeration tests: frozen values, naive-scan oracles, membership agreement."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cwlattice import (
     ArityMismatchError,
@@ -29,6 +31,8 @@ from cwlattice import (
 )
 from cwlattice import sets
 from cwlattice.formulas import SIZE_BY_SET
+
+from conftest import first_mask, or_masks
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +171,18 @@ def test_ra_d_matches_full_cube_scan(n):
 
 @pytest.mark.parametrize("n", range(5, 151))
 def test_ra_d_rows_split_at_the_turn_equal_the_per_row_max(n):
-    # the rows split at each depth's turn (n - a + 2) // 2 are the per-row
-    # max() form, to n = 150, past the cube scan's n = 36
+    # the masks split at each depth's turn (n - a + 2) // 2 are the per-row
+    # max() form, to n = 150, past the cube scan's n = 36, and so are the
+    # rows derived from them
     half = n // 2
-    assert sets._rows_ra_d(n) == [
-        ((a, r), max(r + 1, n - a - r + 2), n - r - 1)
+    rows = [((a, r), max(r + 1, n - a - r + 2), n - r - 1)
+            for a in range(3, half - 1)
+            for r in range(a + 1, half)]
+    assert sets._masks_ra_d(n) == {
+        a: {r: (2 << hi) - (1 << lo) for (depth, r), lo, hi in rows if depth == a}
         for a in range(3, half - 1)
-        for r in range(a + 1, half)
-    ]
+    }
+    assert sets.rows(NamedSet.RA_D, n) == rows
 
 
 def test_cw_sets_empty_below_five():
@@ -291,21 +299,22 @@ def test_contains_rejects_non_integer_coordinates():
         contains(NamedSet.CWDD_C, 12, (3.5, 7))
 
 
+def _ra_b_gains_ra_d_first_row(monkeypatch):
+    masks_ra_b = sets.MASK_SOURCES[NamedSet.RA_B]
+    repeated = first_mask(sets.MASK_SOURCES[NamedSet.RA_D](12))  # ((3, 4), 7, 7)
+    monkeypatch.setitem(sets.MASK_SOURCES, NamedSet.RA_B,
+                        lambda n: or_masks(masks_ra_b(n), repeated))
+
+
 def test_enumerate_ra_rejects_overlapping_components(monkeypatch):
-    rows_ra_b = sets.ROW_SOURCES[NamedSet.RA_B]
-    repeated = sets.ROW_SOURCES[NamedSet.RA_D](12)[0]
-    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.RA_B,
-                        lambda n: sorted(rows_ra_b(n) + [repeated]))
+    _ra_b_gains_ra_d_first_row(monkeypatch)
     with pytest.raises(InternalInconsistencyError, match=r"overlap.*\(3, 4, 7, 7\)"):
         enumerate_ra(12)
 
 
 def test_rows_ra_names_the_first_common_point(monkeypatch):
     # the counts no longer add up, and the pairwise scan names the point
-    rows_ra_b = sets.ROW_SOURCES[NamedSet.RA_B]
-    repeated = sets.ROW_SOURCES[NamedSet.RA_D](12)[0]
-    monkeypatch.setitem(sets.ROW_SOURCES, NamedSet.RA_B,
-                        lambda n: sorted(rows_ra_b(n) + [repeated]))
+    _ra_b_gains_ra_d_first_row(monkeypatch)
     message = r"^ra components overlap at n=12: \(3, 4, 7, 7\) is in two of them$"
     with pytest.raises(InternalInconsistencyError, match=message):
         sets.rows(NamedSet.RA, 12)
@@ -335,10 +344,11 @@ def test_rows_sorted_and_disjoint(n):
         except DomainError:
             continue
         assert rows == sorted(rows)
+        # rows of one prefix neither overlap nor touch: the rows are canonical
         for (p, _, hi), (q, lo, _) in zip(rows, rows[1:]):
-            assert p != q or hi < lo, (set_id, n)
+            assert p != q or hi + 1 < lo, (set_id, n)
         assert all(lo <= hi and len(p) == set_id.arity // 2 for p, lo, hi in rows)
-        assert sets.count_rows(rows) == len(enumerate_set(set_id, n))
+        assert sum(hi - lo + 1 for _, lo, hi in rows) == len(enumerate_set(set_id, n))
 
 
 def test_contains_arity_mismatch():
@@ -389,26 +399,164 @@ def test_contains_error_order():
 def test_parts_overlap_labels_the_part_pairs():
     a, b, c = sets.UNION_PARTS[NamedSet.CWDD]
     for n in (5, 12):  # at n = 5, (2, 2) in a and b is the expected shared point
-        assert sets.parts_overlap(NamedSet.CWDD, sets.RowTable(n)) is None
-    table = sets.RowTable(5)
-    table[b] = []  # the expected shared point goes missing
+        assert sets.parts_overlap(NamedSet.CWDD, sets.MaskTable(n)) is None
+    table = sets.MaskTable(5)
+    table[b] = {}  # the expected shared point goes missing
     assert sets.parts_overlap(NamedSet.CWDD, table) == ((a, b), (2, 2))
-    table = sets.RowTable(20)  # cwdd-b is (7, 7), (8, 8), (9, 9)
-    table[c] = sorted(table[c] + table[b][1:])  # c gains b's points from the second on
-    assert sets.parts_overlap(NamedSet.CWDD, table) == ((b, c), sets.expand_rows(table[b])[1])
+    table = sets.MaskTable(20)
+    assert table[b] == {7: 1 << 7, 8: 1 << 8, 9: 1 << 9}  # (7, 7), (8, 8), (9, 9)
+    table[c] = or_masks(table[c], {8: 1 << 8, 9: 1 << 9})  # c gains b's points from the second on
+    assert sets.parts_overlap(NamedSet.CWDD, table) == ((b, c), (8, 8))
     a, b, c, d = sets.UNION_PARTS[NamedSet.RA]
-    assert sets.parts_overlap(NamedSet.RA, sets.RowTable(12)) is None
-    table = sets.RowTable(12)
-    table[b] = sorted(table[b] + table[d][1:2])
-    table[a] = sorted(table[a] + table[d][2:4])
+    assert sets.parts_overlap(NamedSet.RA, sets.MaskTable(12)) is None
+    table = sets.MaskTable(12)
+    assert sets.rows(d, 12) == [((3, 4), 7, 7), ((3, 5), 6, 6), ((4, 5), 6, 6)]
+    table[b] = or_masks(table[b], {3: {5: 1 << 6}})
+    table[a] = or_masks(table[a], {4: {5: 1 << 6}})
     # the first pair in UNION_PARTS order that shares a point names the least one
-    assert sets.parts_overlap(NamedSet.RA, table) == ((a, d), sets.expand_rows(table[d][2:])[0])
+    assert sets.parts_overlap(NamedSet.RA, table) == ((a, d), (4, 5, 6, 6))
 
 
-def test_merge_rows_joins_overlapping_and_touching_rows_of_one_prefix():
-    assert sets.merge_rows([]) == []
+def test_union_rows_join_overlapping_and_touching_rows_of_one_prefix(monkeypatch):
+    # the rows are dealt to the three cwdd parts in turn; the union ORs the
+    # parts' masks and its rows join what overlaps or touches
     rows = [((2,), 7, 9), ((1,), 1, 3), ((1,), 4, 4), ((1,), 2, 2), ((1,), 6, 8),
             ((2,), 1, 5), ((2,), 3, 6), ((3,), 5, 5), ((1,), 8, 10)]
-    assert sets.merge_rows(rows) == [((1,), 1, 4), ((1,), 6, 10), ((2,), 1, 9),
-                                     ((3,), 5, 5)]
-    assert sets.count_rows(sets.merge_rows(rows)) == len(set(sets.expand_rows(rows)))
+    for j, part in enumerate(sets.UNION_PARTS[NamedSet.CWDD]):
+        masks = {}
+        for (a,), lo, hi in rows[j::3]:
+            masks = or_masks(masks, {a: (2 << hi) - (1 << lo)})
+        monkeypatch.setitem(sets.MASK_SOURCES, part, lambda n, masks=masks: masks)
+    assert sets.rows(NamedSet.CWDD, 12) == [((1,), 1, 4), ((1,), 6, 10), ((2,), 1, 9),
+                                            ((3,), 5, 5)]
+    assert len(enumerate_cwdd(12)) == len(set(sets.expand_rows(rows)))
+    assert sets.MaskTable(12).count(NamedSet.CWDD) == len(set(sets.expand_rows(rows)))
+
+
+# ---------------------------------------------------------------------------
+# the mask tables, against the naive scans
+# ---------------------------------------------------------------------------
+
+def naive_ra_a(n):
+    if n < 5:
+        return set()
+    pts = {(2, 2, n - 2, n - 2), (2, 2, n - 3, n - 3)}
+    if n % 2 == 1:
+        pts.add((2, (n - 1) // 2, (n - 1) // 2, (n - 1) // 2))
+    return pts
+
+
+def naive_ra_d_pruned(n):
+    # the box [1, n]^3, leaving a depth or an r as soon as it breaks one of
+    # the raw inequalities; the full cube scan above stops at n = 36
+    return {
+        (a, r, d, d)
+        for a in range(1, n + 1) if a >= 3
+        for r in range(1, n + 1) if a < r and 2 * r + 1 < n
+        for d in range(1, n + 1)
+        if r < d < n - r and n + 2 <= a + r + d
+    }
+
+
+def naive_box(n, member):
+    return {(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if member(a, b)}
+
+
+def naive_points(set_id, n):
+    """The set's points from the naive scans, independent of the masks."""
+    naive = {
+        NamedSet.CWDD_A: naive_cwdd_a, NamedSet.CWDD_B: naive_cwdd_b,
+        NamedSet.CWDD_C: naive_cwdd_c, NamedSet.RA_A: naive_ra_a,
+        NamedSet.RA_B: naive_ra_b, NamedSet.RA_C: naive_ra_c,
+        NamedSet.RA_D: naive_ra_d_pruned,
+        NamedSet.C_PLUS: lambda n: naive_box(n, lambda a, b: a <= b <= n - 1),
+        NamedSet.BETA: lambda n: naive_box(n, lambda a, b: a <= n // 2 and a <= b <= n - 2),
+        NamedSet.C_MINUS: lambda n: naive_box(
+            n, lambda a, b: (a, b) == (1, n - 1) or (a <= n // 2 and a <= b <= n - 2)),
+    }
+    if set_id in sets.UNION_PARTS:
+        return set().union(*(naive[part](n) for part in sets.UNION_PARTS[set_id]))
+    return naive[set_id](n)
+
+
+def runs_of(points):
+    """The rows of sorted points: each prefix's last coordinates, cut where
+    two neighbours are not consecutive."""
+    rows = []
+    for point in sorted(points):
+        prefix, last = point[:len(point) // 2], point[len(point) // 2]
+        if rows and rows[-1][0] == prefix and rows[-1][2] + 1 == last:
+            rows[-1] = (prefix, rows[-1][1], last)
+        else:
+            rows.append((prefix, last, last))
+    return rows
+
+
+@pytest.mark.parametrize("n", range(1, 81))
+def test_mask_tables_match_the_naive_scans(n):
+    table = sets.MaskTable(n)
+    for set_id in NamedSet:
+        if not sets.is_defined(set_id, n):
+            continue
+        masks = table[set_id]
+        if set_id.arity == 4:
+            assert all(masks.values()), (set_id, n)  # no depth without a mask
+            masks = {(a, r): mask for a, inner in masks.items() for r, mask in inner.items()}
+        for mask in masks.values():
+            assert mask and mask >> 1 << 1 == mask and mask >> (n + 1) == 0, (set_id, n)
+        points = naive_points(set_id, n)
+        assert table.count(set_id) == sum(mask.bit_count() for mask in masks.values())
+        assert table.count(set_id) == len(points), (set_id, n)
+        assert sets.rows(set_id, n) == runs_of(points), (set_id, n)
+
+
+def test_odd_depth_two_masks_hold_two_runs():
+    # at odd n cwdd-a's one mask holds (2, (n-1)/2) apart from (2, n-3..n-2)
+    assert sets.MaskTable(301)[NamedSet.CWDD_A] == {2: (1 << 150) | (3 << 298)}
+    assert sets.rows(NamedSet.CWDD_A, 301) == [((2,), 150, 150), ((2,), 298, 299)]
+    assert sets.rows(NamedSet.RA_A, 301) == [((2, 2), 298, 299), ((2, 150), 150, 150)]
+    assert sets.rows(NamedSet.CWDD_A, 5) == [((2,), 2, 3)]  # the three points in one run
+
+
+@functools.lru_cache(maxsize=32)
+def _flat_masks(set_id, n):
+    """The set's masks at n keyed by whole prefixes, (a,) or (a, r)."""
+    masks = sets.MaskTable(n)[set_id]
+    if set_id.arity == 2:
+        return {(a,): mask for a, mask in masks.items()}
+    return {(a, r): mask for a, inner in masks.items() for r, mask in inner.items()}
+
+
+@st.composite
+def set_points(draw):
+    """A set, an n <= 300 where it is defined, and a point: one of its
+    points, often moved one step along an axis or the diagonal (d, h), or
+    any point near the box [1, n]^arity."""
+    set_id = draw(st.sampled_from(list(NamedSet)))
+    n = draw(st.integers(sets.FIRST_N.get(set_id, 1), 300))
+    masks = _flat_masks(set_id, n)
+    if masks and draw(st.booleans()):
+        prefix = draw(st.sampled_from(sorted(masks)))
+        mask = masks[prefix]
+        last = draw(st.sampled_from([b for b in range(mask.bit_length()) if mask >> b & 1]))
+        point = tuple(prefix) + (last,) * (set_id.arity - len(prefix))
+        if draw(st.booleans()):
+            return set_id, n, point
+        steps = [[sign * (j == axis) for j in range(set_id.arity)]
+                 for axis in range(set_id.arity) for sign in (1, -1)]
+        if set_id.arity == 4:
+            steps += [[0, 0, 1, 1], [0, 0, -1, -1]]
+        step = draw(st.sampled_from(steps))
+        return set_id, n, tuple(x + s for x, s in zip(point, step))
+    return set_id, n, tuple(draw(st.integers(-1, n + 2)) for _ in range(set_id.arity))
+
+
+@settings(max_examples=400, deadline=None)
+@given(set_points())
+def test_a_points_bit_is_set_exactly_when_contains_says_member(case):
+    set_id, n, point = case
+    prefix, last = point[:set_id.arity // 2], point[set_id.arity // 2]
+    if set_id.arity == 4 and point[2] != point[3]:
+        prefix = None  # deg h differs from dim: no mask holds the point
+    bit = last >= 0 and _flat_masks(set_id, n).get(prefix, 0) >> last & 1 == 1
+    assert bit == contains(set_id, n, point)
