@@ -37,6 +37,11 @@ CENSUS_CAP = 300
 # the most points `enumerate` lists (every set fits for n <= 500), and the
 # most vertices `realize` builds
 ENUMERATE_LIMIT = 2_000_000
+# the most mask bits `enumerate` builds (every set fits for n <= 500): a set
+# has at most one mask per point, at most n masks for a pair set and n^2/4
+# for a tuple set (its prefixes (a, r) have 2 <= a <= r <= n/2), and a mask
+# at n has at most n + 1 bits, as bit d stands for the coordinate d
+MASK_BIT_LIMIT = 1 << 27
 # the most edges `realize --emit-graph` builds: the skeleton's core is
 # K_{m,p}, so the edges grow as n^2 on the diagonal
 EMIT_EDGE_LIMIT = 500_000
@@ -112,6 +117,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if size > ENUMERATE_LIMIT:
         raise DomainError(f"{set_id.value} has {size} points at n = {args.n}, "
                           f"over the enumerate limit of {ENUMERATE_LIMIT}")
+    n = max(args.n, 0)  # every set is empty or undefined below n = 1
+    bits = min(size, n if set_id.arity == 2 else n * n // 4) * (n + 1)
+    if bits > MASK_BIT_LIMIT:
+        raise DomainError(f"{set_id.value} may need {bits} mask bits at n = {args.n}, "
+                          f"over the enumerate limit of {MASK_BIT_LIMIT}")
     # written a row or a slice at a time, so only that many points are held
     set_rows = rows(set_id, args.n)
     with _output(args.out) as handle:

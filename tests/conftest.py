@@ -18,20 +18,8 @@ def chorded_hexagon() -> Graph:
 
 
 # Faults planted in mask form: a set's table is {a: mask over b} for a pair
-# set and {a: {r: mask over d}} for a tuple set (see cwlattice.sets).
-
-def or_masks(xs: dict, ys: dict) -> dict:
-    """A new table holding the points of both tables."""
-    union = dict(xs)
-    for key, value in ys.items():
-        if key not in union:
-            union[key] = value
-        elif isinstance(value, dict):
-            union[key] = or_masks(union[key], value)
-        else:
-            union[key] = union[key] | value
-    return union
-
+# set and {a: {r: mask over d}} for a tuple set (see cwlattice.sets); a
+# planted point or row is ORed in with sets._or_masks.
 
 def first_mask(table: dict) -> dict:
     """The table's least prefix with its mask, as a table of its own (empty

@@ -26,7 +26,7 @@ from cwlattice import (
 from cwlattice.census import FAMILY_SETS, KINDS
 from cwlattice.cli import main
 
-from conftest import first_mask, or_masks, without_point
+from conftest import first_mask, without_point
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 DISJOINTNESS = ("cwdd parts disjoint", "ra parts disjoint")
@@ -124,7 +124,7 @@ def test_checks_on_faulty_row_sources(monkeypatch):
     masks_ra_b = sets.MASK_SOURCES[NamedSet.RA_B]
     repeated = first_mask(sets.MASK_SOURCES[NamedSet.RA_D](12))
     monkeypatch.setitem(sets.MASK_SOURCES, NamedSet.RA_B,
-                        lambda n: or_masks(masks_ra_b(n), repeated))
+                        lambda n: sets._or_masks([masks_ra_b(n), repeated]))
     assert check("cwdd parts disjoint", 12) is None
     failure = check("ra parts disjoint", 12)
     assert failure == Failure("ra parts disjoint", "disjointness",
@@ -144,7 +144,7 @@ def test_cwdd_disjointness_names_a_missing_shared_point(monkeypatch):
 
 
 def _gains_first_row_of(donor):
-    return lambda masks, n: or_masks(masks, first_mask(sets.MASK_SOURCES[donor](n)))
+    return lambda masks, n: sets._or_masks([masks, first_mask(sets.MASK_SOURCES[donor](n))])
 
 
 def _ra_d_loses_its_least_point(masks, n):
@@ -316,19 +316,19 @@ def _sub_loses_a_row(table, sub, sup, n):
 def _sub_gains_a_point_outside(table, sub, sup, n):
     # (n, n) lies in no pair set at n, and the tuple (n, 1, n, n) projects to
     # it; for ra it opens a last depth
-    table[sub] = or_masks(table[sub], {n: 1 << n} if sub.arity == 2 else {n: {1: 1 << n}})
+    table[sub] = sets._or_masks([table[sub], {n: 1 << n} if sub.arity == 2 else {n: {1: 1 << n}}])
 
 
 def _sub_gains_a_point_at_its_first_depth(table, sub, sup, n):
     # (a, n) lies in no pair set at n; the tuple (a, 1, n, n) projects to it,
     # so for ra the first depth grows
     a = min(table[sub], default=1)
-    table[sub] = or_masks(table[sub], {a: 1 << n} if sub.arity == 2 else {a: {1: 1 << n}})
+    table[sub] = sets._or_masks([table[sub], {a: 1 << n} if sub.arity == 2 else {a: {1: 1 << n}}])
 
 
 def _sup_gains_a_point_uncovered(table, sub, sup, n):
     # nothing in sub covers (n, n): a subset check still holds, the projection fails
-    table[sup] = or_masks(table[sup], {n: 1 << n})
+    table[sup] = sets._or_masks([table[sup], {n: 1 << n}])
 
 
 @pytest.mark.parametrize("fault, verdicts", [

@@ -4,17 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from cwlattice import (NamedSet, build_graph, census, cli, edge_ideal_generators,
-                       format_edge_list, graphs, realize, run_census, sets, size_ra,
-                       size_ra_d, structure_vertex_names)
+                       format_edge_list, graphs, realize, run_census, sets, size_cwdd_b,
+                       size_ra, size_ra_d, structure_vertex_names)
 from cwlattice.cli import main
 
-from conftest import CHORDED_HEXAGON_EDGES, first_mask, or_masks
+from conftest import CHORDED_HEXAGON_EDGES, first_mask
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -167,6 +168,37 @@ def test_enumerate_refuses_sets_over_the_limit(capsys):
     assert "13887639013885" in err and "2000000" in err
 
 
+@pytest.mark.parametrize("set_id", [NamedSet.CWDD_A, NamedSet.RA_A])
+def test_enumerate_refuses_a_sparse_set_whose_masks_are_too_wide(capsys, monkeypatch, set_id):
+    # at most 3 points at any n, but a mask at n spans n + 1 bits
+    def refused(n):
+        raise AssertionError("a refused enumerate built masks")
+
+    monkeypatch.setitem(sets.MASK_SOURCES, set_id, refused)
+    for n in (10**9, 10**18):
+        code, out, err = run_cli(capsys, "enumerate", "--n", str(n), "--set", set_id.value)
+        assert (code, out) == (2, "")
+        assert f"mask bits at n = {n}, over the enumerate limit of {cli.MASK_BIT_LIMIT}" in err
+
+
+def test_enumerate_cwdd_b_at_the_largest_n_the_mask_bit_limit_admits(capsys):
+    # one mask 1 << b per point, so at most |cwdd-b| * (n + 1) bits
+    n = 28_380
+    assert size_cwdd_b(n) * (n + 1) <= cli.MASK_BIT_LIMIT < size_cwdd_b(n + 1) * (n + 2)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "enumerate", "--n", str(n), "--set", "cwdd-b")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert out == "".join(f"{b},{b}\n" for b in range(n // 3 + 1, (n - 1) // 2 + 1))
+    assert peak < cli.MASK_BIT_LIMIT // 8  # 16 MiB, the limit in bytes
+    code, out, err = run_cli(capsys, "enumerate", "--n", str(n + 1), "--set", "cwdd-b")
+    assert (code, out) == (2, "")
+    assert "over the enumerate limit of 134217728" in err
+
+
 def test_enumerate_invalid_inputs(capsys):
     code, _, _ = run_cli(capsys, "enumerate", "--n", "12", "--set", "no-such-set")
     assert code == 2
@@ -288,7 +320,8 @@ def test_repeated_component_point_fails_disjointness(capsys, monkeypatch, family
     # the victim gains the donor's first row: ((5,), 5, 5) or ((3, 4), 7, 7)
     victim_masks = sets.MASK_SOURCES[victim]
     repeated = first_mask(sets.MASK_SOURCES[donor](12))
-    monkeypatch.setitem(sets.MASK_SOURCES, victim, lambda n: or_masks(victim_masks(n), repeated))
+    monkeypatch.setitem(sets.MASK_SOURCES, victim,
+                        lambda n: sets._or_masks([victim_masks(n), repeated]))
     code, out, err = run_cli(capsys, "census", "--from", "12", "--to", "12", "--family", family)
     assert code == 1
     assert out.splitlines()[0].endswith("disjointness_ok,sandwich_ok,containment_ok")

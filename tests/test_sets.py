@@ -32,7 +32,7 @@ from cwlattice import (
 from cwlattice import sets
 from cwlattice.formulas import SIZE_BY_SET
 
-from conftest import first_mask, or_masks
+from conftest import first_mask
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,7 @@ def _ra_b_gains_ra_d_first_row(monkeypatch):
     masks_ra_b = sets.MASK_SOURCES[NamedSet.RA_B]
     repeated = first_mask(sets.MASK_SOURCES[NamedSet.RA_D](12))  # ((3, 4), 7, 7)
     monkeypatch.setitem(sets.MASK_SOURCES, NamedSet.RA_B,
-                        lambda n: or_masks(masks_ra_b(n), repeated))
+                        lambda n: sets._or_masks([masks_ra_b(n), repeated]))
 
 
 def test_enumerate_ra_rejects_overlapping_components(monkeypatch):
@@ -405,14 +405,15 @@ def test_parts_overlap_labels_the_part_pairs():
     assert sets.parts_overlap(NamedSet.CWDD, table) == ((a, b), (2, 2))
     table = sets.MaskTable(20)
     assert table[b] == {7: 1 << 7, 8: 1 << 8, 9: 1 << 9}  # (7, 7), (8, 8), (9, 9)
-    table[c] = or_masks(table[c], {8: 1 << 8, 9: 1 << 9})  # c gains b's points from the second on
+    # c gains b's points from the second on
+    table[c] = sets._or_masks([table[c], {8: 1 << 8, 9: 1 << 9}])
     assert sets.parts_overlap(NamedSet.CWDD, table) == ((b, c), (8, 8))
     a, b, c, d = sets.UNION_PARTS[NamedSet.RA]
     assert sets.parts_overlap(NamedSet.RA, sets.MaskTable(12)) is None
     table = sets.MaskTable(12)
     assert sets.rows(d, 12) == [((3, 4), 7, 7), ((3, 5), 6, 6), ((4, 5), 6, 6)]
-    table[b] = or_masks(table[b], {3: {5: 1 << 6}})
-    table[a] = or_masks(table[a], {4: {5: 1 << 6}})
+    table[b] = sets._or_masks([table[b], {3: {5: 1 << 6}}])
+    table[a] = sets._or_masks([table[a], {4: {5: 1 << 6}}])
     # the first pair in UNION_PARTS order that shares a point names the least one
     assert sets.parts_overlap(NamedSet.RA, table) == ((a, d), (4, 5, 6, 6))
 
@@ -425,7 +426,7 @@ def test_union_rows_join_overlapping_and_touching_rows_of_one_prefix(monkeypatch
     for j, part in enumerate(sets.UNION_PARTS[NamedSet.CWDD]):
         masks = {}
         for (a,), lo, hi in rows[j::3]:
-            masks = or_masks(masks, {a: (2 << hi) - (1 << lo)})
+            masks = sets._or_masks([masks, {a: (2 << hi) - (1 << lo)}])
         monkeypatch.setitem(sets.MASK_SOURCES, part, lambda n, masks=masks: masks)
     assert sets.rows(NamedSet.CWDD, 12) == [((1,), 1, 4), ((1,), 6, 10), ((2,), 1, 9),
                                             ((3,), 5, 5)]
