@@ -6,15 +6,12 @@ popcounts (once per set), evaluates the matching closed-form sizes, and
 runs the entries of CHECKS that the family switches on: component
 disjointness, the sandwich envelope and containment (the projection of ra
 onto cwdd among them), each returning, on a failure, the sets, a witness
-point and n mod 6.  Every relation between sets is decided on the masks,
-with int operations: a record sorts nothing and builds no rows.  A union's
-parts share no point when its count is the sum of theirs
-(sets.parts_overlap).  sub lies in sup when no mask of sub has a bit
-outside sup's mask of the same prefix, and ra projects onto cwdd when the
-OR of each depth's masks gives cwdd's table exactly.  A witness is the
-lowest bit under the least prefix where the check fails.  Failures are
-recorded and the run continues, so one bad polynomial branch produces a
-complete diagnostic map across residues instead of a single abort.
+point and n mod 6.  A check only names its relation: sets decides each
+one on the masks, with int operations (sets.parts_overlap for the parts of
+a union, sets.points_outside for containment, sets.ra_projection_mismatch
+for the projection), and this module reads no mask.  Failures are recorded
+and the run continues, so one bad polynomial branch produces a complete
+diagnostic map across residues instead of a single abort.
 
 Reports serialize to CSV (one row per n; the diffable golden format) and
 JSON, with one boolean per kind of check.  Each family's CSV header line
@@ -26,8 +23,6 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 
 from . import sets
 from .errors import DomainError
@@ -156,55 +151,38 @@ class Failure:
 @dataclass(frozen=True)
 class Check:
     """An entry of CHECKS: its kind (the census boolean it feeds), the family
-    sets that switch it on, the first n it applies to, and find(n, table),
-    which reads the sets' masks from a sets.MaskTable at n and returns None
-    when the check holds, else (sets involved, witness)."""
+    sets that switch it on, the first n it applies to, and find(table),
+    which reads the sets from a sets.MaskTable and returns None when the
+    check holds at the table's n, else (sets involved, witness)."""
 
     kind: str
     on: tuple[NamedSet, ...]
     first_n: int
-    find: Callable[[int, sets.MaskTable], tuple[tuple[NamedSet, ...], tuple[int, ...]] | None]
+    find: Callable[[sets.MaskTable], tuple[tuple[NamedSet, ...], tuple[int, ...]] | None]
 
 
 def _parts_disjoint(union: NamedSet) -> Check:
     """No two parts of the union share a point, except where one is
     expected (sets.parts_overlap); it applies from n = 5, below which every
     CW set is empty."""
-    return Check("disjointness", (union,), 5, lambda n, table: sets.parts_overlap(union, table))
+    return Check("disjointness", (union,), 5, lambda table: sets.parts_overlap(union, table))
 
 
-def _sandwich(n, table):
-    lo, hi = sandwich_bounds_cwdd(n)
-    size = size_cwdd(n)
+def _sandwich(table):
+    lo, hi = sandwich_bounds_cwdd(table.n)
+    size = size_cwdd(table.n)
     return None if lo <= size <= hi else ((NamedSet.CWDD,), (size,))
 
 
 def _inside(sub: NamedSet, sup: NamedSet) -> Check:
-    """sub lies in sup: no mask of sub has a bit outside sup's mask of its
-    prefix.  The witness is the least point of sub outside sup.  It applies
-    from the census's first n, 3, or where a polytope is defined."""
-
-    def find(n, table):
-        outer = table[sup]
-        outside = {(a,): extra for a, mask in table[sub].items()
-                   if (extra := mask & ~outer.get(a, 0))}
-        return ((sub, sup), sets._least_difference(outside, {})) if outside else None
-
-    return Check("containment", (sub,), max(sets.FIRST_N.get(s, 3) for s in (sub, sup)), find)
+    """sub lies in sup (sets.points_outside).  It applies from the census's
+    first n, 3, or where a polytope is defined."""
+    return Check("containment", (sub,), max(sets.FIRST_N.get(s, 3) for s in (sub, sup)),
+                 lambda table: sets.points_outside(sub, sup, table))
 
 
-def _ra_onto_cwdd(n, table):
-    # the pairs (a, d) of the tuples (a, r, d, d) are exactly cwdd: no tuple
-    # projects outside it, and every pair has a tuple above it.  Each depth's
-    # masks over d, ORed, are its projection; the witness is the least pair
-    # in one table and not the other.
-    projected = {a: reduce(or_, inner.values()) for a, inner in table[NamedSet.RA].items()}
-    if projected == table[NamedSet.CWDD]:
-        return None
-    return (NamedSet.RA, NamedSet.CWDD), sets._least_difference(
-        sets._flat(projected, 2), sets._flat(table[NamedSet.CWDD], 2))
-
-
+# each find looks its sets function up when it runs, so a wrapper or a
+# test's patch on the sets module takes effect
 CHECKS = {
     "cwdd parts disjoint": _parts_disjoint(NamedSet.CWDD),
     "ra parts disjoint": _parts_disjoint(NamedSet.RA),
@@ -212,14 +190,15 @@ CHECKS = {
     "cwdd in c-plus": _inside(NamedSet.CWDD, NamedSet.C_PLUS),
     "c-minus in c-plus": _inside(NamedSet.C_MINUS, NamedSet.C_PLUS),
     "beta in c-minus": _inside(NamedSet.BETA, NamedSet.C_MINUS),
-    "ra projects onto cwdd": Check("containment", (NamedSet.RA,), 3, _ra_onto_cwdd),
+    "ra projects onto cwdd": Check("containment", (NamedSet.RA,), 3,
+                                   lambda table: sets.ra_projection_mismatch(table)),
 }
 
 
-def _failure(name: str, n: int, table: sets.MaskTable) -> Failure | None:
+def _failure(name: str, table: sets.MaskTable) -> Failure | None:
     entry = CHECKS[name]
-    found = entry.find(n, table)
-    return None if found is None else Failure(name, entry.kind, *found, n % 6)
+    found = entry.find(table)
+    return None if found is None else Failure(name, entry.kind, *found, table.n % 6)
 
 
 def check(name: str, n: int) -> Failure | None:
@@ -231,7 +210,7 @@ def check(name: str, n: int) -> Failure | None:
         raise DomainError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
     if n < CHECKS[name].first_n:
         raise DomainError(f"{name} applies from n = {CHECKS[name].first_n}, got {n}")
-    return _failure(name, n, sets.MaskTable(n))
+    return _failure(name, sets.MaskTable(n))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +228,7 @@ def _compute_record(n: int, family: str) -> CensusRecord:
     failures = tuple(
         failure for name, entry in CHECKS.items()
         if n >= entry.first_n and any(s in members for s in entry.on)
-        and (failure := _failure(name, n, table)) is not None
+        and (failure := _failure(name, table)) is not None
     )
     return CensusRecord(n, counts, failures)
 

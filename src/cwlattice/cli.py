@@ -30,17 +30,15 @@ from .graphs import (
     realize,
     structure_vertex_names,
 )
-from .sets import NamedSet, expand_rows, rows
+from .sets import NamedSet, expand_rows, mask_bits, rows
 
 # the largest n that `census` and `verify` run; a census up to N costs about N^3
 CENSUS_CAP = 300
 # the most points `enumerate` lists (every set fits for n <= 500), and the
 # most vertices `realize` builds
 ENUMERATE_LIMIT = 2_000_000
-# the most mask bits `enumerate` builds (every set fits for n <= 500): a set
-# has at most one mask per point, at most n masks for a pair set and n^2/4
-# for a tuple set (its prefixes (a, r) have 2 <= a <= r <= n/2), and a mask
-# at n has at most n + 1 bits, as bit d stands for the coordinate d
+# the most mask bits `enumerate` builds, as bounded by sets.mask_bits
+# (every set fits for n <= 500)
 MASK_BIT_LIMIT = 1 << 27
 # the most edges `realize --emit-graph` builds: the skeleton's core is
 # K_{m,p}, so the edges grow as n^2 on the diagonal
@@ -117,8 +115,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if size > ENUMERATE_LIMIT:
         raise DomainError(f"{set_id.value} has {size} points at n = {args.n}, "
                           f"over the enumerate limit of {ENUMERATE_LIMIT}")
-    n = max(args.n, 0)  # every set is empty or undefined below n = 1
-    bits = min(size, n if set_id.arity == 2 else n * n // 4) * (n + 1)
+    bits = mask_bits(set_id, args.n, size)
     if bits > MASK_BIT_LIMIT:
         raise DomainError(f"{set_id.value} may need {bits} mask bits at n = {args.n}, "
                           f"over the enumerate limit of {MASK_BIT_LIMIT}")

@@ -26,7 +26,7 @@ class EdgeListParseError(ValueError):
 class InternalInconsistencyError(RuntimeError):
     """A cross-check that should be impossible to fail has failed.
 
-    Raised when two implementations of the same quantity disagree, e.g. a
-    union of provably disjoint components collapses, or a closed-form
-    division is inexact.  Indicates a bug, never bad input.
+    Raised when a closed-form division is inexact, though the count it
+    computes is an integer by construction.  Indicates a bug, never bad
+    input.
     """

@@ -12,16 +12,19 @@ equal exactly when they hold the same points.
 
 Each base set is defined once, by a source of its masks; a MaskTable
 holds every set's masks at one n, and is the one place where a union's
-masks are ORed from its parts'.  Every relation is decided with int
-operations: a count is a sum of popcounts, a union's parts are disjoint
-when their counts add up to the union's (parts_overlap), and the
-census's containment checks AND, OR and compare masks.  A witness is the
-lowest set bit under the least prefix where a relation fails.  The rows
-that enumeration and the CLI read, a prefix plus an interval
-``(prefix, lo, hi)`` in the last coordinate, are derived: rows() splits
-each mask into its runs of set bits, in prefix order.  The membership
-predicates behind ``contains`` test the inequalities directly, an oracle
-independent of the masks.
+masks are ORed from its parts'.  This module is the only reader of the
+masks, and decides every relation between sets with int operations:
+MaskTable.count sums a set's popcounts, parts_overlap finds a point two
+parts of a union share (the parts are disjoint when their counts add up
+to the union's), points_outside a point of one set outside another (an
+AND with the complement of the other's mask), ra_projection_mismatch a
+pair where ra's projection and cwdd differ (each depth's masks ORed), and
+mask_bits bounds the bits a table holds.  A witness is the lowest set bit
+under the least prefix where a relation fails.  The rows that enumeration
+and the CLI read, a prefix plus an interval ``(prefix, lo, hi)`` in the
+last coordinate, are derived: rows() splits each mask into its runs of
+set bits, in prefix order.  The membership predicates behind ``contains``
+test the inequalities directly, an oracle independent of the masks.
 
 Two-coordinate sets, points (depth, dim):
 
@@ -43,7 +46,9 @@ Four-coordinate sets, points (depth, reg, dim, deg h):
 * ``ra-b``     (a, d, d, d) with 3 <= a <= d <= floor((n-1)/2), n < a + 2d.
 * ``ra-c``     (a, a, d, d) with 3 <= a < d <= n - a, n <= 2a + d - 1.
 * ``ra-d``     (a, r, d, d) with 3 <= a < r < d < n - r, n + 2 <= a + r + d.
-* ``ra``       the union of the four, which are pairwise disjoint.
+* ``ra``       the union of the four, which are pairwise disjoint (the
+               census's ``ra parts disjoint`` check decides it; an OR'd
+               union holds each point once whatever its parts do).
 
 No Cameron-Walker graph has fewer than 5 vertices, so every CW-specific
 set is empty below n = 5 (an empty census, not an error).  Below the n in
@@ -64,9 +69,10 @@ with equality.
 from __future__ import annotations
 
 from enum import Enum, unique
+from functools import reduce
 from itertools import chain, combinations
 
-from .errors import ArityMismatchError, DomainError, InternalInconsistencyError
+from .errors import ArityMismatchError, DomainError
 
 Point2 = tuple[int, int]
 Point4 = tuple[int, int, int, int]
@@ -330,21 +336,46 @@ def parts_overlap(union: NamedSet, table: MaskTable):
     return None
 
 
+def points_outside(sub: NamedSet, sup: NamedSet, table: MaskTable):
+    """None when the pair set sub lies in sup at the table's n: no mask of
+    sub has a bit outside sup's mask of its prefix.  Else ((sub, sup),
+    witness), the witness being the least point of sub outside sup."""
+    outer = table[sup]
+    outside = {(a,): extra for a, mask in table[sub].items()
+               if (extra := mask & ~outer.get(a, 0))}
+    return ((sub, sup), _least_difference(outside, {})) if outside else None
+
+
+def ra_projection_mismatch(table: MaskTable):
+    """None when the pairs (a, d) of the ra tuples (a, r, d, d) at the
+    table's n are exactly cwdd: no tuple projects outside it, and every pair
+    has a tuple above it.  Each depth's masks over d, ORed, are its
+    projection.  Else ((ra, cwdd), witness), the witness being the least
+    pair in one and not the other."""
+    projected = {a: reduce(int.__or__, inner.values()) for a, inner in table[NamedSet.RA].items()}
+    if projected == table[NamedSet.CWDD]:
+        return None
+    return (NamedSet.RA, NamedSet.CWDD), _least_difference(
+        _flat(projected, 2), _flat(table[NamedSet.CWDD], 2))
+
+
+def mask_bits(set_id: NamedSet, n: int, points: int) -> int:
+    """An upper bound on the mask bits of the set at n, given its number of
+    points: a set has at most one mask per point, at most n masks for a
+    pair set and n^2/4 for a tuple set (its prefixes (a, r) have
+    2 <= a <= r <= n/2), and a mask at n has at most n + 1 bits, as bit d
+    stands for the coordinate d."""
+    n = max(n, 0)  # every set is empty or undefined below n = 1
+    return min(points, n if set_id.arity == 2 else n * n // 4) * (n + 1)
+
+
 def rows(set_id: NamedSet, n: int) -> list[Row]:
     """The rows of the named set at n: each mask split into its runs of set
     bits, in ascending prefix order, so the rows are sorted, do not overlap,
-    and no two rows of one prefix touch.
-
-    The ra components are provably pairwise disjoint; a point in two of
-    them raises InternalInconsistencyError (an enumeration bug, not bad
-    input).
-    """
+    and no two rows of one prefix touch.  A union's rows are those of its
+    ORed masks, so they hold each point once even where parts overlap."""
     _require_int(n)
-    table = MaskTable(n)
-    if set_id is NamedSet.RA and (found := parts_overlap(set_id, table)) is not None:
-        raise InternalInconsistencyError(
-            f"ra components overlap at n={n}: {found[1]} is in two of them")
-    masks = _flat(table[set_id], set_id.arity)
+    masks = _flat(MaskTable(n)[set_id], set_id.arity)
     return [(prefix, lo, hi) for prefix in sorted(masks) for lo, hi in _runs(masks[prefix])]
 
 

@@ -356,7 +356,7 @@ def test_containment_agrees_with_python_set_containment(fault, verdicts):
                 fault(table, sub, sup, n)
             xs, ys = _pairs(table[sub]), _pairs(table[sup])
             wrong = xs ^ ys if sub is NamedSet.RA else xs - ys
-            found = CHECKS[name].find(n, table)
+            found = CHECKS[name].find(table)
             seen.add(found is None)
             assert found == (((sub, sup), min(wrong)) if wrong else None), (name, n)
     assert seen == verdicts

@@ -1,5 +1,6 @@
 """CLI tests: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -52,6 +53,27 @@ def test_census_matches_the_golden_files(capsys):
         0, csv, "")
     assert run_cli(capsys, "census", "--from", "3", "--to", "8", "--family", "all",
                    "--format", "json") == (0, js, "")
+
+
+# the sha256 of four outputs, the same values the CI workflow pins on the
+# installed console script
+PINNED_SHA256 = {
+    "census --from 5 --to 300 --family all":
+        "706055bd5b3b6430972e7a6835c1c2a47096a4d4abdc1b3bba3203de61144002",
+    "census --from 5 --to 300 --family all --format json":
+        "27040441086f70ffae07cbdde9a5bc77623b834129fcf51b0d84c3aa2f68aa99",
+    "enumerate --n 300 --set ra":
+        "080847948e7e998f7aea2dd6d9ab0b27269d5297f2d968f1a4a06255280cbf05",
+    "enumerate --n 300 --set cwdd --format json":
+        "38592dc2dff0078bf4d1f8276b38f969e972c96cf7606826f3f6efc2093a885b",
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_SHA256))
+def test_output_bytes_match_the_pinned_sha256(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_SHA256[command]
 
 
 def test_census_single_row(capsys):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from cwlattice import (
     ArityMismatchError,
     DomainError,
-    InternalInconsistencyError,
     NamedSet,
+    check,
     contains,
     enumerate_beta,
     enumerate_c_minus,
@@ -30,6 +30,7 @@ from cwlattice import (
     sandwich_bounds_cwdd,
 )
 from cwlattice import sets
+from cwlattice.cli import main
 from cwlattice.formulas import SIZE_BY_SET
 
 from conftest import first_mask
@@ -306,18 +307,19 @@ def _ra_b_gains_ra_d_first_row(monkeypatch):
                         lambda n: sets._or_masks([masks_ra_b(n), repeated]))
 
 
-def test_enumerate_ra_rejects_overlapping_components(monkeypatch):
+def test_enumerate_ra_lists_a_point_of_two_parts_once(capsys, monkeypatch):
+    # an OR'd union holds each point once whatever its parts do; only the
+    # census's disjointness check reports the shared point
     _ra_b_gains_ra_d_first_row(monkeypatch)
-    with pytest.raises(InternalInconsistencyError, match=r"overlap.*\(3, 4, 7, 7\)"):
-        enumerate_ra(12)
-
-
-def test_rows_ra_names_the_first_common_point(monkeypatch):
-    # the counts no longer add up, and the pairwise scan names the point
-    _ra_b_gains_ra_d_first_row(monkeypatch)
-    message = r"^ra components overlap at n=12: \(3, 4, 7, 7\) is in two of them$"
-    with pytest.raises(InternalInconsistencyError, match=message):
-        sets.rows(NamedSet.RA, 12)
+    parts = [enumerate_set(part, 12) for part in sets.UNION_PARTS[NamedSet.RA]]
+    assert (3, 4, 7, 7) in parts[1] and (3, 4, 7, 7) in parts[3]
+    points = enumerate_ra(12)
+    assert points == sorted(set().union(*parts))
+    assert len(points) == len(set(points)) == sum(map(len, parts)) - 1
+    assert main(["enumerate", "--n", "12", "--set", "ra"]) == 0
+    assert capsys.readouterr().out == "".join(f"{a},{r},{d},{h}\n" for a, r, d, h in points)
+    failure = check("ra parts disjoint", 12)
+    assert (failure.sets, failure.witness) == ((NamedSet.RA_B, NamedSet.RA_D), (3, 4, 7, 7))
 
 
 @pytest.mark.parametrize("n", [12.0, 13.5, "12", None, Fraction(12)])
