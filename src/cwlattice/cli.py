@@ -30,7 +30,7 @@ from .graphs import (
     realize,
     structure_vertex_names,
 )
-from .sets import NamedSet, expand_rows, mask_bits, rows
+from .sets import NamedSet, mask_bits, points_by_depth
 
 # the largest n that `census` and `verify` run; a census up to N costs about N^3
 CENSUS_CAP = 300
@@ -119,17 +119,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if bits > MASK_BIT_LIMIT:
         raise DomainError(f"{set_id.value} may need {bits} mask bits at n = {args.n}, "
                           f"over the enumerate limit of {MASK_BIT_LIMIT}")
-    # written a row or a slice at a time, so only that many points are held
-    set_rows = rows(set_id, args.n)
+    # written a depth or a slice at a time, so only that many points are held
+    depths = points_by_depth(set_id, args.n)
     with _output(args.out) as handle:
         if args.format == "json":
-            points = itertools.chain.from_iterable(expand_rows([row]) for row in set_rows)
             _write_json(handle, {"set": set_id.value, "n": args.n, "points": []},
-                        points, set_id.arity)
+                        itertools.chain.from_iterable(depths), set_id.arity)
         else:
             line = ",".join(["{}"] * set_id.arity) + "\n"
-            handle.writelines("".join(line.format(*point) for point in expand_rows([row]))
-                              for row in set_rows)
+            handle.writelines("".join(line.format(*point) for point in depth) for depth in depths)
     return 0
 
 

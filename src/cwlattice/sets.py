@@ -19,12 +19,12 @@ parts of a union share (the parts are disjoint when their counts add up
 to the union's), points_outside a point of one set outside another (an
 AND with the complement of the other's mask), ra_projection_mismatch a
 pair where ra's projection and cwdd differ (each depth's masks ORed), and
-mask_bits bounds the bits a table holds.  A witness is the lowest set bit
-under the least prefix where a relation fails.  The rows that enumeration
-and the CLI read, a prefix plus an interval ``(prefix, lo, hi)`` in the
-last coordinate, are derived: rows() splits each mask into its runs of
-set bits, in prefix order.  The membership predicates behind ``contains``
-test the inequalities directly, an oracle independent of the masks.
+mask_bits bounds the bits a table holds.  A witness is the first point of
+the table of points where a relation fails.  The points themselves are
+derived: points_by_depth lists a set's points one ascending list per
+depth, expanding each mask's runs of set bits, and the enumerators join
+those lists.  The membership predicates behind ``contains`` test the
+inequalities directly, an oracle independent of the masks.
 
 Two-coordinate sets, points (depth, dim):
 
@@ -121,23 +121,12 @@ def _require_defined(set_id: NamedSet, n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# masks and rows
+# masks and their points
 # ---------------------------------------------------------------------------
-
-Row = tuple[tuple[int, ...], int, int]
-
 
 def _require_int(n: int) -> None:
     if not isinstance(n, int):
         raise TypeError(f"n must be an int, got {n!r}")
-
-
-def expand_rows(rows: list[Row]) -> list[tuple[int, ...]]:
-    """The points of ``rows`` in row order: (a, b) for a pair row and
-    (a, r, d, d) for a tuple row."""
-    if rows and len(rows[0][0]) == 2:
-        return [(a, r, d, d) for (a, r), lo, hi in rows for d in range(lo, hi + 1)]
-    return [(a, b) for (a,), lo, hi in rows for b in range(lo, hi + 1)]
 
 
 def _runs(mask: int) -> list[tuple[int, int]]:
@@ -149,25 +138,27 @@ def _runs(mask: int) -> list[tuple[int, int]]:
     return [(lo, (above & ~mask).bit_length() - 2), *_runs(mask & above)]
 
 
-def _flat(table: dict, arity: int) -> dict[tuple[int, ...], int]:
-    """The table keyed by whole prefixes: (a,) for a pair set, (a, r) for a
-    tuple set."""
-    if arity == 2:
-        return {(a,): mask for a, mask in table.items()}
-    return {(a, r): mask for a, inner in table.items() for r, mask in inner.items()}
+def _points(table: dict):
+    """The points of a table, one ascending list per depth in ascending
+    depth: (a, b) for a pair set and (a, r, d, d) for a tuple set."""
+    for a, inner in sorted(table.items()):
+        if isinstance(inner, int):
+            yield [(a, b) for lo, hi in _runs(inner) for b in range(lo, hi + 1)]
+        else:
+            yield [(a, r, d, d) for r, mask in sorted(inner.items())
+                   for lo, hi in _runs(mask) for d in range(lo, hi + 1)]
 
 
-def _least_difference(xs: dict, ys: dict) -> tuple[int, ...] | None:
-    """None when two flat tables hold the same points, else the least point
-    in one and not the other: the lowest differing bit of the least prefix
-    whose masks differ."""
-    differ = [key for key in xs.keys() | ys.keys() if xs.get(key, 0) != ys.get(key, 0)]
-    if not differ:
-        return None
-    prefix = min(differ)
-    diff = xs.get(prefix, 0) ^ ys.get(prefix, 0)
-    low = (diff & -diff).bit_length() - 1
-    return (*prefix, low) if len(prefix) == 1 else (*prefix, low, low)
+def _combine(op, xs: dict, ys: dict) -> dict:
+    """The table of op(x, y), op being int.__and__ or int.__xor__, for the
+    masks x and y of each prefix in the two tables (0 where a table has
+    none), with no prefix left 0 or empty."""
+    combined = {}
+    for key in xs.keys() | ys.keys():
+        x, y = xs.get(key, 0), ys.get(key, 0)
+        if value := (op(x, y) if isinstance(x or y, int) else _combine(op, x or {}, y or {})):
+            combined[key] = value
+    return combined
 
 
 def _or_masks(tables: list[dict]) -> dict:
@@ -310,7 +301,7 @@ class MaskTable(dict):
 
 
 # the one point two parts of a union share: (2, 2), in cwdd-a and cwdd-b at n = 5
-_SHARED = {(NamedSet.CWDD, 5): {(NamedSet.CWDD_A, NamedSet.CWDD_B): {(2,): 1 << 2}}}
+_SHARED = {(NamedSet.CWDD, 5): {(NamedSet.CWDD_A, NamedSet.CWDD_B): {2: 1 << 2}}}
 
 
 def parts_overlap(union: NamedSet, table: MaskTable):
@@ -329,10 +320,9 @@ def parts_overlap(union: NamedSet, table: MaskTable):
     if not expected and table.count(union) == sum([table.count(part) for part in parts]):
         return None
     for pair in combinations(parts, 2):
-        xs, ys = (_flat(table[part], union.arity) for part in pair)
-        shared = {key: xs[key] & ys[key] for key in xs.keys() & ys.keys()}
-        if (witness := _least_difference(shared, expected.get(pair, {}))) is not None:
-            return pair, witness
+        shared = _combine(int.__and__, *(table[part] for part in pair))
+        if wrong := _combine(int.__xor__, shared, expected.get(pair, {})):
+            return pair, next(_points(wrong))[0]
     return None
 
 
@@ -341,9 +331,8 @@ def points_outside(sub: NamedSet, sup: NamedSet, table: MaskTable):
     sub has a bit outside sup's mask of its prefix.  Else ((sub, sup),
     witness), the witness being the least point of sub outside sup."""
     outer = table[sup]
-    outside = {(a,): extra for a, mask in table[sub].items()
-               if (extra := mask & ~outer.get(a, 0))}
-    return ((sub, sup), _least_difference(outside, {})) if outside else None
+    outside = {a: extra for a, mask in table[sub].items() if (extra := mask & ~outer.get(a, 0))}
+    return ((sub, sup), next(_points(outside))[0]) if outside else None
 
 
 def ra_projection_mismatch(table: MaskTable):
@@ -355,8 +344,8 @@ def ra_projection_mismatch(table: MaskTable):
     projected = {a: reduce(int.__or__, inner.values()) for a, inner in table[NamedSet.RA].items()}
     if projected == table[NamedSet.CWDD]:
         return None
-    return (NamedSet.RA, NamedSet.CWDD), _least_difference(
-        _flat(projected, 2), _flat(table[NamedSet.CWDD], 2))
+    wrong = _combine(int.__xor__, projected, table[NamedSet.CWDD])
+    return (NamedSet.RA, NamedSet.CWDD), next(_points(wrong))[0]
 
 
 def mask_bits(set_id: NamedSet, n: int, points: int) -> int:
@@ -369,23 +358,22 @@ def mask_bits(set_id: NamedSet, n: int, points: int) -> int:
     return min(points, n if set_id.arity == 2 else n * n // 4) * (n + 1)
 
 
-def rows(set_id: NamedSet, n: int) -> list[Row]:
-    """The rows of the named set at n: each mask split into its runs of set
-    bits, in ascending prefix order, so the rows are sorted, do not overlap,
-    and no two rows of one prefix touch.  A union's rows are those of its
-    ORed masks, so they hold each point once even where parts overlap."""
+def points_by_depth(set_id: NamedSet, n: int):
+    """The points of the named set at n, one ascending list per depth, in
+    ascending depth, listed as they are asked for.  The set's masks are
+    built by the call, so it raises TypeError unless n is an int and
+    DomainError where the set is undefined (see FIRST_N)."""
     _require_int(n)
-    masks = _flat(MaskTable(n)[set_id], set_id.arity)
-    return [(prefix, lo, hi) for prefix in sorted(masks) for lo, hi in _runs(masks[prefix])]
+    return _points(MaskTable(n)[set_id])
 
 
 # ---------------------------------------------------------------------------
-# enumeration: the rows, expanded
+# enumeration: the points of every depth, joined
 # ---------------------------------------------------------------------------
 
 def _enumerator(set_id: NamedSet):
     def enumerate_points(n: int) -> list[tuple[int, ...]]:
-        return expand_rows(rows(set_id, n))
+        return list(chain.from_iterable(points_by_depth(set_id, n)))
 
     name = f"enumerate_{set_id.name.lower()}"
     enumerate_points.__name__ = enumerate_points.__qualname__ = name

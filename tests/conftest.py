@@ -19,11 +19,13 @@ def chorded_hexagon() -> Graph:
 
 # Faults planted in mask form: a set's table is {a: mask over b} for a pair
 # set and {a: {r: mask over d}} for a tuple set (see cwlattice.sets); a
-# planted point or row is ORed in with sets._or_masks.
+# planted point, or a prefix's mask of points, is ORed in with
+# sets._or_masks.
 
 def first_mask(table: dict) -> dict:
     """The table's least prefix with its mask, as a table of its own (empty
-    for an empty table): the set's first row when that mask is one run."""
+    for an empty table): the points of the set's least prefix, which for a
+    tuple set is a depth and a regularity."""
     if not table:
         return {}
     a = min(table)

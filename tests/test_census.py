@@ -166,7 +166,7 @@ def _ra_d_loses_its_least_point(masks, n):
 ], ids=["none", "ra-b-shares", "cwdd-c-shares", "ra-d-loses-a-point", "cwdd-b-empty"])
 def test_parts_disjoint_agrees_with_python_set_intersection(monkeypatch, victim, fault):
     # the oracle: the points each pair of parts shares, from Python sets of
-    # their expanded points; only (2, 2), in cwdd-a and cwdd-b at n = 5, is allowed
+    # their enumerated points; only (2, 2), in cwdd-a and cwdd-b at n = 5, is allowed
     if victim is not None:
         source = sets.MASK_SOURCES[victim]
         monkeypatch.setitem(sets.MASK_SOURCES, victim, lambda n: fault(source(n), n))
@@ -174,7 +174,7 @@ def test_parts_disjoint_agrees_with_python_set_intersection(monkeypatch, victim,
     for n in range(5, 121):
         for name, union in zip(DISJOINTNESS, (NamedSet.CWDD, NamedSet.RA)):
             parts = sets.UNION_PARTS[union]
-            points = {part: set(sets.expand_rows(sets.rows(part, n))) for part in parts}
+            points = {part: set(enumerate_set(part, n)) for part in parts}
             allowed = {(NamedSet.CWDD_A, NamedSet.CWDD_B): {(2, 2)}} if n == 5 else {}
             wrong = [(pair, (points[pair[0]] & points[pair[1]]) ^ allowed.get(pair, set()))
                      for pair in combinations(parts, 2)]
@@ -191,18 +191,13 @@ def test_parts_disjoint_agrees_with_python_set_intersection(monkeypatch, victim,
 
 
 def test_parts_are_scanned_pairwise_only_for_a_witness(monkeypatch):
-    def scan(table, arity):
-        raise AssertionError(f"pairwise scan of {table}")
-
-    def witness(xs, ys):
-        raise AssertionError(f"witness search in {xs} and {ys}")
+    def scan(op, xs, ys):
+        raise AssertionError(f"pairwise scan of {xs} and {ys}")
 
     masks_cwdd_a = sets.MaskTable(5)[NamedSet.CWDD_A]
-    monkeypatch.setattr(sets, "_least_difference", witness)
+    monkeypatch.setattr(sets, "_combine", scan)
     for n in (6, 60, 300):
-        assert sets.rows(NamedSet.RA, n)  # rows flatten the masks, but scan no pair
-    monkeypatch.setattr(sets, "_flat", scan)
-    for n in (6, 60, 300):
+        assert sets.enumerate_ra(n)  # enumeration lists the masks, but combines no pair
         for name in CHECKS:  # the two disjointness checks among them
             assert check(name, n) is None
     # at n = 5 the shared point (2, 2) is expected, and only the scan finds it
@@ -240,8 +235,7 @@ def test_sup_losing_a_point_is_a_count_fault_not_a_containment_failure(capsys, m
     masks_c_plus = sets.MASK_SOURCES[NamedSet.C_PLUS]
     monkeypatch.setitem(sets.MASK_SOURCES, NamedSet.C_PLUS,
                         lambda n: without_point(masks_c_plus(n), (7, 9)))
-    assert [row for row in sets.rows(NamedSet.C_PLUS, 12) if row[0] == (7,)] == [
-        ((7,), 7, 8), ((7,), 10, 11)]
+    assert sets._runs(sets.MaskTable(12)[NamedSet.C_PLUS][7]) == [(7, 8), (10, 11)]
     assert check("c-minus in c-plus", 12) is None
     assert check("cwdd in c-plus", 12) is None
     assert main(["census", "--from", "12", "--to", "12", "--family", "bounds"]) == 1

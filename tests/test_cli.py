@@ -66,6 +66,8 @@ PINNED_SHA256 = {
         "080847948e7e998f7aea2dd6d9ab0b27269d5297f2d968f1a4a06255280cbf05",
     "enumerate --n 300 --set cwdd --format json":
         "38592dc2dff0078bf4d1f8276b38f969e972c96cf7606826f3f6efc2093a885b",
+    "enumerate --n 300 --set ra --format json":
+        "5a48dd88eda389d63dd703f14e68229dd416a62a09e02b173be2d549793aa883",
 }
 
 
@@ -219,6 +221,21 @@ def test_enumerate_cwdd_b_at_the_largest_n_the_mask_bit_limit_admits(capsys):
     code, out, err = run_cli(capsys, "enumerate", "--n", str(n + 1), "--set", "cwdd-b")
     assert (code, out) == (2, "")
     assert "over the enumerate limit of 134217728" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_enumerate_streams_a_dense_set(fmt):
+    # ra at n = 240 holds 185,096 tuples, about 15 MiB as one list; written a
+    # depth at a time it stays far below that
+    tracemalloc.start()
+    try:
+        code = main(["enumerate", "--n", "240", "--set", "ra", "--format", fmt,
+                     "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 << 20
 
 
 def test_enumerate_invalid_inputs(capsys):

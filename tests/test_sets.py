@@ -174,7 +174,7 @@ def test_ra_d_matches_full_cube_scan(n):
 def test_ra_d_rows_split_at_the_turn_equal_the_per_row_max(n):
     # the masks split at each depth's turn (n - a + 2) // 2 are the per-row
     # max() form, to n = 150, past the cube scan's n = 36, and so are the
-    # rows derived from them
+    # points enumerated from them
     half = n // 2
     rows = [((a, r), max(r + 1, n - a - r + 2), n - r - 1)
             for a in range(3, half - 1)
@@ -183,7 +183,8 @@ def test_ra_d_rows_split_at_the_turn_equal_the_per_row_max(n):
         a: {r: (2 << hi) - (1 << lo) for (depth, r), lo, hi in rows if depth == a}
         for a in range(3, half - 1)
     }
-    assert sets.rows(NamedSet.RA_D, n) == rows
+    assert enumerate_ra_d(n) == [(a, r, d, d) for (a, r), lo, hi in rows
+                                 for d in range(lo, hi + 1)]
 
 
 def test_cw_sets_empty_below_five():
@@ -340,17 +341,28 @@ def test_non_integer_n_is_rejected(n):
 
 @pytest.mark.parametrize("n", range(3, 61))
 def test_rows_sorted_and_disjoint(n):
+    table = sets.MaskTable(n)
     for set_id in NamedSet:
-        try:
-            rows = sets.rows(set_id, n)
-        except DomainError:
+        if not sets.is_defined(set_id, n):
             continue
-        assert rows == sorted(rows)
-        # rows of one prefix neither overlap nor touch: the rows are canonical
-        for (p, _, hi), (q, lo, _) in zip(rows, rows[1:]):
-            assert p != q or hi + 1 < lo, (set_id, n)
-        assert all(lo <= hi and len(p) == set_id.arity // 2 for p, lo, hi in rows)
-        assert sum(hi - lo + 1 for _, lo, hi in rows) == len(enumerate_set(set_id, n))
+        # one non-empty, ascending, duplicate-free list per depth, in
+        # ascending depth, adding up to the set
+        depths = list(sets.points_by_depth(set_id, n))
+        assert all(depth and depth == sorted(set(depth)) for depth in depths), (set_id, n)
+        assert all(len(point) == set_id.arity for depth in depths for point in depth)
+        firsts = [depth[0][0] for depth in depths]
+        assert firsts == sorted(set(firsts))
+        assert all({point[0] for point in depth} == {depth[0][0]} for depth in depths)
+        assert sum(map(len, depths)) == table.count(set_id) == len(enumerate_set(set_id, n))
+        # a mask's runs are ascending, never touch, and OR back to the mask
+        masks = table[set_id].values()
+        if set_id.arity == 4:
+            masks = [mask for inner in masks for mask in inner.values()]
+        for mask in masks:
+            runs = sets._runs(mask)
+            assert all(lo <= hi for lo, hi in runs)
+            assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(runs, runs[1:])), (set_id, n)
+            assert functools.reduce(int.__or__, [(2 << hi) - (1 << lo) for lo, hi in runs]) == mask
 
 
 def test_contains_arity_mismatch():
@@ -370,8 +382,9 @@ def test_ra_b_projects_into_pair_census(n):
 @pytest.mark.parametrize("set_id, first", list(sets.FIRST_N.items()))
 def test_polytope_domain_from_one_table(set_id, first):
     message = f"{set_id.value} is defined only for n >= {first}, got {first - 1}"
-    for call in (lambda n: sets.rows(set_id, n), lambda n: contains(set_id, n, (1, 1)),
-                 SIZE_BY_SET[set_id]):
+    # points_by_depth raises when called, before its first point is asked for
+    for call in (lambda n: sets.points_by_depth(set_id, n),
+                 lambda n: contains(set_id, n, (1, 1)), SIZE_BY_SET[set_id]):
         with pytest.raises(DomainError) as raised:
             call(first - 1)
         assert str(raised.value) == message
@@ -413,7 +426,7 @@ def test_parts_overlap_labels_the_part_pairs():
     a, b, c, d = sets.UNION_PARTS[NamedSet.RA]
     assert sets.parts_overlap(NamedSet.RA, sets.MaskTable(12)) is None
     table = sets.MaskTable(12)
-    assert sets.rows(d, 12) == [((3, 4), 7, 7), ((3, 5), 6, 6), ((4, 5), 6, 6)]
+    assert enumerate_ra_d(12) == [(3, 4, 7, 7), (3, 5, 6, 6), (4, 5, 6, 6)]
     table[b] = sets._or_masks([table[b], {3: {5: 1 << 6}}])
     table[a] = sets._or_masks([table[a], {4: {5: 1 << 6}}])
     # the first pair in UNION_PARTS order that shares a point names the least one
@@ -422,7 +435,7 @@ def test_parts_overlap_labels_the_part_pairs():
 
 def test_union_rows_join_overlapping_and_touching_rows_of_one_prefix(monkeypatch):
     # the rows are dealt to the three cwdd parts in turn; the union ORs the
-    # parts' masks and its rows join what overlaps or touches
+    # parts' masks, whose runs join what overlaps or touches
     rows = [((2,), 7, 9), ((1,), 1, 3), ((1,), 4, 4), ((1,), 2, 2), ((1,), 6, 8),
             ((2,), 1, 5), ((2,), 3, 6), ((3,), 5, 5), ((1,), 8, 10)]
     for j, part in enumerate(sets.UNION_PARTS[NamedSet.CWDD]):
@@ -430,10 +443,12 @@ def test_union_rows_join_overlapping_and_touching_rows_of_one_prefix(monkeypatch
         for (a,), lo, hi in rows[j::3]:
             masks = sets._or_masks([masks, {a: (2 << hi) - (1 << lo)}])
         monkeypatch.setitem(sets.MASK_SOURCES, part, lambda n, masks=masks: masks)
-    assert sets.rows(NamedSet.CWDD, 12) == [((1,), 1, 4), ((1,), 6, 10), ((2,), 1, 9),
-                                            ((3,), 5, 5)]
-    assert len(enumerate_cwdd(12)) == len(set(sets.expand_rows(rows)))
-    assert sets.MaskTable(12).count(NamedSet.CWDD) == len(set(sets.expand_rows(rows)))
+    table = sets.MaskTable(12)
+    assert {a: sets._runs(mask) for a, mask in table[NamedSet.CWDD].items()} == {
+        1: [(1, 4), (6, 10)], 2: [(1, 9)], 3: [(5, 5)]}
+    points = {(a, b) for (a,), lo, hi in rows for b in range(lo, hi + 1)}
+    assert enumerate_cwdd(12) == sorted(points)
+    assert table.count(NamedSet.CWDD) == len(points)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +498,8 @@ def naive_points(set_id, n):
 
 
 def runs_of(points):
-    """The rows of sorted points: each prefix's last coordinates, cut where
-    two neighbours are not consecutive."""
+    """The runs of sorted points as (prefix, lo, hi): each prefix's last
+    coordinates, cut where two neighbours are not consecutive."""
     rows = []
     for point in sorted(points):
         prefix, last = point[:len(point) // 2], point[len(point) // 2]
@@ -501,24 +516,30 @@ def test_mask_tables_match_the_naive_scans(n):
     for set_id in NamedSet:
         if not sets.is_defined(set_id, n):
             continue
-        masks = table[set_id]
         if set_id.arity == 4:
-            assert all(masks.values()), (set_id, n)  # no depth without a mask
-            masks = {(a, r): mask for a, inner in masks.items() for r, mask in inner.items()}
+            assert all(table[set_id].values()), (set_id, n)  # no depth without a mask
+        masks = _flat_masks(set_id, n)
         for mask in masks.values():
             assert mask and mask >> 1 << 1 == mask and mask >> (n + 1) == 0, (set_id, n)
         points = naive_points(set_id, n)
         assert table.count(set_id) == sum(mask.bit_count() for mask in masks.values())
         assert table.count(set_id) == len(points), (set_id, n)
-        assert sets.rows(set_id, n) == runs_of(points), (set_id, n)
+        assert [(prefix, lo, hi) for prefix in sorted(masks)
+                for lo, hi in sets._runs(masks[prefix])] == runs_of(points), (set_id, n)
+        assert enumerate_set(set_id, n) == sorted(points), (set_id, n)
 
 
 def test_odd_depth_two_masks_hold_two_runs():
     # at odd n cwdd-a's one mask holds (2, (n-1)/2) apart from (2, n-3..n-2)
     assert sets.MaskTable(301)[NamedSet.CWDD_A] == {2: (1 << 150) | (3 << 298)}
-    assert sets.rows(NamedSet.CWDD_A, 301) == [((2,), 150, 150), ((2,), 298, 299)]
-    assert sets.rows(NamedSet.RA_A, 301) == [((2, 2), 298, 299), ((2, 150), 150, 150)]
-    assert sets.rows(NamedSet.CWDD_A, 5) == [((2,), 2, 3)]  # the three points in one run
+    assert sets._runs(sets.MaskTable(301)[NamedSet.CWDD_A][2]) == [(150, 150), (298, 299)]
+    assert enumerate_cwdd_a(301) == [(2, 150), (2, 298), (2, 299)]
+    ra_a = sets.MaskTable(301)[NamedSet.RA_A]
+    assert {r: sets._runs(mask) for r, mask in ra_a[2].items()} == {
+        2: [(298, 299)], 150: [(150, 150)]}
+    assert enumerate_ra_a(301) == [(2, 2, 298, 298), (2, 2, 299, 299), (2, 150, 150, 150)]
+    # the three points in one run
+    assert sets._runs(sets.MaskTable(5)[NamedSet.CWDD_A][2]) == [(2, 3)]
 
 
 @functools.lru_cache(maxsize=32)
@@ -563,3 +584,73 @@ def test_a_points_bit_is_set_exactly_when_contains_says_member(case):
         prefix = None  # deg h differs from dim: no mask holds the point
     bit = last >= 0 and _flat_masks(set_id, n).get(prefix, 0) >> last & 1 == 1
     assert bit == contains(set_id, n, point)
+
+
+# ---------------------------------------------------------------------------
+# the (depth, dim) pairs of CW graphs are not a convex lattice polytope
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(9, 302, 2))
+def test_cwdd_skips_a_point_between_two_of_its_points_at_odd_n(n):
+    # on the line a = 2, (2, (n+1)/2) lies between (2, (n-1)/2) and
+    # (2, n-3), which are in cwdd-a, and it is in no part of cwdd
+    assert contains(NamedSet.CWDD, n, (2, (n - 1) // 2))
+    assert not contains(NamedSet.CWDD, n, (2, (n + 1) // 2))
+    assert contains(NamedSet.CWDD, n, (2, n - 3))
+
+
+def _cross(o, p, q):
+    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+
+def _hull(points):
+    """The vertices of the convex hull of the points, counter-clockwise and
+    without collinear ones, by Andrew's monotone chain in exact integers."""
+    points = sorted(points)
+    if len(points) <= 2:
+        return points
+    chains = []
+    for run in (points, points[::-1]):
+        chain = []
+        for p in run:
+            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        chains.append(chain[:-1])
+    return chains[0] + chains[1]
+
+
+def _hull_lattice_points(points):
+    """The lattice points of the convex hull of the points, on its boundary
+    or inside: those of the points' bounding box on the outer side of no
+    hull edge."""
+    if not points:
+        return set()
+    hull = _hull(points)
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    (a_lo, b_lo), (a_hi, b_hi) = map(min, zip(*points)), map(max, zip(*points))
+    return {(a, b) for a in range(a_lo, a_hi + 1) for b in range(b_lo, b_hi + 1)
+            if all(_cross(p, q, (a, b)) >= 0 for p, q in edges)}
+
+
+def test_hull_lattice_points_of_a_triangle_and_a_segment():
+    assert _hull([(0, 0), (2, 0), (0, 2), (1, 0), (1, 1)]) == [(0, 0), (2, 0), (0, 2)]
+    assert _hull_lattice_points({(0, 0), (2, 0), (0, 2)}) == {
+        (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)}
+    assert _hull_lattice_points({(1, 1), (3, 3)}) == {(1, 1), (2, 2), (3, 3)}
+    assert _hull_lattice_points({(4, 5)}) == {(4, 5)}
+
+
+def test_only_cwdd_misses_lattice_points_of_its_hull():
+    for n in range(5, 41):
+        points = set(enumerate_cwdd(n))
+        missing = sorted(_hull_lattice_points(points) - points)
+        if n % 2 == 0 or n <= 8:
+            assert missing == [], n
+        else:
+            # the (n-7)/2 points (2, (n+1)/2) .. (2, n-4) between cwdd-a's two runs
+            assert missing == [(2, b) for b in range((n + 1) // 2, n - 3)], n
+        for set_id in (NamedSet.CWDD_B, NamedSet.CWDD_C, NamedSet.C_MINUS, NamedSet.C_PLUS,
+                       NamedSet.BETA):
+            points = set(enumerate_set(set_id, n))
+            assert _hull_lattice_points(points) == points, (set_id, n)
