@@ -3,6 +3,12 @@
 Subcommands: census, enumerate, verify, bounds, realize, recognize, ideal.
 Exit codes: 0 success, 1 failed census/verification records, 2 argument or
 input errors, 3 unsupported realization, 4 graph over the search cap.
+
+Every JSON document is byte for byte json.dumps(payload, indent=2) and a
+newline.  recognize's verdict and the list-valued documents (enumerate,
+realize --emit-graph, ideal) skip that call: with indent set, CPython
+encodes in pure Python, which cost more than recognize's graph work.
+Their strings are escaped by the C function json.dumps(str) calls.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__
 from .census import FAMILY_SETS, KINDS, run_census
@@ -55,12 +62,27 @@ def _output(out_path: str | None):
     return open(out_path, "w", encoding="utf-8")
 
 
-def _write_json(handle, payload: dict, items, arity: int) -> None:
+def _json_frame(payload: dict) -> list[str]:
+    """json.dumps(payload, indent=2) split around its last value, an empty
+    list: the text before the list and the text after it."""
+    return json.dumps(payload, indent=2).rsplit("[]", 1)
+
+
+# ideal's document, {"generators": [...]}, around its list
+IDEAL_FRAME = _json_frame({"generators": []})
+
+# recognize's document as json.dumps(..., indent=2) lays it out
+RECOGNIZE_JSON = ('{{\n  "cameron_walker": {},\n  "matching_number": {},\n'
+                  '  "induced_matching_number": {},\n  "reason": {}\n}}\n')
+
+
+def _write_json(handle, frame: list[str], items, arity: int) -> None:
     """Write json.dumps(payload, indent=2) and a newline, byte for byte,
-    where payload's last value is an empty list standing for items: tuples
-    of arity values whose str() is their JSON text.  The items are written
-    a slice at a time, so the caller need not hold them."""
-    head, tail = json.dumps(payload, indent=2).rsplit("[]", 1)
+    given frame = _json_frame(payload), where payload's last value is an
+    empty list standing for items: each one arity values whose str() is
+    their JSON text.  The items are written a slice at a time, so the
+    caller need not hold them."""
+    head, tail = frame
     item = "\n    [\n      " + ",\n      ".join(["{}"] * arity) + "\n    ]"
     items, separator = iter(items), ""
     handle.write(head + "[")
@@ -71,17 +93,17 @@ def _write_json(handle, payload: dict, items, arity: int) -> None:
 
 
 def _read_input(path: str) -> str:
-    """The UTF-8 text of path, refused past INPUT_BYTE_LIMIT bytes.  It is
-    read in 64 KiB blocks, no more than one block past the limit: a single
-    read of the limit would allocate a buffer that large even for a small
-    file."""
+    """The UTF-8 text of path, less one leading byte-order mark, refused
+    past INPUT_BYTE_LIMIT bytes.  It is read in 64 KiB blocks, no more than
+    one block past the limit: a single read of the limit would allocate a
+    buffer that large even for a small file."""
     block = 1 << 16
     with open(path, "rb") as handle:
         blocks = iter(functools.partial(handle.read, block), b"")
         data = b"".join(itertools.islice(blocks, INPUT_BYTE_LIMIT // block + 1))
     if len(data) > INPUT_BYTE_LIMIT:
         raise DomainError(f"{path} is over the input limit of {INPUT_BYTE_LIMIT} bytes")
-    return data.decode("utf-8")
+    return data.decode("utf-8-sig")
 
 
 def _frac_json(value: Fraction) -> dict[str, int]:
@@ -123,7 +145,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     depths = points_by_depth(set_id, args.n)
     with _output(args.out) as handle:
         if args.format == "json":
-            _write_json(handle, {"set": set_id.value, "n": args.n, "points": []},
+            _write_json(handle, _json_frame({"set": set_id.value, "n": args.n, "points": []}),
                         itertools.chain.from_iterable(depths), set_id.arity)
         else:
             line = ",".join(["{}"] * set_id.arity) + "\n"
@@ -199,7 +221,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
         }
         if args.emit_graph:
             payload["edges"] = []
-            _write_json(sys.stdout, payload, ((json.dumps(a), json.dumps(b)) for a, b in edges), 2)
+            _write_json(sys.stdout, _json_frame(payload), (map(_json_str, e) for e in edges), 2)
         else:
             print(json.dumps(payload, indent=2))
     else:
@@ -217,12 +239,8 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     im = induced_matching_number(graph)
     reason = not_cw_reason(graph, m, im)
     if args.format == "json":
-        print(json.dumps({
-            "cameron_walker": not reason,
-            "matching_number": m,
-            "induced_matching_number": im,
-            "reason": reason or None,
-        }, indent=2))
+        sys.stdout.write(RECOGNIZE_JSON.format("false" if reason else "true", m, im,
+                                               _json_str(reason) if reason else "null"))
     else:
         if reason:
             print(f"not CW: m={m} im={im} ({reason})")
@@ -235,7 +253,7 @@ def cmd_ideal(args: argparse.Namespace) -> int:
     graph, names = parse_edge_list(_read_input(args.input))
     generators = edge_ideal_generators(graph, names)
     if args.format == "json":
-        print(json.dumps({"generators": [list(g) for g in generators]}, indent=2))
+        _write_json(sys.stdout, IDEAL_FRAME, (map(_json_str, g) for g in generators), 2)
     else:
         for a, b in generators:
             print(f"{a}{b}")

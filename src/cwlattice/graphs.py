@@ -414,13 +414,11 @@ def parse_edge_list(text: str) -> tuple[Graph, list[str]]:
     loop line is an error.
     """
     index: dict[str, int] = {}
-    names: list[str] = []
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if len(tokens) != 2:
             raise EdgeListParseError(
                 f"expected two vertex tokens, got {len(tokens)}", line=lineno
@@ -428,14 +426,11 @@ def parse_edge_list(text: str) -> tuple[Graph, list[str]]:
         a, b = tokens
         if a == b:
             raise EdgeListParseError(f"loop edge at vertex {a!r}", line=lineno)
-        for tok in (a, b):
-            if tok not in index:
-                index[tok] = len(names)
-                names.append(tok)
-        edges.append((index[a], index[b]))
-    if not names:
+        u, v = index.setdefault(a, len(index)), index.setdefault(b, len(index))
+        edges.add((u, v) if u < v else (v, u))
+    if not index:
         raise EdgeListParseError("no edges found in input")
-    return Graph.from_edges(len(names), edges), names
+    return Graph(len(index), frozenset(edges)), list(index)
 
 
 def format_edge_list(g: Graph, names: list[str]) -> str:

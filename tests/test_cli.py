@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from cwlattice import (NamedSet, build_graph, census, cli, edge_ideal_generators,
-                       format_edge_list, graphs, realize, run_census, sets, size_cwdd_b,
+                       format_edge_list, graphs, induced_matching_number, matching_number,
+                       not_cw_reason, parse_edge_list, realize, run_census, sets, size_cwdd_b,
                        size_ra, size_ra_d, structure_vertex_names)
 from cwlattice.cli import main
 
@@ -550,12 +552,82 @@ def test_readme_example_file(capsys):
         0, "ab\naf\nbc\nbf\ncd\nce\nde\nef\n", "")
 
 
-@pytest.mark.parametrize("name", ["chorded-hexagon", "cycle-31"])
+@pytest.mark.parametrize("name", ["chorded-hexagon", "cycle-31", "cw-skeleton"])
 def test_recognize_json_matches_the_golden_files(capsys, name):
     # the JSON bytes, and the 31-cycle is a search near the 32-edge cap
     expected = (DATA_DIR / f"{name}.json").read_bytes().decode("utf-8")
     assert run_cli(capsys, "recognize", "--input", str(DATA_DIR / f"{name}.edges"),
                    "--format", "json") == (0, expected, "")
+
+
+# labels that JSON escapes: a quote, a backslash, non-ASCII and DEL
+ESCAPED_LABELS = ['"', "\\", "é", "日本", "\x7f"]
+
+
+def _graph_json_cases():
+    """Edge-list texts: one for each recognize outcome, one path through the
+    escaped labels, and 200 seeded random lists of at most 32 edges."""
+    cases = ["u0 v0\nu0 l0\nv0 w0\nv0 w1\nw0 w1\n",  # CW
+             "a b\nc d\n",  # disconnected
+             "".join(f"{a} {b}\n" for a, b in CHORDED_HEXAGON_EDGES),  # m≠im
+             "c a\nc b\nc d\n",  # star
+             "a b\nb c\nc a\n",  # star triangle
+             "".join(f"{a} {b}\n" for a, b in zip(ESCAPED_LABELS, ESCAPED_LABELS[1:]))]
+    rng = random.Random(23)
+    pool = ESCAPED_LABELS + [f"x{i}" for i in range(12)]
+    for _ in range(200):
+        labels = rng.sample(pool, rng.randint(2, len(pool)))
+        cases.append("".join(" ".join(rng.sample(labels, 2)) + "\n"
+                             for _ in range(rng.randint(1, 32))))
+    return cases
+
+
+def test_graph_json_bytes_equal_json_dumps(capsys, tmp_path):
+    # recognize and ideal --format json are json.dumps(..., indent=2) and a
+    # newline, byte for byte
+    path = tmp_path / "g.edges"
+    reasons = set()
+    for text in _graph_json_cases():
+        path.write_text(text, encoding="utf-8")
+        graph, names = parse_edge_list(text)
+        m, im = matching_number(graph), induced_matching_number(graph)
+        reason = not_cw_reason(graph, m, im)
+        reasons.add(reason)
+        verdict = {"cameron_walker": not reason, "matching_number": m,
+                   "induced_matching_number": im, "reason": reason or None}
+        generators = {"generators": [list(g) for g in edge_ideal_generators(graph, names)]}
+        for command, payload in (("recognize", verdict), ("ideal", generators)):
+            assert run_cli(capsys, command, "--input", str(path), "--format", "json") == (
+                0, json.dumps(payload, indent=2) + "\n", ""), (command, text)
+    assert reasons == {"", "disconnected", "m≠im", "star", "star triangle"}
+
+
+def test_graph_json_needs_no_python_encoder(capsys, monkeypatch):
+    # json.dumps with indent runs the pure-Python encoder through
+    # JSONEncoder.iterencode; recognize and ideal write their JSON without it
+    def refused(*args, **kwargs):
+        raise RuntimeError("JSONEncoder.iterencode called")
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", refused)
+    for command, name, golden in [("recognize", "cw-skeleton", "cw-skeleton.json"),
+                                  ("recognize", "chorded-hexagon", "chorded-hexagon.json"),
+                                  ("ideal", "chorded-hexagon", "chorded-hexagon-ideal.json")]:
+        expected = (DATA_DIR / golden).read_bytes().decode("utf-8")
+        assert run_cli(capsys, command, "--input", str(DATA_DIR / f"{name}.edges"),
+                       "--format", "json") == (0, expected, "")
+
+
+@pytest.mark.parametrize("data, command, expected", [
+    (b"\xef\xbb\xbfa b\nb c\nc a\n", "recognize", "not CW: m=1 im=1 (star triangle)\n"),
+    (b"\xef\xbb\xbfa b\nb c\nc a\n", "ideal", "ab\nac\nbc\n"),
+    # only one leading mark is dropped
+    (b"\xef\xbb\xbf\xef\xbb\xbfa b\n", "ideal", "b\ufeffa\n"),
+], ids=["recognize", "ideal", "two-marks"])
+def test_a_leading_byte_order_mark_is_no_part_of_a_label(capsys, tmp_path, data, command,
+                                                          expected):
+    path = tmp_path / "bom.edges"
+    path.write_bytes(data)
+    assert run_cli(capsys, command, "--input", str(path)) == (0, expected, "")
 
 
 def test_recognize_cw_graph(capsys, tmp_path):

@@ -24,21 +24,60 @@ import tempfile
 
 from hypothesis import event, given, settings, strategies as st
 
-from cwlattice import EdgeListParseError, Graph, NamedSet, parse_edge_list
+from cwlattice import (EdgeListParseError, Graph, NamedSet, edge_ideal_generators,
+                       format_edge_list, parse_edge_list)
 from cwlattice.cli import main
 
 VERTICES = st.sampled_from(["a", "b", "c", "v0", "#", "x y"])
 LINES = st.lists(VERTICES, max_size=3).map(" ".join)
 
 
-@settings(max_examples=200, deadline=None)
+def _reference_parse(text: str):
+    """The edge-list format read the plain way: the labels in first-appearance
+    order and the edges as a set of label sets, or the line number of the
+    first bad line (None when no line holds an edge)."""
+    names, edges = [], set()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens or line.strip()[0] == "#":
+            continue
+        if len(tokens) != 2 or tokens[0] == tokens[1]:
+            return lineno
+        names += [token for token in tokens if token not in names]
+        edges.add(frozenset(tokens))
+    return (names, edges) if names else None
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.one_of(st.text(), st.lists(LINES, max_size=8).map("\n".join)))
 def test_parse_edge_list_returns_a_graph_or_a_parse_error(text):
+    # and agrees with the reference on labels, edges and error line numbers
+    expected = _reference_parse(text)
     try:
         graph, names = parse_edge_list(text)
-    except EdgeListParseError:
+    except EdgeListParseError as exc:
+        assert exc.line == expected
         return
     assert isinstance(graph, Graph) and len(names) == graph.vertex_count
+    assert names == expected[0]
+    assert all(u < v for u, v in graph.edges)
+    assert {frozenset((names[u], names[v])) for u, v in graph.edges} == expected[1]
+
+
+# labels that survive the format: no whitespace, and none starts with "#"
+LABELS = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=4).filter(
+    lambda label: not label.startswith("#") and not any(c.isspace() for c in label))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(LABELS, min_size=2, max_size=2, unique=True), min_size=1, max_size=12))
+def test_format_then_parse_round_trips(pairs):
+    graph, names = parse_edge_list("".join(f"{a} {b}\n" for a, b in pairs))
+    text = format_edge_list(graph, names)
+    reparsed, renames = parse_edge_list(text)
+    assert edge_ideal_generators(reparsed, renames) == edge_ideal_generators(graph, names)
+    assert sorted(renames) == sorted(names)
+    assert format_edge_list(reparsed, renames) == text
 
 
 FREE_TEXT = st.text(st.characters(exclude_characters="/\x00"), max_size=8)
