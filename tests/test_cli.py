@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cwlattice import (NamedSet, build_graph, census, cli, edge_ideal_generators,
+from cwlattice import (NamedSet, __version__, build_graph, census, cli, edge_ideal_generators,
                        format_edge_list, graphs, induced_matching_number, matching_number,
                        not_cw_reason, parse_edge_list, realize, run_census, sets, size_cwdd_b,
                        size_ra, size_ra_d, structure_vertex_names)
@@ -118,6 +118,40 @@ def test_unknown_option_shows_the_usage_of_the_parser_that_met_it(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("usage: cwlattice [-h] [--version]")
     assert err.endswith("cwlattice: error: unrecognized arguments: --bogus\n")
+
+
+def test_a_subcommand_argv_skips_the_top_level_parser(capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the top-level parser read a subcommand argv")
+
+    parser, _ = cli._parsers()
+    monkeypatch.setattr(parser, "parse_known_args", refused)
+    for argv, golden in [
+            (("recognize", "--input", str(DATA_DIR / "cw-skeleton.edges"), "--format", "json"),
+             "cw-skeleton.json"),
+            (("ideal", "--input", str(DATA_DIR / "chorded-hexagon.edges"), "--format", "json"),
+             "chorded-hexagon-ideal.json"),
+            (("census", "--from", "3", "--to", "8", "--family", "all", "--format", "json"),
+             "census-all-3-8.json"),
+            (("bounds", "--n", "12"), "bounds-12.txt")]:
+        assert run_cli(capsys, *argv) == (0, (DATA_DIR / golden).read_text("utf-8"), ""), argv
+
+
+def test_any_other_argv_goes_to_the_top_level_parser(capsys, monkeypatch):
+    # the same exit code and bytes as build_parser().parse_args
+    for argv, code in [((), 2), (("--version",), 0), (("-h",), 0), (("bogus",), 2)]:
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(list(argv))
+        expected = (exc.value.code, *capsys.readouterr())
+        assert run_cli(capsys, *argv) == expected and expected[0] == code, argv
+        shows_usage = "usage: cwlattice [-h] [--version]" in "".join(expected[1:])
+        assert shows_usage == (argv != ("--version",)), argv
+    assert run_cli(capsys, "--version") == (0, f"cwlattice {__version__}\n", "")
+    # the console script calls main() with no argument, which reads sys.argv
+    argv = ["bounds", "--n", "12", "--format", "json"]
+    monkeypatch.setattr(sys, "argv", ["cwlattice", *argv])
+    code = main()
+    assert (code, *capsys.readouterr()) == run_cli(capsys, *argv)
 
 
 def test_census_json_and_out_file(capsys, tmp_path):
@@ -548,8 +582,9 @@ def test_recognize_chorded_hexagon(capsys, hexagon_file):
 def test_readme_example_file(capsys):
     path = str(DATA_DIR / "chorded-hexagon.edges")
     assert run_cli(capsys, "recognize", "--input", path) == (0, "not CW: m=3 im=2 (m≠im)\n", "")
-    assert run_cli(capsys, "ideal", "--input", path) == (
-        0, "ab\naf\nbc\nbf\ncd\nce\nde\nef\n", "")
+    ideal = "a b\na f\nb c\nb f\nc d\nc e\nd e\ne f\n"
+    assert run_cli(capsys, "ideal", "--input", path) == (0, ideal, "")
+    assert (DATA_DIR / "chorded-hexagon-ideal.txt").read_bytes().decode("utf-8") == ideal
 
 
 @pytest.mark.parametrize("name", ["chorded-hexagon", "cycle-31", "cw-skeleton"])
@@ -619,9 +654,9 @@ def test_graph_json_needs_no_python_encoder(capsys, monkeypatch):
 
 @pytest.mark.parametrize("data, command, expected", [
     (b"\xef\xbb\xbfa b\nb c\nc a\n", "recognize", "not CW: m=1 im=1 (star triangle)\n"),
-    (b"\xef\xbb\xbfa b\nb c\nc a\n", "ideal", "ab\nac\nbc\n"),
+    (b"\xef\xbb\xbfa b\nb c\nc a\n", "ideal", "a b\na c\nb c\n"),
     # only one leading mark is dropped
-    (b"\xef\xbb\xbf\xef\xbb\xbfa b\n", "ideal", "b\ufeffa\n"),
+    (b"\xef\xbb\xbf\xef\xbb\xbfa b\n", "ideal", "b \ufeffa\n"),
 ], ids=["recognize", "ideal", "two-marks"])
 def test_a_leading_byte_order_mark_is_no_part_of_a_label(capsys, tmp_path, data, command,
                                                           expected):
@@ -703,7 +738,14 @@ def test_recognize_oversized_graph_exit_4(capsys, tmp_path):
 def test_ideal_output(capsys, hexagon_file):
     code, out, _ = run_cli(capsys, "ideal", "--input", hexagon_file)
     assert code == 0
-    assert out.splitlines() == ["ab", "af", "bc", "bf", "cd", "ce", "de", "ef"]
+    assert out.splitlines() == ["a b", "a f", "b c", "b f", "c d", "c e", "d e", "e f"]
+
+
+def test_ideal_text_keeps_distinct_generators_apart(capsys, tmp_path):
+    # with the labels run together, a bc and ab c would both print abc
+    path = tmp_path / "g.edges"
+    path.write_text("a bc\nab c\nc a\n", encoding="utf-8")
+    assert run_cli(capsys, "ideal", "--input", str(path)) == (0, "a bc\na c\nab c\n", "")
 
 
 def test_ideal_json(capsys, hexagon_file):

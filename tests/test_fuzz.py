@@ -15,6 +15,9 @@ directory.  The small integers keep every accepted command cheap; the
 large ones reach the guards, which refuse them before any work.
 ``census`` is also offered ``--force``, which no parser accepts, so an
 example that holds it exits 2 unless it asks for help or the version.
+The parse of ``main`` is compared with ``build_parser().parse_args`` on
+these argvs and on them with ``--fo``, ``--ver``, ``--``, ``-h`` or
+``cen`` put in anywhere; that test parses only and runs no command.
 """
 
 import contextlib
@@ -24,7 +27,7 @@ import tempfile
 
 from hypothesis import event, given, settings, strategies as st
 
-from cwlattice import (EdgeListParseError, Graph, NamedSet, edge_ideal_generators,
+from cwlattice import (EdgeListParseError, Graph, NamedSet, cli, edge_ideal_generators,
                        format_edge_list, parse_edge_list)
 from cwlattice.cli import main
 
@@ -78,6 +81,22 @@ def test_format_then_parse_round_trips(pairs):
     assert edge_ideal_generators(reparsed, renames) == edge_ideal_generators(graph, names)
     assert sorted(renames) == sorted(names)
     assert format_edge_list(reparsed, renames) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(LABELS, min_size=2, max_size=2, unique=True), min_size=1, max_size=12))
+def test_ideal_text_parses_back_to_the_same_generators(pairs):
+    text = "".join(f"{a} {b}\n" for a, b in pairs)
+    graph, names = parse_edge_list(text)
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.edges")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with contextlib.redirect_stdout(out):
+            assert main(["ideal", "--input", path]) == 0
+    reparsed, renames = parse_edge_list(out.getvalue())
+    assert edge_ideal_generators(reparsed, renames) == edge_ideal_generators(graph, names)
 
 
 FREE_TEXT = st.text(st.characters(exclude_characters="/\x00"), max_size=8)
@@ -152,3 +171,39 @@ def _asks_help_or_version(token: str) -> bool:
     abbreviation of either long option), which exit 0 before the error."""
     return token.startswith("-h") or (
         len(token) > 2 and ("--help".startswith(token) or "--version".startswith(token)))
+
+
+def _parsed(parse, argv):
+    """vars() of parse(argv), or its SystemExit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+# abbreviations of a subcommand's option, of a top-level option and of a
+# subcommand, the end of the options, and help, put anywhere in an argv
+ODD_TOKENS = st.sampled_from(["--fo", "--ver", "--", "-h", "cen"])
+
+
+def _inserted(drawn):
+    argv, puts = list(drawn[0]), drawn[1]
+    for index, token in puts:
+        argv.insert(index, token)
+    return argv
+
+
+DISPATCH_ARGV = st.tuples(ARGV, st.lists(st.tuples(st.integers(0, 8), ODD_TOKENS),
+                                         max_size=3)).map(_inserted)
+TOP_LEVEL = cli.build_parser()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(ARGV, DISPATCH_ARGV))
+def test_main_parses_as_the_top_level_parser_does(argv):
+    # main() hands a subcommand's tokens to its parser without the top-level
+    # pass; the namespace, or the exit code and every byte printed, is the same
+    assert _parsed(cli._parse_args, argv) == _parsed(TOP_LEVEL.parse_args, argv)
