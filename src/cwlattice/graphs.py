@@ -26,13 +26,19 @@ holds, for each vertex v, ``1 << v`` for the matching number and v's
 closed neighbourhood for the induced matching number, and taking vw
 rules out ``reach[v] | reach[w]``.  A live vertex of least live degree
 is matched to each live neighbour or dropped, pruned when the live
-vertices cannot add enough pairs to beat the best so far.  A vertex v
-with one live neighbour w is matched to it (if w ends a chosen edge wx
-instead, swapping wx for vw rules out no more); dropping both v and w is
-tried too, but only when vw rules out some other live vertex, so never
-for a matching.  The search is capped at MAX_BRUTE_FORCE_EDGES edges;
-beyond the cap a GraphTooLargeError asks the caller to shrink the
-instance.
+vertices cannot add enough pairs to beat the best so far.  Two exchange
+rules skip branches that cannot hold the only optimum.  For a matching,
+the picked vertex v is never dropped: if a largest matching left v
+unmatched, a live neighbour u is matched to some x (or uv could be
+added), and swapping ux for uv keeps the size.  A vertex v with one live neighbour w is
+matched to it (if w ends a chosen edge wx instead, swapping wx for vw
+rules out no more); dropping both v and w is tried too, but only when w
+has two live neighbours besides v, so never for a matching.  If w has at
+most one other, x, every edge of a largest induced matching meeting v, w
+or x ends at x; swapping that one edge for vw keeps the matching induced
+and its size, and with none, vw can be added.  The search is capped at
+MAX_BRUTE_FORCE_EDGES edges; beyond the cap a GraphTooLargeError asks
+the caller to shrink the instance.
 """
 
 from __future__ import annotations
@@ -132,12 +138,19 @@ def _largest_matching(g: Graph, reach: list[int]) -> int:
     Branch and bound over a bitmask of live vertices, those that may still
     end a chosen edge.  A node picks a live vertex v of least live degree
     and either takes each edge from v to a live neighbour w in turn, or
-    drops v.  When v has one live neighbour w, the search takes vw: if w
-    ends a chosen edge wx instead, swapping wx for vw rules out no more.
-    Then the only other case is that neither v nor w ends a chosen edge,
-    which is worth trying only when vw rules out some other live vertex.
-    A node is pruned when even pairing off every live vertex cannot beat
-    the incumbent.
+    drops v.  A matching (reach[v] == 1 << v) never drops v: if a largest
+    matching leaves v unmatched, its neighbour u is matched to some x, or
+    uv could be added, and swapping ux for uv keeps the size.  When v has
+    one live neighbour w, the search takes vw: if w ends a chosen edge wx
+    instead, swapping wx for vw rules out no more.  Then the only other
+    case is that neither v nor w ends a chosen edge, which is worth trying
+    only when vw rules out two other live vertices, so when w has two live
+    neighbours besides v in an induced matching, and never in a matching.
+    If w has at most one other, x, at most one edge of a largest induced
+    matching M meets {v, w, x}, since each such edge ends at x; swapping it
+    for vw keeps M induced and its size, and if none does, M + vw is
+    larger.  A node is pruned when even pairing off every live vertex
+    cannot beat the incumbent.
     """
     adj = g.neighbour_masks
     best = 0
@@ -166,10 +179,11 @@ def _largest_matching(g: Graph, reach: list[int]) -> int:
         for w in _bits(pick_nbrs):
             ruled = reach[pick] | reach[w]
             grow(live & ~ruled, size + 1)
-        if least > 1:
+        if least == 1:
+            if (live & ruled).bit_count() > 3:  # w has two other live neighbours
+                grow(live & ~((1 << pick) | pick_nbrs), size)
+        elif reach[pick] != 1 << pick:  # a largest matching matches v
             grow(live ^ (1 << pick), size)
-        elif live & ruled != (1 << pick) | pick_nbrs:  # ruled by the one edge vw
-            grow(live & ~((1 << pick) | pick_nbrs), size)
 
     grow((1 << g.vertex_count) - 1, 0)
     return best
