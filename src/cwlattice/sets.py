@@ -12,7 +12,13 @@ equal exactly when they hold the same points.
 
 Each base set is defined once, by a source of its masks; a MaskTable
 holds every set's masks at one n, and is the one place where a union's
-masks are ORed from its parts'.  This module is the only reader of the
+masks are ORed from its parts', in one pass over the parts (_or_masks).
+Masks are ints and never change, so tables share them: every depth of
+``ra-d`` takes its masks above the turn, and every depth of ``ra-b`` its
+one-bit masks, from one list built per call, and a union keeps a part's
+mask, or a part's inner dict of a depth no other part holds, as the same
+object.  So no code writes into a table it did not build: _or_masks ORs
+into dicts of its own only.  This module is the only reader of the
 masks, and decides every relation between sets with int operations:
 MaskTable.count sums a set's popcounts, parts_overlap finds a point two
 parts of a union share (the parts are disjoint when their counts add up
@@ -162,17 +168,32 @@ def _combine(op, xs: dict, ys: dict) -> dict:
 
 
 def _or_masks(tables: list[dict]) -> dict:
-    """The points of all the tables, ORed prefix by prefix: the smaller
-    tables folded into a copy of the largest.  A tuple set's depths are
-    ORed the same way, and no table passed in is changed."""
+    """The points of all the tables, ORed prefix by prefix in one pass: the
+    smaller tables folded into a copy of the largest.  A tuple set's depth
+    held by one table keeps that table's inner dict, the same object; a
+    depth two tables hold gets a dict of this call's own, a copy of the
+    larger inner dict with the smaller ORed into it.  No dict passed in is
+    written to, so the union may share inner dicts and masks with its
+    parts."""
     largest = max(tables, key=len)
     union = dict(largest)
+    made = set()  # the depths whose inner dict this call created
     for table in tables:
-        if table is not largest:
-            for key, mask in table.items():
-                held = union.get(key)
-                union[key] = mask if held is None else (
-                    _or_masks([held, mask]) if isinstance(mask, dict) else held | mask)
+        if table is largest:
+            continue
+        for key, mask in table.items():
+            held = union.get(key)
+            if held is None:
+                union[key] = mask
+            elif isinstance(mask, int):
+                union[key] = held | mask
+            else:
+                if key not in made or len(held) < len(mask):
+                    mask, held = sorted((held, mask), key=len)  # copy the larger
+                    held = union[key] = dict(held)
+                    made.add(key)
+                for r, bits in mask.items():
+                    held[r] = held.get(r, 0) | bits
     return union
 
 
@@ -207,10 +228,13 @@ def _masks_ra_a(n: int) -> dict:
 
 
 def _masks_ra_b(n: int) -> dict:
-    # one point per mask, since r = d; n < a + 2d is d > (n - a) // 2
+    """One point per mask, since r = d, so the mask of (a, d) is 1 << d;
+    n < a + 2d is d > (n - a) // 2.  The masks come from one list of 1 << d
+    built per call, so every depth's mask of d is the same int object."""
     top = (n - 1) // 2
-    return {a: {d: 1 << d for d in range(max(a, (n - a) // 2 + 1), top + 1)}
-            for a in range(3, top + 1)}
+    bits = [1 << d for d in range(top + 1)]
+    return {a: dict(enumerate(bits[lo:], lo))
+            for a in range(3, top + 1) for lo in [max(a, (n - a) // 2 + 1)]}
 
 
 def _masks_ra_c(n: int) -> dict:
@@ -225,16 +249,22 @@ def _masks_ra_d(n: int) -> dict:
     max(r + 1, n - a - r + 2) .. n - r - 1.  The max turns at
     r = (n - a + 2) // 2: below the turn the low end is n - a - r + 2, from
     it on r + 1.  So each depth a splits its r range a + 1 .. floor(n/2) - 1
-    at the turn, raised to a + 1 (a >= 3 keeps it at most floor(n/2)), into
-    two comprehensions, and no mask calls max().  A naive scan of the full
-    cube [1, n]^3 gives the same set (checked in the test suite)."""
+    at the turn, raised to a + 1 (a >= 3 keeps it at most floor(n/2)), and no
+    mask calls max().  From the turn on the mask, bits r + 1 .. n - r - 1,
+    depends on r alone: those masks come from one list built per call, so
+    every depth's mask of r above its turn is the same int object.  Below
+    the turn the bits n - a - r + 2 .. n - r - 1 are a run of a - 2 ones,
+    shifted.  A naive scan of the full cube [1, n]^3 gives the same set
+    (checked in the test suite)."""
     half, top = n // 2, n - 1
+    upper = [(2 << (top - r)) - (2 << r) for r in range(half)]
     table = {}
     for a in range(3, half - 1):
         below = n - a + 2  # the low end below the turn is below - r
         turn = max(below // 2, a + 1)
-        inner = table[a] = {r: (2 << (top - r)) - (1 << (below - r)) for r in range(a + 1, turn)}
-        inner.update({r: (2 << (top - r)) - (2 << r) for r in range(turn, half)})
+        run = (1 << (a - 2)) - 1
+        inner = table[a] = {r: run << (below - r) for r in range(a + 1, turn)}
+        inner.update(enumerate(upper[turn:], turn))
     return table
 
 

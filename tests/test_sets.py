@@ -170,21 +170,60 @@ def test_ra_d_matches_full_cube_scan(n):
     assert enumerate_ra_d(n) == sorted(naive_ra_d(n))
 
 
-@pytest.mark.parametrize("n", range(5, 151))
+# the census cap's last n, one per residue mod 6
+CAP_RANGE = range(295, 301)
+
+
+@pytest.mark.parametrize("n", [*range(5, 151), *CAP_RANGE])
 def test_ra_d_rows_split_at_the_turn_equal_the_per_row_max(n):
     # the masks split at each depth's turn (n - a + 2) // 2 are the per-row
-    # max() form, to n = 150, past the cube scan's n = 36, and so are the
-    # points enumerated from them
+    # max() form, to n = 150 and at the census cap, past the cube scan's
+    # n = 36, and so are the points enumerated from them
     half = n // 2
     rows = [((a, r), max(r + 1, n - a - r + 2), n - r - 1)
             for a in range(3, half - 1)
             for r in range(a + 1, half)]
-    assert sets._masks_ra_d(n) == {
-        a: {r: (2 << hi) - (1 << lo) for (depth, r), lo, hi in rows if depth == a}
-        for a in range(3, half - 1)
-    }
+    masks = {}
+    for (a, r), lo, hi in rows:
+        masks.setdefault(a, {})[r] = (2 << hi) - (1 << lo)
+    assert sets._masks_ra_d(n) == masks
     assert enumerate_ra_d(n) == [(a, r, d, d) for (a, r), lo, hi in rows
                                  for d in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("n", CAP_RANGE)
+def test_ra_b_masks_at_the_cap_equal_the_naive_scan(n):
+    naive = {}
+    for a, r, d, _ in naive_ra_b(n):
+        naive.setdefault(a, {})[r] = naive.get(a, {}).get(r, 0) | 1 << d
+    assert sets._masks_ra_b(n) == naive
+
+
+@pytest.mark.parametrize("n", [*range(5, 41), *CAP_RANGE])
+def test_building_the_unions_leaves_every_part_as_its_source_built_it(n):
+    # a union shares inner dicts and masks with its parts, so an OR written
+    # into a shared dict would change a part
+    table = sets.MaskTable(n)
+    table[NamedSet.RA], table[NamedSet.CWDD]
+    for union, parts in sets.UNION_PARTS.items():
+        for part in parts:
+            assert table[part] == sets.MASK_SOURCES[part](n), (part, n)
+
+
+@pytest.mark.parametrize("n", [10, 11, 40, 41])
+def test_or_masks_writes_into_no_table_passed_in(n):
+    # the planted points of the census fault tests: a new last depth, and
+    # ra-d's first depth grown, once by a new r and once at an r it holds
+    parts = [sets.MASK_SOURCES[part](n) for part in sets.UNION_PARTS[NamedSet.RA]]
+    first = min(parts[3])
+    tables = [{n: {1: 1 << n}}, *parts, {first: {1: 1 << n}},
+              {first: {first + 1: 1 << n}}, {first: dict(parts[3].get(first, {}))}]
+    before = [{a: dict(inner) for a, inner in table.items()} for table in tables]
+    union = sets._or_masks(tables)
+    assert tables == before
+    assert all(mask for inner in union.values() for mask in inner.values())
+    assert {p for points in sets._points(union) for p in points} == {
+        p for table in tables for points in sets._points(table) for p in points}
 
 
 def test_cw_sets_empty_below_five():
