@@ -25,7 +25,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import sets
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .formulas import SIZE_BY_SET, sandwich_bounds_cwdd, size_cwdd
 from .sets import NamedSet
 
@@ -205,7 +205,7 @@ def check(name: str, n: int) -> Failure | None:
     """Run the named entry of CHECKS at n on freshly built masks: None when
     it holds, else its Failure.  Raises DomainError for an unknown name or
     an n below the check's first n, and TypeError unless n is an int."""
-    sets._require_int(n)
+    require_int(n)
     if name not in CHECKS:
         raise DomainError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
     if n < CHECKS[name].first_n:

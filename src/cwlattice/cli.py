@@ -13,9 +13,8 @@ Their strings are escaped by the C function json.dumps(str) calls.
 main() parses argv once.  When argv[0] names a subcommand, argv[1:] goes
 straight to that subcommand's parser: the top-level parser would only have
 found the word and handed it every later token unchanged, and that pass
-cost more than the subcommand's own parse (a recognize argv took 43 µs
-through both, 18 µs through its own parser alone; timeit best, Python
-3.11.7, 2-core machine).  Any other argv goes to the top-level parser.
+cost more than the subcommand's own parse.  Any other argv goes to the
+top-level parser.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .graphs import (
     RealizationKind,
     build_graph,
     edge_ideal_generators,
-    format_edge_list,
     induced_matching_number,
     matching_number,
     not_cw_reason,
@@ -103,8 +101,9 @@ def _write_json(handle, frame: list[str], items, arity: int) -> None:
 def _read_input(path: str) -> str:
     """The UTF-8 text of path, less one leading byte-order mark, refused
     past INPUT_BYTE_LIMIT bytes.  It is read in 64 KiB blocks, no more than
-    one block past the limit: a single read of the limit would allocate a
-    buffer that large even for a small file."""
+    one block past the limit.  A single read of the limit and one byte
+    would hold no more memory, and less on a large file, but the blocks are
+    faster on the small files that recognize and ideal mostly read."""
     block = 1 << 16
     with open(path, "rb") as handle:
         blocks = iter(functools.partial(handle.read, block), b"")
@@ -112,6 +111,17 @@ def _read_input(path: str) -> str:
     if len(data) > INPUT_BYTE_LIMIT:
         raise DomainError(f"{path} is over the input limit of {INPUT_BYTE_LIMIT} bytes")
     return data.decode("utf-8-sig")
+
+
+def _write_edges(graph, names: list[str], frame: list[str] | None) -> None:
+    """Write the labelled graph's edge-ideal generators to stdout: in JSON
+    through _write_json in frame, or, with no frame, one "a b" line each.
+    The lines are written as they are made, never joined into one text."""
+    edges = edge_ideal_generators(graph, names)
+    if frame is None:
+        sys.stdout.writelines(f"{a} {b}\n" for a, b in edges)
+    else:
+        _write_json(sys.stdout, frame, (map(_json_str, edge) for edge in edges), 2)
 
 
 def _frac_json(value: Fraction) -> dict[str, int]:
@@ -213,31 +223,20 @@ def cmd_realize(args: argparse.Namespace) -> int:
         )
         return 3
     cw = result.structure
-    if args.emit_graph:
-        if cw.edge_count > EMIT_EDGE_LIMIT:
-            raise DomainError(f"the graph has {cw.edge_count} edges, over the --emit-graph "
-                              f"limit of {EMIT_EDGE_LIMIT}")
-        edges = edge_ideal_generators(build_graph(cw), structure_vertex_names(cw))
-    if args.format == "json":
-        payload = {
-            "kind": result.kind.value,
-            "n": cw.vertex_count,
-            "m": cw.m,
-            "p": cw.p,
-            "s": list(cw.s),
-            "t": list(cw.t),
-        }
-        if args.emit_graph:
-            payload["edges"] = []
-            _write_json(sys.stdout, _json_frame(payload), (map(_json_str, e) for e in edges), 2)
-        else:
-            print(json.dumps(payload, indent=2))
-    else:
+    if args.emit_graph and cw.edge_count > EMIT_EDGE_LIMIT:
+        raise DomainError(f"the graph has {cw.edge_count} edges, over the --emit-graph "
+                          f"limit of {EMIT_EDGE_LIMIT}")
+    payload = {"kind": result.kind.value, "n": cw.vertex_count, "m": cw.m, "p": cw.p,
+               "s": list(cw.s), "t": list(cw.t)}
+    if args.format == "text":
         s_txt = ",".join(str(x) for x in cw.s)
         t_txt = ",".join(str(x) for x in cw.t)
         print(f"m={cw.m} p={cw.p} s={s_txt} t={t_txt}")
-        if args.emit_graph:
-            sys.stdout.writelines(f"{a} {b}\n" for a, b in edges)
+    elif not args.emit_graph:
+        print(json.dumps(payload, indent=2))
+    if args.emit_graph:
+        frame = _json_frame({**payload, "edges": []}) if args.format == "json" else None
+        _write_edges(build_graph(cw), structure_vertex_names(cw), frame)
     return 0
 
 
@@ -259,11 +258,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 
 def cmd_ideal(args: argparse.Namespace) -> int:
     graph, names = parse_edge_list(_read_input(args.input))
-    if args.format == "json":
-        generators = edge_ideal_generators(graph, names)
-        _write_json(sys.stdout, IDEAL_FRAME, (map(_json_str, g) for g in generators), 2)
-    else:
-        sys.stdout.write(format_edge_list(graph, names))
+    _write_edges(graph, names, IDEAL_FRAME if args.format == "json" else None)
     return 0
 
 
@@ -339,23 +334,16 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     return parser, sub.choices
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The cwlattice command-line parser, built afresh."""
-    return _build_parsers()[0]
-
-
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parsers, built on the first call of main() and then reused."""
-    return _build_parsers()
+# the parsers, built on the first call of main() and then reused
+_parsers = functools.cache(_build_parsers)
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), parsing argv once.  The subcommand is
-    the top-level parser's one positional argument: it takes every token
-    after the subcommand's name, "--" and option-like ones included, and
-    hands them unchanged to that subcommand's parser, which is called here
-    directly.  Any other argv goes to the top-level parser."""
+    """The top-level parser's parse_args(argv), parsing argv once.  The
+    subcommand is that parser's one positional argument: it takes every
+    token after the subcommand's name, "--" and option-like ones included,
+    and hands them unchanged to that subcommand's parser, which is called
+    here directly.  Any other argv goes to the top-level parser."""
     parser, subcommands = _parsers()
     if argv and argv[0] in subcommands:
         return subcommands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the int check that
+raises one of the standard ones."""
+
+
+def require_int(value: int, name: str = "n") -> None:
+    """Raise TypeError unless value is an int; name is what the message calls it."""
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 class DomainError(ValueError):

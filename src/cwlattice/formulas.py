@@ -32,8 +32,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InternalInconsistencyError
-from .sets import FIRST_N, NamedSet, _require_defined, _require_int
+from .errors import DomainError, InternalInconsistencyError, require_int
+from .sets import FIRST_N, NamedSet, _require_defined
 
 
 ResidueTable = tuple[tuple[int, int, int, int, int], ...]
@@ -80,7 +80,7 @@ def _closed_form(set_id: NamedSet, first: int | None = None,
 
         @functools.wraps(named)
         def size(n: int) -> int:
-            _require_int(n)
+            require_int(n)
             if n < first:
                 _require_defined(set_id, n)
                 return 0
@@ -304,7 +304,7 @@ def sandwich_bounds_cwdd(n: int) -> tuple[Fraction, Fraction]:
     fractions ((n-3)^2 + 3)/6 and ((n-3)^2 + 14)/6, since 1/2 = 3/6 and
     7/3 = 14/6; each is built as one Fraction, with no Fraction addition.
     """
-    _require_int(n)
+    require_int(n)
     if n <= 5:
         raise DomainError(f"sandwich bounds are defined only for n > 5, got {n}")
     s = (n - 3) ** 2
@@ -327,7 +327,7 @@ def ratio_report(n: int) -> RatioReport:
     As n grows the first two tend to the envelope ends 1/3 and 4/9 and the
     third tends to 1/6.  Callers render decimals; nothing is rounded here.
     """
-    _require_int(n)
+    require_int(n)
     if n <= 5:
         raise DomainError(f"ratio report is defined only for n > 5, got {n}")
     cw = size_cwdd(n)

@@ -13,12 +13,13 @@ the Cameron-Walker property, emits edge-ideal generators, and realizes
 achievable (depth, dim) lattice points as skeletons.
 
 Every graph algorithm here reads one table per graph,
-``Graph.neighbour_masks``: bit w of entry v is set when vw is an edge,
-and a vertex's degree is its entry's bit count.  Connectivity is a flood
-fill over it.  A star K_{1,r} (r >= 0, so K_1 counts) is decided by
-degrees alone: n - 1 edges and a vertex of degree n - 1.  So is a star
-triangle: n >= 3, one vertex of degree n - 1 and every other vertex of
-degree 2, so the edges avoiding the centre form a perfect matching.
+``Graph.neighbour_masks``, built with the graph: bit w of entry v is set
+when vw is an edge, and a vertex's degree is its entry's bit count.
+Connectivity is a flood fill over it.  A star K_{1,r} (r >= 0, so K_1
+counts) is decided by degrees alone: n - 1 edges and a vertex of degree
+n - 1.  So is a star triangle: n >= 3, one vertex of degree n - 1 and
+every other vertex of degree 2, so the edges avoiding the centre form a
+perfect matching.
 
 Both matching numbers come from one exact branch and bound on bitmasks;
 they differ only in what a chosen edge rules out.  A table ``reach``
@@ -26,34 +27,20 @@ holds, for each vertex v, ``1 << v`` for the matching number and v's
 closed neighbourhood for the induced matching number, and taking vw
 rules out ``reach[v] | reach[w]``.  A live vertex of least live degree
 is matched to each live neighbour or dropped, pruned when the live
-vertices cannot add enough pairs to beat the best so far.  Two exchange
-rules skip branches that cannot hold the only optimum.  For a matching,
-the picked vertex v is never dropped: if a largest matching left v
-unmatched, a live neighbour u is matched to some x (or uv could be
-added), and swapping ux for uv keeps the size.  A vertex v with one live neighbour w is
-matched to it (if w ends a chosen edge wx instead, swapping wx for vw
-rules out no more); dropping both v and w is tried too, but only when w
-has two live neighbours besides v, so never for a matching.  If w has at
-most one other, x, every edge of a largest induced matching meeting v, w
-or x ends at x; swapping that one edge for vw keeps the matching induced
-and its size, and with none, vw can be added.  The search is capped at
-MAX_BRUTE_FORCE_EDGES edges; beyond the cap a GraphTooLargeError asks
-the caller to shrink the instance.
+vertices cannot add enough pairs to beat the best so far, and two
+exchange rules, proved in _largest_matching, skip branches that cannot
+hold the only optimum.  The search is capped at MAX_BRUTE_FORCE_EDGES
+edges; beyond the cap a GraphTooLargeError asks the caller to shrink the
+instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
-from .errors import (
-    ArityMismatchError,
-    DomainError,
-    EdgeListParseError,
-    GraphTooLargeError,
-)
-from .sets import _require_int
+from .errors import (ArityMismatchError, DomainError, EdgeListParseError, GraphTooLargeError,
+                     require_int)
 
 MAX_BRUTE_FORCE_EDGES = 32
 
@@ -64,6 +51,10 @@ class Graph:
 
     Edges are stored as (u, v) with u < v; loops and multi-edges cannot be
     represented.  Vertices are 0 .. vertex_count - 1.
+
+    neighbour_masks is built while the edges are checked: bit w of entry v
+    is set when vw is an edge.  It is not a field, so equality, hashing and
+    repr ignore it.
     """
 
     vertex_count: int
@@ -72,9 +63,13 @@ class Graph:
     def __post_init__(self):
         if self.vertex_count < 1:
             raise ValueError("a graph needs at least one vertex")
+        masks = [0] * self.vertex_count
         for u, v in self.edges:
             if not 0 <= u < v < self.vertex_count:
                 raise ValueError(f"bad edge ({u}, {v}) for {self.vertex_count} vertices")
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        object.__setattr__(self, "neighbour_masks", tuple(masks))
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges) -> "Graph":
@@ -86,16 +81,6 @@ class Graph:
                 raise ValueError(f"loop edge at vertex {u}")
             normalized.add((u, v) if u < v else (v, u))
         return cls(vertex_count=vertex_count, edges=frozenset(normalized))
-
-    @cached_property
-    def neighbour_masks(self) -> tuple[int, ...]:
-        """Bit w of entry v is set when vw is an edge.  Built on first use
-        and kept; it is not a field, so equality, hashing and repr ignore it."""
-        masks = [0] * self.vertex_count
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
 
 
 def _bits(mask: int):
@@ -305,7 +290,8 @@ def build_graph(cw: CwStructure) -> Graph:
     connected core would do; the complete one guarantees connectivity with
     no case analysis).  Vertex labels: u-vertices 0..m-1, v-vertices
     m..m+p-1, then the leaves grouped by u_i in index order, then the
-    triangle vertex pairs grouped by v_j.
+    triangle vertex pairs grouped by v_j.  Each edge is built as (u, v)
+    with u < v, once, so the Graph takes the edges as they are.
     """
     m, p = cw.m, cw.p
     edges: list[tuple[int, int]] = [(ui, vj) for ui in range(m) for vj in range(m, m + p)]
@@ -320,7 +306,7 @@ def build_graph(cw: CwStructure) -> Graph:
             w0, w1 = nxt, nxt + 1
             edges.extend([(vj, w0), (vj, w1), (w0, w1)])
             nxt += 2
-    return Graph.from_edges(nxt, edges)
+    return Graph(nxt, frozenset(edges))
 
 
 def structure_vertex_names(cw: CwStructure) -> list[str]:
@@ -387,13 +373,17 @@ def realize(n: int, point: tuple[int, int]) -> RealizationResult:
     diagonal (Cohen-Macaulay) skeleton is returned.  Any other point,
     including the whole staircase block, is reported unsupported: no
     structural characterization of its realizing graphs is implemented.
+    Raises TypeError unless n, depth and dim are ints, DomainError for
+    n < 5 and ArityMismatchError unless point is a pair.
     """
-    _require_int(n)
+    require_int(n)
     if n < 5:
         raise DomainError(f"realization needs n >= 5, got {n}")
     if len(point) != 2:
         raise ArityMismatchError(f"expected a (depth, dim) pair, got {point!r}")
     a, b = point
+    require_int(a, "depth")
+    require_int(b, "dim")
     if a == b and 3 * b > n and 2 * b < n:
         m, p = 3 * b - n, n - 2 * b
         return RealizationResult(

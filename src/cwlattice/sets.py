@@ -78,7 +78,7 @@ from enum import Enum, unique
 from functools import reduce
 from itertools import chain, combinations
 
-from .errors import ArityMismatchError, DomainError
+from .errors import ArityMismatchError, DomainError, require_int
 
 Point2 = tuple[int, int]
 Point4 = tuple[int, int, int, int]
@@ -129,11 +129,6 @@ def _require_defined(set_id: NamedSet, n: int) -> None:
 # ---------------------------------------------------------------------------
 # masks and their points
 # ---------------------------------------------------------------------------
-
-def _require_int(n: int) -> None:
-    if not isinstance(n, int):
-        raise TypeError(f"n must be an int, got {n!r}")
-
 
 def _runs(mask: int) -> list[tuple[int, int]]:
     """The runs of set bits of a non-zero mask, lowest first, as (lo, hi)."""
@@ -393,7 +388,7 @@ def points_by_depth(set_id: NamedSet, n: int):
     ascending depth, listed as they are asked for.  The set's masks are
     built by the call, so it raises TypeError unless n is an int and
     DomainError where the set is undefined (see FIRST_N)."""
-    _require_int(n)
+    require_int(n)
     return _points(MaskTable(n)[set_id])
 
 
@@ -532,7 +527,7 @@ def contains(set_id: NamedSet, n: int, point: tuple[int, ...]) -> bool:
     match the set, TypeError when n or a coordinate is not an int, and
     DomainError where the set is undefined (see FIRST_N).
     """
-    _require_int(n)
+    require_int(n)
     if len(point) != set_id.arity:
         raise ArityMismatchError(
             f"{set_id.value} expects {set_id.arity}-coordinate points, "

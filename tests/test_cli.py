@@ -138,10 +138,10 @@ def test_a_subcommand_argv_skips_the_top_level_parser(capsys, monkeypatch):
 
 
 def test_any_other_argv_goes_to_the_top_level_parser(capsys, monkeypatch):
-    # the same exit code and bytes as build_parser().parse_args
+    # the same exit code and bytes as the top-level parser's parse_args
     for argv, code in [((), 2), (("--version",), 0), (("-h",), 0), (("bogus",), 2)]:
         with pytest.raises(SystemExit) as exc:
-            cli.build_parser().parse_args(list(argv))
+            cli._build_parsers()[0].parse_args(list(argv))
         expected = (exc.value.code, *capsys.readouterr())
         assert run_cli(capsys, *argv) == expected and expected[0] == code, argv
         shows_usage = "usage: cwlattice [-h] [--version]" in "".join(expected[1:])

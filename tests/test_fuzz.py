@@ -15,9 +15,10 @@ directory.  The small integers keep every accepted command cheap; the
 large ones reach the guards, which refuse them before any work.
 ``census`` is also offered ``--force``, which no parser accepts, so an
 example that holds it exits 2 unless it asks for help or the version.
-The parse of ``main`` is compared with ``build_parser().parse_args`` on
-these argvs and on them with ``--fo``, ``--ver``, ``--``, ``-h`` or
-``cen`` put in anywhere; that test parses only and runs no command.
+The parse of ``main`` is compared with the top-level parser's
+``parse_args`` on these argvs and on them with ``--fo``, ``--ver``,
+``--``, ``-h`` or ``cen`` put in anywhere; that test parses only and
+runs no command.
 """
 
 import contextlib
@@ -198,7 +199,7 @@ def _inserted(drawn):
 
 DISPATCH_ARGV = st.tuples(ARGV, st.lists(st.tuples(st.integers(0, 8), ODD_TOKENS),
                                          max_size=3)).map(_inserted)
-TOP_LEVEL = cli.build_parser()
+TOP_LEVEL = cli._build_parsers()[0]
 
 
 @settings(max_examples=300, deadline=None)

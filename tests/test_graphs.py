@@ -1,7 +1,10 @@
 """Graph machinery tests: matching brute force, recognition, realization."""
 
+import ast
+import dataclasses
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +121,36 @@ def test_from_edges_rejects_loops_and_bad_vertices():
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
         Graph(vertex_count=0, edges=frozenset())
+
+
+def test_neighbour_masks_are_built_with_the_graph_and_are_not_a_field():
+    g = Graph(4, frozenset({(0, 1), (1, 2), (1, 3)}))
+    assert vars(g)["neighbour_masks"] == (0b0010, 0b1101, 0b0010, 0b0010)
+    assert "neighbour_masks" not in {field.name for field in dataclasses.fields(Graph)}
+    assert "neighbour_masks" not in repr(g)
+    twin = Graph.from_edges(4, [(3, 1), (2, 1), (1, 0)])
+    assert twin == g and hash(twin) == hash(g)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.neighbour_masks = ()
+    assert Graph(3, frozenset()).neighbour_masks == (0, 0, 0)
+
+
+def test_graphs_imports_only_errors_and_private_require_int_is_gone():
+    # the graph half stays independent of the lattice half: graphs.py takes
+    # nothing from the package but errors, whose int check every module shares
+    package = Path(graphs.__file__).parent
+    tree = ast.parse((package / "graphs.py").read_text("utf-8"))
+    imported = [(node.level, node.module) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"]
+    assert [module for level, module in imported if level] == ["errors"]
+    assert all(level or not module.startswith("cwlattice") for level, module in imported)
+    assert not any(isinstance(node, ast.Import) and any(
+        alias.name.startswith("cwlattice") for alias in node.names) for node in ast.walk(tree))
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            # a def's and an imported alias's name, a Name's id, an attribute
+            names = {getattr(node, key, None) for key in ("name", "id", "attr")}
+            assert "_require_int" not in names, (path.name, getattr(node, "lineno", None))
 
 
 def test_connectivity():
@@ -551,6 +584,17 @@ def test_realize_unsupported_and_errors():
         realize(4, (2, 2))
     with pytest.raises(ArityMismatchError):
         realize(10, (2, 8, 8))
+
+
+def test_realize_rejects_non_int_depth_and_dim():
+    # (2.0, 3.0) once realized the depth2_dim_half skeleton at n = 7, and
+    # (4, 4.0) failed deep inside on a float; both are refused up front
+    with pytest.raises(TypeError, match="depth must be an int, got 2.0"):
+        realize(7, (2.0, 3.0))
+    with pytest.raises(TypeError, match="dim must be an int, got 4.0"):
+        realize(10, (4, 4.0))
+    with pytest.raises(TypeError, match="n must be an int"):
+        realize(10.0, (4, 4))
 
 
 def test_diagonal_window_is_exactly_component_b():
