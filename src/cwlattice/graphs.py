@@ -13,7 +13,7 @@ the Cameron-Walker property, emits edge-ideal generators, and realizes
 achievable (depth, dim) lattice points as skeletons.
 
 Every graph algorithm here reads one table per graph,
-``Graph.neighbour_masks``, built with the graph: bit w of entry v is set
+``Graph.neighbour_masks``, built on first use: bit w of entry v is set
 when vw is an edge, and a vertex's degree is its entry's bit count.
 Connectivity is a flood fill over it.  A star K_{1,r} (r >= 0, so K_1
 counts) is decided by degrees alone: n - 1 edges and a vertex of degree
@@ -27,7 +27,7 @@ holds, for each vertex v, ``1 << v`` for the matching number and v's
 closed neighbourhood for the induced matching number, and taking vw
 rules out ``reach[v] | reach[w]``.  A live vertex of least live degree
 is matched to each live neighbour or dropped, pruned when the live
-vertices cannot add enough pairs to beat the best so far, and two
+vertices cannot add enough pairs to beat the best so far, and three
 exchange rules, proved in _largest_matching, skip branches that cannot
 hold the only optimum.  The search is capped at MAX_BRUTE_FORCE_EDGES
 edges; beyond the cap a GraphTooLargeError asks the caller to shrink the
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import (ArityMismatchError, DomainError, EdgeListParseError, GraphTooLargeError,
                      require_int)
@@ -52,9 +53,11 @@ class Graph:
     Edges are stored as (u, v) with u < v; loops and multi-edges cannot be
     represented.  Vertices are 0 .. vertex_count - 1.
 
-    neighbour_masks is built while the edges are checked: bit w of entry v
-    is set when vw is an edge.  It is not a field, so equality, hashing and
-    repr ignore it.
+    neighbour_masks is built on first use, by the first graph algorithm
+    run on the graph, and kept: bit w of entry v is set when vw is an edge.
+    A graph that is only written out, as by ideal or realize --emit-graph,
+    never builds it.  It is not a field, so equality, hashing and repr
+    ignore it.
     """
 
     vertex_count: int
@@ -63,13 +66,18 @@ class Graph:
     def __post_init__(self):
         if self.vertex_count < 1:
             raise ValueError("a graph needs at least one vertex")
-        masks = [0] * self.vertex_count
         for u, v in self.edges:
             if not 0 <= u < v < self.vertex_count:
                 raise ValueError(f"bad edge ({u}, {v}) for {self.vertex_count} vertices")
+
+    @cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """Bit w of entry v is set when vw is an edge."""
+        masks = [0] * self.vertex_count
+        for u, v in self.edges:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        object.__setattr__(self, "neighbour_masks", tuple(masks))
+        return tuple(masks)
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges) -> "Graph":
@@ -123,28 +131,45 @@ def _largest_matching(g: Graph, reach: list[int]) -> int:
     Branch and bound over a bitmask of live vertices, those that may still
     end a chosen edge.  A node picks a live vertex v of least live degree
     and either takes each edge from v to a live neighbour w in turn, or
-    drops v.  A matching (reach[v] == 1 << v) never drops v: if a largest
-    matching leaves v unmatched, its neighbour u is matched to some x, or
-    uv could be added, and swapping ux for uv keeps the size.  When v has
-    one live neighbour w, the search takes vw: if w ends a chosen edge wx
-    instead, swapping wx for vw rules out no more.  Then the only other
-    case is that neither v nor w ends a chosen edge, which is worth trying
-    only when vw rules out two other live vertices, so when w has two live
-    neighbours besides v in an induced matching, and never in a matching.
-    If w has at most one other, x, at most one edge of a largest induced
-    matching M meets {v, w, x}, since each such edge ends at x; swapping it
-    for vw keeps M induced and its size, and if none does, M + vw is
-    larger.  A node is pruned when even pairing off every live vertex
-    cannot beat the incumbent.
+    drops v.  A node is pruned when even pairing off every live vertex
+    cannot beat the incumbent, both before and after the scan for v drops
+    the live vertices with no live neighbour.  Three exchange rules skip
+    branches that cannot hold the only optimum.
+
+    A matching (reach[v] == 1 << v) never drops v: if a largest matching
+    leaves v unmatched, its neighbour u is matched to some x, or uv could
+    be added, and swapping ux for uv keeps the size.
+
+    When v has one live neighbour w, the search takes vw: if w ends a
+    chosen edge wx instead, swapping wx for vw rules out no more.  Then the
+    only other case is that neither v nor w ends a chosen edge, which is
+    worth trying only when vw rules out two other live vertices, so when w
+    has two live neighbours besides v in an induced matching, and never in
+    a matching.  If w has at most one other, x, at most one edge of a
+    largest induced matching M meets {v, w, x}, since each such edge ends
+    at x; swapping it for vw keeps M induced and its size, and if none
+    does, M + vw is larger.
+
+    When v has two live neighbours, w and z, and w's are v and z, the
+    three form a pendant triangle, and the search takes vw and nothing
+    else: it neither takes vz nor drops v, in either search.  The only live
+    vertices joined to v or w are v, w and z, so a chosen edge other than
+    vw meets {v, w, z} only at z, and a largest matching M of either kind
+    without vw has at most one edge meeting {v, w, z}.  Swapping that edge
+    for vw keeps M a matching of its kind and its size, however many other
+    neighbours z has, and if there is none, M + vw is larger.
     """
     adj = g.neighbour_masks
+    n = g.vertex_count  # more than any degree
     best = 0
 
     def grow(live: int, size: int) -> None:
         nonlocal best
         if size > best:
             best = size
-        pick, pick_nbrs, least = -1, 0, 0
+        elif size + live.bit_count() // 2 <= best:
+            return  # pruned before the scan, which only shrinks live
+        pick, pick_nbrs, least = -1, 0, n
         scan = live
         while scan:
             low = scan & -scan
@@ -155,22 +180,33 @@ def _largest_matching(g: Graph, reach: list[int]) -> int:
                 live ^= low  # no live neighbour left: it ends no chosen edge
                 continue
             degree = nbrs.bit_count()
-            if pick < 0 or degree < least:
+            if degree < least:
                 pick, pick_nbrs, least = v, nbrs, degree
                 if degree == 1:
                     break
         if pick < 0 or size + live.bit_count() // 2 <= best:
             return
+        triangle = False
+        if least == 2:
+            low = pick_nbrs & -pick_nbrs
+            low_nbrs = adj[low.bit_length() - 1] & live
+            if low_nbrs & pick_nbrs:  # v and its two live neighbours form a triangle
+                high = pick_nbrs ^ low
+                # pendant at the third when one of the two has no other live neighbour
+                if low_nbrs.bit_count() == 2:
+                    pick_nbrs, triangle = low, True
+                elif (adj[high.bit_length() - 1] & live).bit_count() == 2:
+                    pick_nbrs, triangle = high, True
         for w in _bits(pick_nbrs):
             ruled = reach[pick] | reach[w]
             grow(live & ~ruled, size + 1)
         if least == 1:
             if (live & ruled).bit_count() > 3:  # w has two other live neighbours
                 grow(live & ~((1 << pick) | pick_nbrs), size)
-        elif reach[pick] != 1 << pick:  # a largest matching matches v
+        elif not triangle and reach[pick] != 1 << pick:  # a largest matching matches v
             grow(live ^ (1 << pick), size)
 
-    grow((1 << g.vertex_count) - 1, 0)
+    grow((1 << n) - 1, 0)
     return best
 
 

@@ -587,10 +587,12 @@ def test_readme_example_file(capsys):
     assert (DATA_DIR / "chorded-hexagon-ideal.txt").read_bytes().decode("utf-8") == ideal
 
 
-@pytest.mark.parametrize("name", ["chorded-hexagon", "cycle-31", "cw-skeleton", "triangles-23"])
+@pytest.mark.parametrize("name", ["chorded-hexagon", "cycle-31", "cw-skeleton", "triangles-22",
+                                  "triangles-23"])
 def test_recognize_json_matches_the_golden_files(capsys, name):
-    # the JSON bytes; the 31-cycle and the 23-vertex skeleton with seven
-    # pendant triangles are the slowest searches near the 32-edge cap
+    # the JSON bytes; the 31-cycle and the skeletons with six and seven
+    # pendant triangles (22 vertices and 32 edges, 23 vertices and 29) are
+    # among the slowest searches near the 32-edge cap
     expected = (DATA_DIR / f"{name}.json").read_bytes().decode("utf-8")
     assert run_cli(capsys, "recognize", "--input", str(DATA_DIR / f"{name}.edges"),
                    "--format", "json") == (0, expected, "")

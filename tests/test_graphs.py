@@ -123,9 +123,11 @@ def test_from_edges_rejects_loops_and_bad_vertices():
         Graph(vertex_count=0, edges=frozenset())
 
 
-def test_neighbour_masks_are_built_with_the_graph_and_are_not_a_field():
+def test_neighbour_masks_are_built_on_first_use_and_are_not_a_field():
     g = Graph(4, frozenset({(0, 1), (1, 2), (1, 3)}))
-    assert vars(g)["neighbour_masks"] == (0b0010, 0b1101, 0b0010, 0b0010)
+    assert "neighbour_masks" not in vars(g)
+    assert g.neighbour_masks == (0b0010, 0b1101, 0b0010, 0b0010)
+    assert vars(g)["neighbour_masks"] is g.neighbour_masks
     assert "neighbour_masks" not in {field.name for field in dataclasses.fields(Graph)}
     assert "neighbour_masks" not in repr(g)
     twin = Graph.from_edges(4, [(3, 1), (2, 1), (1, 0)])
@@ -133,6 +135,13 @@ def test_neighbour_masks_are_built_with_the_graph_and_are_not_a_field():
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.neighbour_masks = ()
     assert Graph(3, frozenset()).neighbour_masks == (0, 0, 0)
+    # writing a graph out, as ideal and realize --emit-graph do, builds none
+    parsed, names = parse_edge_list("a b\nb c\n")
+    cw = CwStructure(1, 1, (1,), (1,))
+    built = build_graph(cw)
+    format_edge_list(parsed, names)
+    format_edge_list(built, structure_vertex_names(cw))
+    assert "neighbour_masks" not in vars(parsed) and "neighbour_masks" not in vars(built)
 
 
 def test_graphs_imports_only_errors_and_private_require_int_is_gone():
@@ -248,6 +257,65 @@ def test_leaf_rule_examples():
     assert (matching_number(stars), induced_matching_number(stars)) == (8, 8)
 
 
+def test_pendant_triangle_rule_examples():
+    # v = 0 and w = 1 have live neighbourhoods {w, z} and {v, z}, z = 2: the
+    # search takes vw alone, in both searches
+    def numbers(edges):
+        g = Graph.from_edges(1 + max(v for e in edges for v in e), edges)
+        assert matching_number(g) == oracle_by_subsets(g, False)
+        assert induced_matching_number(g) == oracle_by_subsets(g, True)
+        return matching_number(g), induced_matching_number(g)
+
+    triangle = [(0, 1), (0, 2), (1, 2)]
+    assert numbers(triangle) == (1, 1)
+    # z has one other live neighbour, 3, which carries a second pendant
+    # triangle 3-4-5; no vertex is a leaf, so the search picks 0 first
+    assert numbers(triangle + [(2, 3), (3, 4), (3, 5), (4, 5)]) == (3, 2)
+    # three triangles in a chain, 0-1-2, 2-3-6 and 3-4-5: z has two other
+    # live neighbours, 3 and 6, and the largest induced matching {2-6, 4-5}
+    # matches z outward; swapping 2-6 for 0-1, which rules out only 0, 1
+    # and 2, keeps it induced
+    chain = triangle + [(2, 3), (2, 6), (3, 6), (3, 4), (3, 5), (4, 5)]
+    assert numbers(chain) == (3, 2)
+    outward = Graph.from_edges(7, [e for e in chain if not {0, 1, 2, 3, 6} & set(e)])
+    assert 1 + oracle_by_subsets(outward, True) == 2
+
+
+def _triangle_edges(rng):
+    """A random connected graph on at most 8 vertices and 1-4 pendant
+    triangles hung on its vertices, at most 32 edges, and the triangles."""
+    n = rng.randint(1, 8)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}  # a spanning tree
+    extra = sorted(set(combinations(range(n), 2)) - edges)
+    edges = sorted(edges | set(rng.sample(extra, rng.randint(0, min(len(extra), 12)))))
+    triangles = []
+    for _ in range(rng.randint(1, 4)):
+        z, v, w = rng.randrange(n), n + 2 * len(triangles), n + 2 * len(triangles) + 1
+        edges += [(z, v), (z, w), (v, w)]
+        triangles.append((v, w, z))
+    return edges, triangles
+
+
+def test_matching_numbers_match_the_subset_recursion_with_pendant_triangles():
+    rng = random.Random(2005)
+    for _ in range(300):
+        edges, triangles = _triangle_edges(rng)
+        n = 1 + max(v for e in edges for v in e)
+        label = rng.sample(range(n), n)  # so the search meets v, w and z in any order
+        g = Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+        assert len(g.edges) <= MAX_BRUTE_FORCE_EDGES
+        m, im = oracle_by_subsets(g, False), oracle_by_subsets(g, True)
+        assert (matching_number(g), induced_matching_number(g)) == (m, im), sorted(g.edges)
+        for v, w, z in triangles:
+            # the swap: some largest matching of either kind takes vw
+            ends = {label[v], label[w]}
+            rest = Graph(n, frozenset(e for e in g.edges if not ends & set(e)))
+            assert 1 + oracle_by_subsets(rest, False) == m
+            ends.add(label[z])
+            rest = Graph(n, frozenset(e for e in g.edges if not ends & set(e)))
+            assert 1 + oracle_by_subsets(rest, True) == im
+
+
 def _leafy_edges(rng):
     """The edges of a random forest, caterpillar or spider, at most 14."""
     shape = rng.choice(("forest", "caterpillar", "spider"))
@@ -308,8 +376,13 @@ def test_matching_numbers_match_the_subset_recursion_at_the_cap():
 
 
 def test_search_size_on_the_tail_shapes(monkeypatch):
-    # grow calls _bits once for each node it expands; without the two
-    # exchange rules these searches expand 487, 198 and 144 nodes
+    # grow calls _bits once for each node it expands.  Without the exchange
+    # rules the 23-vertex skeleton's matching search expands 487 nodes and
+    # the 31-cycle's and 33-path's induced searches 198 and 144.  Without
+    # the triangle rule the diagonal skeletons at n = 23, 20 and 22 expand
+    # 65, 33 and 34 nodes (matching) and 61, 24 and 10 (induced), and the
+    # triangle on a 29-cycle 32 (induced); a triangle rule that also tried
+    # dropping v and w when z has two other live neighbours would expand 30
     expanded = 0
     bits = graphs._bits
 
@@ -319,12 +392,19 @@ def test_search_size_on_the_tail_shapes(monkeypatch):
         return bits(mask)
 
     monkeypatch.setattr(graphs, "_bits", counting_bits)
-    skeleton = build_graph(realize(23, (8, 8)).structure)
     cycle = Graph.from_edges(31, [(i, (i + 1) % 31) for i in range(31)])
     path = Graph.from_edges(33, [(i, i + 1) for i in range(32)])
-    for number, g, value, most in [(matching_number, skeleton, 8, 65),
-                                   (induced_matching_number, cycle, 10, 27),
-                                   (induced_matching_number, path, 11, 11)]:
+    # v, w = 0, 1 come first, so the search picks v before any cycle vertex
+    triangle_on_cycle = Graph.from_edges(
+        31, [(0, 1), (0, 2), (1, 2)] + [(2 + i, 2 + (i + 1) % 29) for i in range(29)])
+    cases = [(induced_matching_number, cycle, 10, 27),
+             (induced_matching_number, path, 11, 11),
+             (induced_matching_number, triangle_on_cycle, 10, 10)]
+    for n, b, matching_most, induced_most in [(23, 8, 8, 12), (20, 7, 7, 10), (22, 8, 8, 10)]:
+        skeleton = build_graph(realize(n, (b, b)).structure)
+        cases += [(matching_number, skeleton, b, matching_most),
+                  (induced_matching_number, skeleton, b, induced_most)]
+    for number, g, value, most in cases:
         expanded = 0
         assert number(g) == value
         assert 0 < expanded <= most, (number.__name__, g.vertex_count, expanded)
