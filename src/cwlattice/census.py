@@ -78,20 +78,8 @@ class CensusReport:
     records: list[CensusRecord]
 
     @property
-    def pass_count(self) -> int:
-        return sum(1 for r in self.records if r.passed)
-
-    @property
-    def fail_count(self) -> int:
-        return len(self.records) - self.pass_count
-
-    @property
-    def first_failure(self) -> int | None:
-        return next((r.n for r in self.records if not r.passed), None)
-
-    @property
     def all_pass(self) -> bool:
-        return self.fail_count == 0
+        return all(r.passed for r in self.records)
 
     # -- serialization ------------------------------------------------------
 
@@ -106,6 +94,7 @@ class CensusReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        failed = [r.n for r in self.records if not r.passed]
         payload = {
             "family": self.family,
             "n_lo": self.records[0].n,
@@ -121,8 +110,8 @@ class CensusReport:
                 }
                 for r in self.records
             ],
-            "summary": {"pass": self.pass_count, "fail": self.fail_count},
-            "first_failure": self.first_failure,
+            "summary": {"pass": len(self.records) - len(failed), "fail": len(failed)},
+            "first_failure": failed[0] if failed else None,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

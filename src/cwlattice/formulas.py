@@ -63,28 +63,23 @@ def _evaluate(table: ResidueTable, n: int) -> int:
 SIZE_BY_SET: dict[NamedSet, Callable[[int], int]] = {}
 
 
-def _closed_form(set_id: NamedSet, first: int | None = None,
-                 body: Callable[[int], int] | None = None):
+def _closed_form(set_id: NamedSet, first: int | None = None):
     """Register the decorated size of set_id in SIZE_BY_SET.  The size
     raises TypeError unless n is an int; below first (by default the n from
     which FIRST_N defines the set) it raises DomainError where the set is
-    undefined and is 0 elsewhere; from first on it is the value of body, by
-    default the decorated function itself.  A size equal to another's takes
-    that one's plain body, so each call runs the int check and the domain
-    test once; its decorated function gives only the name and docstring."""
+    undefined and is 0 elsewhere; from first on it is the value of the
+    decorated function."""
     if first is None:
         first = FIRST_N[set_id]
 
-    def register(named: Callable[[int], int]) -> Callable[[int], int]:
-        value = body or named
-
-        @functools.wraps(named)
+    def register(body: Callable[[int], int]) -> Callable[[int], int]:
+        @functools.wraps(body)
         def size(n: int) -> int:
             require_int(n)
             if n < first:
                 _require_defined(set_id, n)
                 return 0
-            return value(n)
+            return body(n)
 
         SIZE_BY_SET[set_id] = size
         return size
@@ -158,9 +153,10 @@ def size_cwdd(n: int) -> int:
 # (depth, reg, dim, deg h) census sizes
 # ---------------------------------------------------------------------------
 
-@_closed_form(NamedSet.RA_A, 5, body=size_cwdd_a.__wrapped__)
+@_closed_form(NamedSet.RA_A, 5)
 def size_ra_a(n: int) -> int:
     """|ra-a|: same count as |cwdd-a| (the tuples project onto those pairs)."""
+    return size_cwdd_a(n)
 
 
 # (3k^2 + c1*k + c0) / 2 per residue i

@@ -230,15 +230,11 @@ def induced_matching_number(g: Graph) -> int:
 # recognition
 # ---------------------------------------------------------------------------
 
-def _degrees(g: Graph) -> list[int]:
-    return sorted(mask.bit_count() for mask in g.neighbour_masks)
-
-
 def is_star(g: Graph) -> bool:
     """True for K_{1,r}, r >= 0: n - 1 edges and a vertex adjacent to every
     other, which then lies on every edge.  K_1 is the star K_{1,0}."""
     n = g.vertex_count
-    return len(g.edges) == n - 1 and _degrees(g)[-1] == n - 1
+    return len(g.edges) == n - 1 and max(mask.bit_count() for mask in g.neighbour_masks) == n - 1
 
 
 def is_star_triangle(g: Graph) -> bool:
@@ -251,7 +247,7 @@ def is_star_triangle(g: Graph) -> bool:
     is the one-triangle case.
     """
     n = g.vertex_count
-    degrees = _degrees(g)
+    degrees = sorted(mask.bit_count() for mask in g.neighbour_masks)
     return n >= 3 and degrees[-1] == n - 1 and all(d == 2 for d in degrees[:-1])
 
 

@@ -40,9 +40,9 @@ def test_family_table_covers_twelve_sets():
 def test_small_census_all_pass():
     report = run_census(5, 60, "all")
     assert len(report.records) == 56
-    assert report.pass_count == 56
-    assert report.fail_count == 0
-    assert report.first_failure is None
+    payload = json.loads(report.to_json())
+    assert payload["summary"] == {"pass": 56, "fail": 0}
+    assert payload["first_failure"] is None
     assert report.all_pass
     assert [r.n for r in report.records] == list(range(5, 61))
 

@@ -17,6 +17,7 @@ from cwlattice import (NamedSet, __version__, build_graph, census, cli, edge_ide
                        not_cw_reason, parse_edge_list, realize, run_census, sets, size_cwdd_b,
                        size_ra, size_ra_d, structure_vertex_names)
 from cwlattice.cli import main
+from cwlattice.formulas import SIZE_BY_SET
 
 from conftest import CHORDED_HEXAGON_EDGES, first_mask
 
@@ -259,6 +260,39 @@ def test_enumerate_cwdd_b_at_the_largest_n_the_mask_bit_limit_admits(capsys):
     assert "over the enumerate limit of 134217728" in err
 
 
+@pytest.mark.parametrize("limit", ["ENUMERATE_LIMIT", "MASK_BIT_LIMIT"])
+@pytest.mark.parametrize("set_id, n", [(NamedSet.CWDD_B, 40), (NamedSet.RA, 12)])
+def test_enumerate_lists_a_set_at_its_bound_and_refuses_it_one_below(
+        capsys, monkeypatch, limit, set_id, n):
+    size = SIZE_BY_SET[set_id](n)
+    value = size if limit == "ENUMERATE_LIMIT" else sets.mask_bits(set_id, n, size)
+    expected = "".join(",".join(map(str, p)) + "\n" for p in sets.enumerate_set(set_id, n))
+    monkeypatch.setattr(cli, limit, value)
+    assert run_cli(capsys, "enumerate", "--n", str(n), "--set", set_id.value) == (0, expected, "")
+    monkeypatch.setattr(cli, limit, value - 1)
+    code, out, err = run_cli(capsys, "enumerate", "--n", str(n), "--set", set_id.value)
+    assert (code, out) == (2, "")
+    assert f"over the enumerate limit of {value - 1}" in err
+
+
+@pytest.mark.parametrize("n, points", [(44_739_241, 3), (67_108_862, 2)])
+def test_enumerate_cwdd_a_at_the_largest_n_the_mask_bit_limit_admits(capsys, n, points):
+    # 3 points at odd n and 2 at even n, each a mask of n + 1 bits
+    assert sets.mask_bits(NamedSet.CWDD_A, n, points) == points * (n + 1) <= cli.MASK_BIT_LIMIT
+    code, out, err = run_cli(capsys, "enumerate", "--n", str(n), "--set", "cwdd-a")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == points
+    code, out, err = run_cli(capsys, "enumerate", "--n", str(n + 2), "--set", "cwdd-a")
+    assert (code, out) == (2, "")
+    assert f"may need {points * (n + 3)} mask bits at n = {n + 2}" in err
+
+
+def test_enumerate_at_a_large_negative_n_lists_nothing(capsys):
+    # mask_bits clamps n at 0, where every set is empty
+    assert sets.mask_bits(NamedSet.CWDD, -10**9, 0) == 0
+    assert run_cli(capsys, "enumerate", "--n", str(-10**9), "--set", "cwdd") == (0, "", "")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_enumerate_streams_a_dense_set(fmt):
     # ra at n = 240 holds 185,096 tuples, about 15 MiB as one list; written a
@@ -347,6 +381,7 @@ def test_cwdd_size_below_its_envelope_fails_the_sandwich(capsys, monkeypatch, fa
     assert [[json.dumps(record[flag]) for flag in flags] for record in payload["records"]] == [
         line.split(",")[-3:] for line in lines]
     assert [record["pass"] for record in payload["records"]] == [True, False, False]
+    assert payload["summary"] == {"pass": 1, "fail": 2}
     assert payload["first_failure"] == 6
     err = "".join(f"census: n = {n}: {f}\n" for n, f in zip((6, 7), failures))
     argv = ("census", "--from", "5", "--to", "7", "--family", family)

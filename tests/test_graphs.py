@@ -521,6 +521,16 @@ def test_is_cameron_walker_examples(chorded_hexagon):
     assert not is_cameron_walker(Graph.from_edges(4, [(0, 1), (2, 3)]))  # disconnected
 
 
+def test_disconnected_graph_over_the_search_cap_is_not_cw_without_a_search():
+    # two 17-edge paths on vertices 0-17 and 18-35, and four isolated vertices
+    edges = [(i, i + 1) for start in (0, 18) for i in range(start, start + 17)]
+    g = Graph.from_edges(40, edges)
+    assert len(g.edges) == 34 > MAX_BRUTE_FORCE_EDGES
+    assert not is_cameron_walker(g)
+    with pytest.raises(GraphTooLargeError):
+        matching_number(g)
+
+
 def test_not_cw_reasons(chorded_hexagon):
     def reason(g):
         return not_cw_reason(g, matching_number(g), induced_matching_number(g))
