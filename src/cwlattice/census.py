@@ -3,14 +3,15 @@
 For each n in a range the census builds the masks of the selected family
 of lattice sets in one sets.MaskTable, counts their points by summing
 popcounts (once per set), evaluates the matching closed-form sizes, and
-runs the entries of CHECKS that the family switches on: component
-disjointness, the sandwich envelope and containment (the projection of ra
-onto cwdd among them), each returning, on a failure, the sets, a witness
-point and n mod 6.  A check only names its relation: sets decides each
-one on the masks, with int operations (sets.parts_overlap for the parts of
-a union, sets.points_outside for containment, sets.ra_projection_mismatch
-for the projection), and this module reads no mask.  Failures are recorded
-and the run continues, so one bad polynomial branch produces a complete
+runs the entries of CHECKS that the family switches on, chosen once per
+family at import (_FAMILY_CHECKS): component disjointness, the sandwich
+envelope and containment (the projection of ra onto cwdd among them),
+each returning, on a failure, the sets, a witness point and n mod 6.  A
+check only names its relation: sets decides each one on the masks, with
+int operations (sets.parts_overlap for the parts of a union,
+sets.points_outside for containment, sets.ra_projection_mismatch for the
+projection), and this module reads no mask.  Failures are recorded and
+the run continues, so one bad polynomial branch produces a complete
 diagnostic map across residues instead of a single abort.
 
 Reports serialize to CSV (one row per n; the diffable golden format) and
@@ -184,8 +185,15 @@ CHECKS = {
 }
 
 
-def _failure(name: str, table: sets.MaskTable) -> Failure | None:
-    entry = CHECKS[name]
+# each family's checks, in CHECKS order: the entries its sets switch on
+_FAMILY_CHECKS = {
+    family: [(name, entry) for name, entry in CHECKS.items()
+             if any(s in members for s in entry.on)]
+    for family, members in FAMILY_SETS.items()
+}
+
+
+def _failure(name: str, entry: Check, table: sets.MaskTable) -> Failure | None:
     found = entry.find(table)
     return None if found is None else Failure(name, entry.kind, *found, table.n % 6)
 
@@ -199,7 +207,7 @@ def check(name: str, n: int) -> Failure | None:
         raise DomainError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
     if n < CHECKS[name].first_n:
         raise DomainError(f"{name} applies from n = {CHECKS[name].first_n}, got {n}")
-    return _failure(name, sets.MaskTable(n))
+    return _failure(name, CHECKS[name], sets.MaskTable(n))
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +222,10 @@ def _compute_record(n: int, family: str) -> CensusRecord:
         if sets.is_defined(member, n) else (None, None)
         for member in members
     }
-    failures = tuple(
-        failure for name, entry in CHECKS.items()
-        if n >= entry.first_n and any(s in members for s in entry.on)
-        and (failure := _failure(name, table)) is not None
-    )
+    failures = tuple([
+        failure for name, entry in _FAMILY_CHECKS[family]
+        if n >= entry.first_n and (failure := _failure(name, entry, table)) is not None
+    ])
     return CensusRecord(n, counts, failures)
 
 

@@ -22,15 +22,16 @@ into dicts of its own only.  This module is the only reader of the
 masks, and decides every relation between sets with int operations:
 MaskTable.count sums a set's popcounts, parts_overlap finds a point two
 parts of a union share (the parts are disjoint when their counts add up
-to the union's), points_outside a point of one set outside another (an
-AND with the complement of the other's mask), ra_projection_mismatch a
-pair where ra's projection and cwdd differ (each depth's masks ORed), and
-mask_bits bounds the bits a table holds.  A witness is the first point of
-the table of points where a relation fails.  The points themselves are
-derived: points_by_depth lists a set's points one ascending list per
-depth, expanding each mask's runs of set bits, and the enumerators join
-those lists.  The membership predicates behind ``contains`` test the
-inequalities directly, an oracle independent of the masks.
+to the union's), points_outside a point of one set outside another (one
+AND per prefix, the witness built only on failure),
+ra_projection_mismatch a pair where ra's projection and cwdd differ
+(each depth's masks ORed), and mask_bits bounds the bits a table holds.
+A witness is the first point of the table of points where a relation
+fails.  The points themselves are derived: points_by_depth lists a set's
+points one ascending list per depth, expanding each mask's runs of set
+bits, and the enumerators join those lists.  The membership predicates
+behind ``contains`` test the inequalities directly, an oracle
+independent of the masks.
 
 Two-coordinate sets, points (depth, dim):
 
@@ -208,9 +209,13 @@ def _masks_cwdd_b(n: int) -> dict:
 
 
 def _masks_cwdd_c(n: int) -> dict:
-    # (n-a)/2 < b is b > (n - a) // 2
-    return {a: (2 << (n - a)) - (1 << max(a + 1, (n - a) // 2 + 1))
-            for a in range(3, (n - 1) // 2 + 1)}
+    # (n-a)/2 < b is b > (n - a) // 2, so the low end max(a + 1, (n - a) // 2 + 1)
+    # is a + 1 from the turn 3a >= n - 1 on: the range of a splits at the
+    # turn, raised to 3, and no mask calls max()
+    turn = max((n + 1) // 3, 3)
+    masks = {a: (2 << (n - a)) - (2 << ((n - a) // 2)) for a in range(3, turn)}
+    masks.update({a: (2 << (n - a)) - (2 << a) for a in range(turn, (n - 1) // 2 + 1)})
+    return masks
 
 
 def _masks_ra_a(n: int) -> dict:
@@ -265,15 +270,17 @@ def _masks_ra_d(n: int) -> dict:
 
 def _masks_c_minus(n: int) -> dict:
     # the slab of beta, its row a = 1 extended by the apex (1, n-1)
-    return {a: (2 << (n - 1 if a == 1 else n - 2)) - (1 << a) for a in range(1, n // 2 + 1)}
+    return {**_masks_beta(n), 1: (1 << n) - 2}
 
 
 def _masks_c_plus(n: int) -> dict:
-    return {a: (2 << (n - 1)) - (1 << a) for a in range(1, n)}
+    # bits a..n-1, from one top bit 1 << n per call
+    return {a: top - (1 << a) for top in [1 << n] for a in range(1, n)}
 
 
 def _masks_beta(n: int) -> dict:
-    return {a: (2 << (n - 2)) - (1 << a) for a in range(1, n // 2 + 1)}
+    # bits a..n-2, from one top bit 1 << (n - 1) per call
+    return {a: top - (1 << a) for top in [1 << (n - 1)] for a in range(1, n // 2 + 1)}
 
 
 MASK_SOURCES = {
@@ -353,11 +360,16 @@ def parts_overlap(union: NamedSet, table: MaskTable):
 
 def points_outside(sub: NamedSet, sup: NamedSet, table: MaskTable):
     """None when the pair set sub lies in sup at the table's n: no mask of
-    sub has a bit outside sup's mask of its prefix.  Else ((sub, sup),
-    witness), the witness being the least point of sub outside sup."""
-    outer = table[sup]
-    outside = {a: extra for a, mask in table[sub].items() if (extra := mask & ~outer.get(a, 0))}
-    return ((sub, sup), next(_points(outside))[0]) if outside else None
+    sub has a bit outside sup's mask of its prefix, which one AND per prefix
+    decides.  Else ((sub, sup), witness), the witness being the least point
+    of sub outside sup, built only on failure: the lowest bit outside sup
+    at the least failing prefix."""
+    inner, outer = table[sub], table[sup]
+    if not (failing := [a for a, mask in inner.items() if (mask & outer.get(a, 0)) != mask]):
+        return None
+    a = min(failing)
+    extra = inner[a] & ~outer.get(a, 0)
+    return (sub, sup), (a, (extra & -extra).bit_length() - 1)
 
 
 def ra_projection_mismatch(table: MaskTable):

@@ -191,6 +191,27 @@ def test_ra_d_rows_split_at_the_turn_equal_the_per_row_max(n):
                                  for d in range(lo, hi + 1)]
 
 
+# each pair-set source's masks as one expression per mask, the max() of
+# cwdd-c's low end and the top bit of every row included
+PER_MASK_SOURCES = {
+    NamedSet.CWDD_C: lambda n: {a: (2 << (n - a)) - (1 << max(a + 1, (n - a) // 2 + 1))
+                                for a in range(3, (n - 1) // 2 + 1)},
+    NamedSet.C_MINUS: lambda n: {a: (2 << (n - 1 if a == 1 else n - 2)) - (1 << a)
+                                 for a in range(1, n // 2 + 1)},
+    NamedSet.C_PLUS: lambda n: {a: (2 << (n - 1)) - (1 << a) for a in range(1, n)},
+    NamedSet.BETA: lambda n: {a: (2 << (n - 2)) - (1 << a) for a in range(1, n // 2 + 1)},
+}
+
+
+@pytest.mark.parametrize("n", [*range(1, 151), *CAP_RANGE])
+def test_pair_set_sources_equal_their_per_mask_expressions(n):
+    # cwdd-c split at its turn, and the polytopes' top bits built once per
+    # call, past the naive scans' n = 80; a polytope only where it is defined
+    for set_id, per_mask in PER_MASK_SOURCES.items():
+        if sets.is_defined(set_id, n):
+            assert sets.MASK_SOURCES[set_id](n) == per_mask(n), (set_id, n)
+
+
 @pytest.mark.parametrize("n", CAP_RANGE)
 def test_ra_b_masks_at_the_cap_equal_the_naive_scan(n):
     naive = {}
