@@ -19,19 +19,23 @@ one-bit masks, from one list built per call, and a union keeps a part's
 mask, or a part's inner dict of a depth no other part holds, as the same
 object.  So no code writes into a table it did not build: _or_masks ORs
 into dicts of its own only.  This module is the only reader of the
-masks, and decides every relation between sets with int operations:
-MaskTable.count sums a set's popcounts, parts_overlap finds a point two
-parts of a union share (the parts are disjoint when their counts add up
-to the union's), points_outside a point of one set outside another (one
-AND per prefix, the witness built only on failure),
-ra_projection_mismatch a pair where ra's projection and cwdd differ
-(each depth's masks ORed), and mask_bits bounds the bits a table holds.
-A witness is the first point of the table of points where a relation
-fails.  The points themselves are derived: points_by_depth lists a set's
-points one ascending list per depth, expanding each mask's runs of set
-bits, and the enumerators join those lists.  The membership predicates
-behind ``contains`` test the inequalities directly, an oracle
-independent of the masks.
+masks, and decides every relation between sets with int operations.
+MaskTable.parts_disjoint decides once per table whether two parts of a
+union share a point, ANDing the masks of the prefixes both parts hold up
+to the first non-zero AND; MaskTable.count sums a base set's popcounts,
+and a union's parts' counts when no two parts share a point.
+parts_overlap finds a point two parts of a union share, points_outside a
+point of one set outside another (one AND per prefix, the witness built
+only on failure), ra_projection_mismatch a pair where ra's projection
+and cwdd differ (the parts' masks ORed depth by depth), and mask_bits
+bounds the bits a table holds.  So a census record builds the ORed
+``ra`` union only where parts overlap; it is built for enumeration, and
+for ``cwdd``'s containment in ``c-plus``.  A witness is the first point
+of the table of points where a relation fails.  The points themselves
+are derived: points_by_depth lists a set's points one ascending list per
+depth, expanding each mask's runs of set bits, and the enumerators join
+those lists.  The membership predicates behind ``contains`` test the
+inequalities directly, an oracle independent of the masks.
 
 Two-coordinate sets, points (depth, dim):
 
@@ -78,6 +82,7 @@ from __future__ import annotations
 from enum import Enum, unique
 from functools import reduce
 from itertools import chain, combinations
+from operator import or_
 
 from .errors import ArityMismatchError, DomainError, require_int
 
@@ -306,12 +311,16 @@ UNION_PARTS = {
 class MaskTable(dict):
     """The masks of the named sets at one n, each built on first use: a base
     set's from its mask source, a union's by ORing its parts' masks, so no
-    set is built twice.  count(set) sums a set's popcounts once."""
+    set is built twice.  count(set) counts a set's points once, and
+    parts_disjoint(union) decides once whether two parts share a point; a
+    union whose parts share none is counted from its parts, so a census
+    record builds the ORed union only where a check reads it."""
 
     def __init__(self, n: int):
         super().__init__()
         self.n = n
         self.counts: dict[NamedSet, int] = {}
+        self.disjoint: dict[NamedSet, bool] = {}
 
     def __missing__(self, set_id: NamedSet) -> dict:
         if set_id in UNION_PARTS:
@@ -323,13 +332,40 @@ class MaskTable(dict):
         return built
 
     def count(self, set_id: NamedSet) -> int:
-        """The number of points in the set, summed on first use."""
+        """The number of points in the set, found on first use: a union's
+        is its parts' counts summed when no two parts share a point, else,
+        like a base set's, the sum of its masks' popcounts."""
         if set_id not in self.counts:
-            table = self[set_id]
-            masks = table.values() if set_id.arity == 2 else chain.from_iterable(
-                map(dict.values, table.values()))
-            self.counts[set_id] = sum(map(int.bit_count, masks))
+            if set_id in UNION_PARTS and self.parts_disjoint(set_id):
+                self.counts[set_id] = sum([self.count(part) for part in UNION_PARTS[set_id]])
+            else:
+                table = self[set_id]
+                masks = table.values() if set_id.arity == 2 else chain.from_iterable(
+                    map(dict.values, table.values()))
+                self.counts[set_id] = sum(map(int.bit_count, masks))
         return self.counts[set_id]
+
+    def parts_disjoint(self, union: NamedSet) -> bool:
+        """Whether no two parts of the union share a point, decided on first
+        use by ANDing, pair by pair, the masks of the prefixes both parts
+        hold, up to the first non-zero AND."""
+        if union not in self.disjoint:
+            self.disjoint[union] = not any(
+                _share(self[x], self[y]) for x, y in combinations(UNION_PARTS[union], 2))
+        return self.disjoint[union]
+
+
+def _share(xs: dict, ys: dict) -> bool:
+    """Whether the two tables share a point: some prefix both hold has masks
+    with a common bit.  The smaller table is walked, each prefix looked up
+    in the larger."""
+    if len(ys) < len(xs):
+        xs, ys = ys, xs
+    get = ys.get
+    for key, x in xs.items():
+        if (y := get(key)) is not None and (x & y if isinstance(x, int) else _share(x, y)):
+            return True
+    return False
 
 
 # the one point two parts of a union share: (2, 2), in cwdd-a and cwdd-b at n = 5
@@ -342,16 +378,14 @@ def parts_overlap(union: NamedSet, table: MaskTable):
     pair in UNION_PARTS order whose shared points differ from the allowed
     ones, the witness being the least point of the difference.
 
-    A mask holds each point once, so when no shared point is expected the
-    counts decide: the parts' counts add up to the union's exactly when no
-    two parts share a point.  The pairwise scan, which ANDs the masks of
-    the prefixes two parts share, runs only when they do not.
+    When no shared point is expected, the table's pairwise AND decides
+    (MaskTable.parts_disjoint).  The scan that builds each pair's shared
+    points runs only when two parts share a point or one is expected.
     """
     expected = _SHARED.get((union, table.n), {})
-    parts = UNION_PARTS[union]
-    if not expected and table.count(union) == sum([table.count(part) for part in parts]):
+    if not expected and table.parts_disjoint(union):
         return None
-    for pair in combinations(parts, 2):
+    for pair in combinations(UNION_PARTS[union], 2):
         shared = _combine(int.__and__, *(table[part] for part in pair))
         if wrong := _combine(int.__xor__, shared, expected.get(pair, {})):
             return pair, next(_points(wrong))[0]
@@ -375,10 +409,14 @@ def points_outside(sub: NamedSet, sup: NamedSet, table: MaskTable):
 def ra_projection_mismatch(table: MaskTable):
     """None when the pairs (a, d) of the ra tuples (a, r, d, d) at the
     table's n are exactly cwdd: no tuple projects outside it, and every pair
-    has a tuple above it.  Each depth's masks over d, ORed, are its
-    projection.  Else ((ra, cwdd), witness), the witness being the least
-    pair in one and not the other."""
-    projected = {a: reduce(int.__or__, inner.values()) for a, inner in table[NamedSet.RA].items()}
+    has a tuple above it.  The projection is read from ra's parts, not its
+    union: every part's masks over d, ORed depth by depth.  Else
+    ((ra, cwdd), witness), the witness being the least pair in one and not
+    the other."""
+    projected = {}
+    for part in UNION_PARTS[NamedSet.RA]:
+        for a, inner in table[part].items():
+            projected[a] = reduce(or_, inner.values(), projected.get(a, 0))
     if projected == table[NamedSet.CWDD]:
         return None
     wrong = _combine(int.__xor__, projected, table[NamedSet.CWDD])

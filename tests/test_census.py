@@ -103,6 +103,12 @@ def test_check_cross_projection():
         check("ra projects onto cwdd", 2)
 
 
+def test_cwdd_in_c_plus_applies_from_three():
+    # the census's first n, where c-plus is defined and every CW set is empty
+    assert CHECKS["cwdd in c-plus"].first_n == 3
+    assert check("cwdd in c-plus", 3) is None
+
+
 def test_check_rejects_unknown_names_and_non_int_n():
     with pytest.raises(DomainError, match="unknown check"):
         check("nonsense", 12)
@@ -162,6 +168,24 @@ def test_checks_on_faulty_row_sources(monkeypatch):
     record = run_census(12, 12, "ra").records[0]
     assert record.failures == (failure,)
     assert not record.ok("disjointness") and record.ok("containment")
+    # with two parts sharing a point, ra's count is its union's, not its parts' sum
+    union = set().union(*(enumerate_set(part, 12) for part in sets.UNION_PARTS[NamedSet.RA]))
+    assert record.counts["ra"][0] == len(union) == size_ra(12)
+
+
+@pytest.mark.parametrize("family", ["ra", "all"])
+def test_census_records_never_or_the_ra_parts(monkeypatch, family):
+    # a record counts ra from its disjoint parts and projects it part by
+    # part, so it never builds ra's union of four parts
+    or_masks = sets._or_masks
+
+    def spied(tables):
+        assert len(tables) != 4, "ra's parts were ORed"
+        return or_masks(tables)
+
+    monkeypatch.setattr(sets, "_or_masks", spied)
+    for n in (5, 12, 60, 298):
+        assert run_census(n, n, family).all_pass
 
 
 def test_cwdd_disjointness_names_a_missing_shared_point(monkeypatch):
@@ -386,7 +410,9 @@ def test_containment_agrees_with_python_set_containment(fault, verdicts):
         for n in [*range(CHECKS[name].first_n, 81), *cap]:
             table = sets.MaskTable(n)
             if fault is not None:
-                fault(table, sub, sup, n)
+                # the projection reads ra's parts, not its union: a fault
+                # of ra's goes into ra-d, and table[ra] is ORed from it
+                fault(table, NamedSet.RA_D if sub is NamedSet.RA else sub, sup, n)
             xs, ys = _pairs(table[sub]), _pairs(table[sup])
             wrong = xs ^ ys if sub is NamedSet.RA else xs - ys
             found = CHECKS[name].find(table)

@@ -287,6 +287,18 @@ def test_enumerate_cwdd_a_at_the_largest_n_the_mask_bit_limit_admits(capsys, n, 
     assert f"may need {points * (n + 3)} mask bits at n = {n + 2}" in err
 
 
+def test_mask_bits_bounds_the_bits_of_every_set():
+    # each mask at n spans at most n + 1 bits; the bound must cover them all
+    for n in range(1, 41):
+        table = sets.MaskTable(n)
+        for set_id in NamedSet:
+            if sets.is_defined(set_id, n):
+                masks = table[set_id].values()
+                count = len(masks) if set_id.arity == 2 else sum(map(len, masks))
+                assert sets.mask_bits(set_id, n, SIZE_BY_SET[set_id](n)) >= count * (n + 1), (
+                    set_id, n)
+
+
 def test_enumerate_at_a_large_negative_n_lists_nothing(capsys):
     # mask_bits clamps n at 0, where every set is empty
     assert sets.mask_bits(NamedSet.CWDD, -10**9, 0) == 0

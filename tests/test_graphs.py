@@ -118,6 +118,8 @@ def test_from_edges_rejects_loops_and_bad_vertices():
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError):
+        Graph(3, frozenset({(1, 1)}))
+    with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
         Graph(vertex_count=0, edges=frozenset())
