@@ -1,14 +1,16 @@
 """Batch cross-verification of the lattice sets against closed forms.
 
 For each n in a range the census builds the masks of the selected family
-of lattice sets in one sets.MaskTable, counts their points by summing
-popcounts (once per set), evaluates the matching closed-form sizes, and
-runs the entries of CHECKS that the family switches on, chosen once per
-family at import (_FAMILY_CHECKS): component disjointness, the sandwich
-envelope and containment (the projection of ra onto cwdd among them),
+of lattice sets in one sets.MaskTable, counts their points once per set
+(sets.MaskTable.count: a base set's popcounts summed, a union's parts'
+counts when no two share a point), evaluates the matching closed-form
+sizes, and runs the entries of CHECKS that the family switches on,
+chosen once per family at import (_FAMILY_CHECKS): component
+disjointness, the sandwich envelope and containment (the projection of ra onto cwdd among them),
 each returning, on a failure, the sets, a witness point and n mod 6.  A
 check only names its relation: sets decides each one on the masks, with
-int operations (sets.parts_overlap for the parts of a union,
+int operations (sets.parts_overlap for the parts of a union, from the
+points each pair shares, ANDed once per table by sets.MaskTable.overlaps;
 sets.points_outside for containment, sets.ra_projection_mismatch for the
 projection), and this module reads no mask.  Failures are recorded and
 the run continues, so one bad polynomial branch produces a complete

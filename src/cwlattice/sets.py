@@ -11,30 +11,21 @@ and a tuple set as {a: {r: mask}} with bit d set when (a, r, d, d) is
 equal exactly when they hold the same points.
 
 Each base set is defined once, by a source of its masks; a MaskTable
-holds every set's masks at one n, and is the one place where a union's
-masks are ORed from its parts', in one pass over the parts (_or_masks).
-Masks are ints and never change, so tables share them: every depth of
-``ra-d`` takes its masks above the turn, and every depth of ``ra-b`` its
-one-bit masks, from one list built per call, and a union keeps a part's
-mask, or a part's inner dict of a depth no other part holds, as the same
-object.  So no code writes into a table it did not build: _or_masks ORs
-into dicts of its own only.  This module is the only reader of the
-masks, and decides every relation between sets with int operations.
-MaskTable.parts_disjoint decides once per table whether two parts of a
-union share a point, ANDing the masks of the prefixes both parts hold up
-to the first non-zero AND; MaskTable.count sums a base set's popcounts,
-and a union's parts' counts when no two parts share a point.
-parts_overlap finds a point two parts of a union share, points_outside a
-point of one set outside another (one AND per prefix, the witness built
-only on failure), ra_projection_mismatch a pair where ra's projection
-and cwdd differ (the parts' masks ORed depth by depth), and mask_bits
-bounds the bits a table holds.  So a census record builds the ORed
-``ra`` union only where parts overlap; it is built for enumeration, and
-for ``cwdd``'s containment in ``c-plus``.  A witness is the first point
-of the table of points where a relation fails.  The points themselves
-are derived: points_by_depth lists a set's points one ascending list per
-depth, expanding each mask's runs of set bits, and the enumerators join
-those lists.  The membership predicates behind ``contains`` test the
+holds every set's masks at one n.  Masks are ints and never change, so
+tables share them: every depth of ``ra-d`` takes its masks above the
+turn, and every depth of ``ra-b`` its one-bit masks, from one list built
+per call.  This module is the only reader of the masks, and decides
+every relation between sets with int operations, mostly through three
+primitives that build the table of the points in both tables (_and),
+either (_or) or exactly one (_xor), writing into neither.  A union is
+its parts folded with _or; MaskTable.overlaps ANDs each pair of a
+union's parts once per table, and a union whose parts share no point is
+counted from its parts, so a census record builds the ORed ``ra`` union
+only where parts overlap.  parts_overlap and ra_projection_mismatch
+take their witness as the least point of an _xor of what they expect and
+what they find.  The points themselves are derived: points_by_depth
+lists a set's points one ascending list per depth, expanding each mask's
+runs of set bits, and the enumerators join those lists.  The membership predicates behind ``contains`` test the
 inequalities directly, an oracle independent of the masks.
 
 Two-coordinate sets, points (depth, dim):
@@ -156,46 +147,48 @@ def _points(table: dict):
                    for lo, hi in _runs(mask) for d in range(lo, hi + 1)]
 
 
-def _combine(op, xs: dict, ys: dict) -> dict:
-    """The table of op(x, y), op being int.__and__ or int.__xor__, for the
-    masks x and y of each prefix in the two tables (0 where a table has
-    none), with no prefix left 0 or empty."""
-    combined = {}
-    for key in xs.keys() | ys.keys():
-        x, y = xs.get(key, 0), ys.get(key, 0)
-        if value := (op(x, y) if isinstance(x or y, int) else _combine(op, x or {}, y or {})):
-            combined[key] = value
-    return combined
+# The three primitives on tables.  Each returns a new table with no prefix
+# left 0 or empty, walks the smaller table against the larger, and calls
+# itself where both tables hold an inner dict, not a mask, such as a depth
+# of two tuple sets.  None writes into a dict passed in, so a result may
+# share masks and inner dicts with them.
+
+def _and(xs: dict, ys: dict) -> dict:
+    """The points in both tables: each prefix of the smaller table looked up
+    in the larger, and the masks of a prefix both hold ANDed."""
+    if len(ys) < len(xs):
+        xs, ys = ys, xs
+    get, both = ys.get, {}
+    for key, x in xs.items():
+        if (y := get(key)) is not None and (z := x & y if isinstance(x, int) else _and(x, y)):
+            both[key] = z
+    return both
 
 
-def _or_masks(tables: list[dict]) -> dict:
-    """The points of all the tables, ORed prefix by prefix in one pass: the
-    smaller tables folded into a copy of the largest.  A tuple set's depth
-    held by one table keeps that table's inner dict, the same object; a
-    depth two tables hold gets a dict of this call's own, a copy of the
-    larger inner dict with the smaller ORed into it.  No dict passed in is
-    written to, so the union may share inner dicts and masks with its
-    parts."""
-    largest = max(tables, key=len)
-    union = dict(largest)
-    made = set()  # the depths whose inner dict this call created
-    for table in tables:
-        if table is largest:
-            continue
-        for key, mask in table.items():
-            held = union.get(key)
-            if held is None:
-                union[key] = mask
-            elif isinstance(mask, int):
-                union[key] = held | mask
-            else:
-                if key not in made or len(held) < len(mask):
-                    mask, held = sorted((held, mask), key=len)  # copy the larger
-                    held = union[key] = dict(held)
-                    made.add(key)
-                for r, bits in mask.items():
-                    held[r] = held.get(r, 0) | bits
-    return union
+def _or(xs: dict, ys: dict) -> dict:
+    """The points in either table: a copy of the larger table with the
+    smaller ORed into it prefix by prefix."""
+    if len(xs) < len(ys):
+        xs, ys = ys, xs
+    either = dict(xs)
+    for key, y in ys.items():
+        x = either.get(key)
+        either[key] = y if x is None else (x | y if isinstance(y, int) else _or(x, y))
+    return either
+
+
+def _xor(xs: dict, ys: dict) -> dict:
+    """The points in exactly one table: a copy of the larger table with the
+    smaller XORed into it prefix by prefix, a prefix left empty dropped."""
+    if len(xs) < len(ys):
+        xs, ys = ys, xs
+    one = dict(xs)
+    for key, y in ys.items():
+        if (x := one.pop(key, None)) is None:
+            one[key] = y
+        elif z := x ^ y if isinstance(y, int) else _xor(x, y):
+            one[key] = z
+    return one
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +222,7 @@ def _masks_ra_a(n: int) -> dict:
     if n < 5:
         return {}
     h = n // 2
-    return {2: _or_masks([{2: (2 << (n - 2)) - (1 << (n - 3))}, {h: 1 << h} if n % 2 else {}])}
+    return {2: _or({2: (2 << (n - 2)) - (1 << (n - 3))}, {h: 1 << h} if n % 2 else {})}
 
 
 def _masks_ra_b(n: int) -> dict:
@@ -312,7 +305,7 @@ class MaskTable(dict):
     """The masks of the named sets at one n, each built on first use: a base
     set's from its mask source, a union's by ORing its parts' masks, so no
     set is built twice.  count(set) counts a set's points once, and
-    parts_disjoint(union) decides once whether two parts share a point; a
+    overlaps(union) finds once the points each pair of its parts shares; a
     union whose parts share none is counted from its parts, so a census
     record builds the ORed union only where a check reads it."""
 
@@ -320,11 +313,11 @@ class MaskTable(dict):
         super().__init__()
         self.n = n
         self.counts: dict[NamedSet, int] = {}
-        self.disjoint: dict[NamedSet, bool] = {}
+        self.shared: dict[NamedSet, dict] = {}
 
     def __missing__(self, set_id: NamedSet) -> dict:
         if set_id in UNION_PARTS:
-            built = _or_masks([self[part] for part in UNION_PARTS[set_id]])
+            built = reduce(_or, [self[part] for part in UNION_PARTS[set_id]])
         else:
             _require_defined(set_id, self.n)
             built = MASK_SOURCES[set_id](self.n)
@@ -336,7 +329,7 @@ class MaskTable(dict):
         is its parts' counts summed when no two parts share a point, else,
         like a base set's, the sum of its masks' popcounts."""
         if set_id not in self.counts:
-            if set_id in UNION_PARTS and self.parts_disjoint(set_id):
+            if set_id in UNION_PARTS and not self.overlaps(set_id):
                 self.counts[set_id] = sum([self.count(part) for part in UNION_PARTS[set_id]])
             else:
                 table = self[set_id]
@@ -345,27 +338,14 @@ class MaskTable(dict):
                 self.counts[set_id] = sum(map(int.bit_count, masks))
         return self.counts[set_id]
 
-    def parts_disjoint(self, union: NamedSet) -> bool:
-        """Whether no two parts of the union share a point, decided on first
-        use by ANDing, pair by pair, the masks of the prefixes both parts
-        hold, up to the first non-zero AND."""
-        if union not in self.disjoint:
-            self.disjoint[union] = not any(
-                _share(self[x], self[y]) for x, y in combinations(UNION_PARTS[union], 2))
-        return self.disjoint[union]
-
-
-def _share(xs: dict, ys: dict) -> bool:
-    """Whether the two tables share a point: some prefix both hold has masks
-    with a common bit.  The smaller table is walked, each prefix looked up
-    in the larger."""
-    if len(ys) < len(xs):
-        xs, ys = ys, xs
-    get = ys.get
-    for key, x in xs.items():
-        if (y := get(key)) is not None and (x & y if isinstance(x, int) else _share(x, y)):
-            return True
-    return False
+    def overlaps(self, union: NamedSet) -> dict:
+        """{(part, part): shared points} for each pair of the union's parts,
+        in UNION_PARTS order, that shares a point; found on first use, with
+        one _and per pair."""
+        if union not in self.shared:
+            self.shared[union] = {(x, y): both for x, y in combinations(UNION_PARTS[union], 2)
+                                  if (both := _and(self[x], self[y]))}
+        return self.shared[union]
 
 
 # the one point two parts of a union share: (2, 2), in cwdd-a and cwdd-b at n = 5
@@ -373,23 +353,16 @@ _SHARED = {(NamedSet.CWDD, 5): {(NamedSet.CWDD_A, NamedSet.CWDD_B): {2: 1 << 2}}
 
 
 def parts_overlap(union: NamedSet, table: MaskTable):
-    """None when no two parts of the union share a point, except as _SHARED
-    allows, at the table's n; else ((part, part), witness) for the first
-    pair in UNION_PARTS order whose shared points differ from the allowed
-    ones, the witness being the least point of the difference.
-
-    When no shared point is expected, the table's pairwise AND decides
-    (MaskTable.parts_disjoint).  The scan that builds each pair's shared
-    points runs only when two parts share a point or one is expected.
-    """
-    expected = _SHARED.get((union, table.n), {})
-    if not expected and table.parts_disjoint(union):
+    """None when the points each pair of the union's parts shares at the
+    table's n (MaskTable.overlaps) are the ones _SHARED allows; else
+    ((part, part), witness) for the first pair in UNION_PARTS order whose
+    shared points differ from the allowed ones, the witness being the
+    least point of the difference.  Both tables are keyed by pair, so one
+    _xor finds every pair that differs."""
+    if not (wrong := _xor(table.overlaps(union), _SHARED.get((union, table.n), {}))):
         return None
-    for pair in combinations(UNION_PARTS[union], 2):
-        shared = _combine(int.__and__, *(table[part] for part in pair))
-        if wrong := _combine(int.__xor__, shared, expected.get(pair, {})):
-            return pair, next(_points(wrong))[0]
-    return None
+    pair = next(pair for pair in combinations(UNION_PARTS[union], 2) if pair in wrong)
+    return pair, next(_points(wrong[pair]))[0]
 
 
 def points_outside(sub: NamedSet, sup: NamedSet, table: MaskTable):
@@ -419,7 +392,7 @@ def ra_projection_mismatch(table: MaskTable):
             projected[a] = reduce(or_, inner.values(), projected.get(a, 0))
     if projected == table[NamedSet.CWDD]:
         return None
-    wrong = _combine(int.__xor__, projected, table[NamedSet.CWDD])
+    wrong = _xor(projected, table[NamedSet.CWDD])
     return (NamedSet.RA, NamedSet.CWDD), next(_points(wrong))[0]
 
 

@@ -19,8 +19,7 @@ def chorded_hexagon() -> Graph:
 
 # Faults planted in mask form: a set's table is {a: mask over b} for a pair
 # set and {a: {r: mask over d}} for a tuple set (see cwlattice.sets); a
-# planted point, or a prefix's mask of points, is ORed in with
-# sets._or_masks.
+# planted point, or a prefix's mask of points, is ORed in with sets._or.
 
 def first_mask(table: dict) -> dict:
     """The table's least prefix with its mask, as a table of its own (empty

@@ -1,7 +1,6 @@
 """Census engine tests: verification runs, serialization, determinism."""
 
 import json
-import re
 from itertools import combinations
 from pathlib import Path
 
@@ -158,7 +157,7 @@ def test_checks_on_faulty_row_sources(monkeypatch):
     masks_ra_b = sets.MASK_SOURCES[NamedSet.RA_B]
     repeated = first_mask(sets.MASK_SOURCES[NamedSet.RA_D](12))
     monkeypatch.setitem(sets.MASK_SOURCES, NamedSet.RA_B,
-                        lambda n: sets._or_masks([masks_ra_b(n), repeated]))
+                        lambda n: sets._or(masks_ra_b(n), repeated))
     assert check("cwdd parts disjoint", 12) is None
     failure = check("ra parts disjoint", 12)
     assert failure == Failure("ra parts disjoint", "disjointness",
@@ -176,14 +175,14 @@ def test_checks_on_faulty_row_sources(monkeypatch):
 @pytest.mark.parametrize("family", ["ra", "all"])
 def test_census_records_never_or_the_ra_parts(monkeypatch, family):
     # a record counts ra from its disjoint parts and projects it part by
-    # part, so it never builds ra's union of four parts
-    or_masks = sets._or_masks
+    # part, so it never asks its table for ra's union of four parts
+    missing = sets.MaskTable.__missing__
 
-    def spied(tables):
-        assert len(tables) != 4, "ra's parts were ORed"
-        return or_masks(tables)
+    def spied(table, set_id):
+        assert set_id is not NamedSet.RA, "ra's parts were ORed"
+        return missing(table, set_id)
 
-    monkeypatch.setattr(sets, "_or_masks", spied)
+    monkeypatch.setattr(sets.MaskTable, "__missing__", spied)
     for n in (5, 12, 60, 298):
         assert run_census(n, n, family).all_pass
 
@@ -196,7 +195,7 @@ def test_cwdd_disjointness_names_a_missing_shared_point(monkeypatch):
 
 
 def _gains_first_row_of(donor):
-    return lambda masks, n: sets._or_masks([masks, first_mask(sets.MASK_SOURCES[donor](n))])
+    return lambda masks, n: sets._or(masks, first_mask(sets.MASK_SOURCES[donor](n)))
 
 
 def _ra_d_loses_its_least_point(masks, n):
@@ -242,19 +241,27 @@ def test_parts_disjoint_agrees_with_python_set_intersection(monkeypatch, victim,
     assert verdicts == ({True} if victim in (None, NamedSet.RA_D) else {True, False})
 
 
-def test_parts_are_scanned_pairwise_only_for_a_witness(monkeypatch):
-    def scan(op, xs, ys):
-        raise AssertionError(f"pairwise scan of {xs} and {ys}")
+@pytest.mark.parametrize("family, pairs", [("cwdd", 3), ("ra", 6), ("all", 9)])
+def test_records_and_each_pair_of_parts_once(monkeypatch, family, pairs):
+    # the union's count and its disjointness check read one table of shared
+    # points: each pair of parts is ANDed once per record, counted at the
+    # top level only (_and calls itself on a depth both tables hold)
+    and_, depth, calls = sets._and, [0], []
 
-    masks_cwdd_a = sets.MaskTable(5)[NamedSet.CWDD_A]
-    monkeypatch.setattr(sets, "_combine", scan)
-    for n in (6, 60, 300):
-        assert sets.enumerate_ra(n)  # enumeration lists the masks, but combines no pair
-        for name in CHECKS:  # the two disjointness checks among them
-            assert check(name, n) is None
-    # at n = 5 the shared point (2, 2) is expected, and only the scan finds it
-    with pytest.raises(AssertionError, match=re.escape(f"pairwise scan of {masks_cwdd_a}")):
-        check("cwdd parts disjoint", 5)
+    def spied(xs, ys):
+        if not depth[0]:
+            calls.append((xs, ys))
+        depth[0] += 1
+        try:
+            return and_(xs, ys)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(sets, "_and", spied)
+    for n in (5, 6, 12, 60, 298):  # at n = 5, cwdd-a and cwdd-b share (2, 2)
+        calls.clear()
+        assert run_census(n, n, family).all_pass
+        assert len(calls) == pairs, (family, n)
 
 
 def test_part_losing_a_point_is_a_count_fault_not_a_shared_point(capsys, monkeypatch):
@@ -368,19 +375,19 @@ def _sub_loses_a_row(table, sub, sup, n):
 def _sub_gains_a_point_outside(table, sub, sup, n):
     # (n, n) lies in no pair set at n, and the tuple (n, 1, n, n) projects to
     # it; for ra it opens a last depth
-    table[sub] = sets._or_masks([table[sub], {n: 1 << n} if sub.arity == 2 else {n: {1: 1 << n}}])
+    table[sub] = sets._or(table[sub], {n: 1 << n} if sub.arity == 2 else {n: {1: 1 << n}})
 
 
 def _sub_gains_a_point_at_its_first_depth(table, sub, sup, n):
     # (a, n) lies in no pair set at n; the tuple (a, 1, n, n) projects to it,
     # so for ra the first depth grows
     a = min(table[sub], default=1)
-    table[sub] = sets._or_masks([table[sub], {a: 1 << n} if sub.arity == 2 else {a: {1: 1 << n}}])
+    table[sub] = sets._or(table[sub], {a: 1 << n} if sub.arity == 2 else {a: {1: 1 << n}})
 
 
 def _sup_gains_a_point_uncovered(table, sub, sup, n):
     # nothing in sub covers (n, n): a subset check still holds, the projection fails
-    table[sup] = sets._or_masks([table[sup], {n: 1 << n}])
+    table[sup] = sets._or(table[sup], {n: 1 << n})
 
 
 @pytest.mark.parametrize("fault, verdicts", [

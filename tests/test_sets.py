@@ -1,5 +1,6 @@
 """Enumeration tests: frozen values, naive-scan oracles, membership agreement."""
 
+import copy
 import functools
 from fractions import Fraction
 
@@ -231,20 +232,37 @@ def test_building_the_unions_leaves_every_part_as_its_source_built_it(n):
             assert table[part] == sets.MASK_SOURCES[part](n), (part, n)
 
 
-@pytest.mark.parametrize("n", [10, 11, 40, 41])
-def test_or_masks_writes_into_no_table_passed_in(n):
-    # the planted points of the census fault tests: a new last depth, and
-    # ra-d's first depth grown, once by a new r and once at an r it holds
-    parts = [sets.MASK_SOURCES[part](n) for part in sets.UNION_PARTS[NamedSet.RA]]
-    first = min(parts[3])
-    tables = [{n: {1: 1 << n}}, *parts, {first: {1: 1 << n}},
-              {first: {first + 1: 1 << n}}, {first: dict(parts[3].get(first, {}))}]
-    before = [{a: dict(inner) for a, inner in table.items()} for table in tables]
-    union = sets._or_masks(tables)
-    assert tables == before
-    assert all(mask for inner in union.values() for mask in inner.values())
-    assert {p for points in sets._points(union) for p in points} == {
-        p for table in tables for points in sets._points(table) for p in points}
+# small tables of either shape, no mask 0 and no inner dict empty; their
+# prefixes and bits range widely enough to overlap, touch and miss
+_MASKS = st.integers(1, (1 << 10) - 1)
+_PAIR_TABLES = st.dictionaries(st.integers(1, 6), _MASKS, max_size=5)
+_TUPLE_TABLES = st.dictionaries(
+    st.integers(1, 6), st.dictionaries(st.integers(1, 6), _MASKS, min_size=1, max_size=4),
+    max_size=5)
+
+
+def _point_set(table):
+    return {p for points in sets._points(table) for p in points}
+
+
+def _no_empty_entry(table):
+    return all(entry and (isinstance(entry, int) or _no_empty_entry(entry))
+               for entry in table.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(_PAIR_TABLES, _PAIR_TABLES), st.tuples(_TUPLE_TABLES, _TUPLE_TABLES)))
+def test_and_or_xor_are_the_set_operations_on_the_points(tables):
+    # a result may share inner dicts with its inputs, so writing into one
+    # (a depth both tables hold ORed in place) would change a table passed in
+    xs, ys = tables
+    before = copy.deepcopy(tables)
+    for op, points in [(sets._and, set.__and__), (sets._or, set.__or__), (sets._xor, set.__xor__)]:
+        for args in (tables, tables[::-1]):
+            result = op(*args)
+            assert _point_set(result) == points(_point_set(xs), _point_set(ys)), op
+            assert _no_empty_entry(result), op
+            assert (xs, ys) == before, op
 
 
 def test_cw_sets_empty_below_five():
@@ -365,7 +383,7 @@ def _ra_b_gains_ra_d_first_row(monkeypatch):
     masks_ra_b = sets.MASK_SOURCES[NamedSet.RA_B]
     repeated = first_mask(sets.MASK_SOURCES[NamedSet.RA_D](12))  # ((3, 4), 7, 7)
     monkeypatch.setitem(sets.MASK_SOURCES, NamedSet.RA_B,
-                        lambda n: sets._or_masks([masks_ra_b(n), repeated]))
+                        lambda n: sets._or(masks_ra_b(n), repeated))
 
 
 def test_enumerate_ra_lists_a_point_of_two_parts_once(capsys, monkeypatch):
@@ -481,14 +499,14 @@ def test_parts_overlap_labels_the_part_pairs():
     table = sets.MaskTable(20)
     assert table[b] == {7: 1 << 7, 8: 1 << 8, 9: 1 << 9}  # (7, 7), (8, 8), (9, 9)
     # c gains b's points from the second on
-    table[c] = sets._or_masks([table[c], {8: 1 << 8, 9: 1 << 9}])
+    table[c] = sets._or(table[c], {8: 1 << 8, 9: 1 << 9})
     assert sets.parts_overlap(NamedSet.CWDD, table) == ((b, c), (8, 8))
     a, b, c, d = sets.UNION_PARTS[NamedSet.RA]
     assert sets.parts_overlap(NamedSet.RA, sets.MaskTable(12)) is None
     table = sets.MaskTable(12)
     assert enumerate_ra_d(12) == [(3, 4, 7, 7), (3, 5, 6, 6), (4, 5, 6, 6)]
-    table[b] = sets._or_masks([table[b], {3: {5: 1 << 6}}])
-    table[a] = sets._or_masks([table[a], {4: {5: 1 << 6}}])
+    table[b] = sets._or(table[b], {3: {5: 1 << 6}})
+    table[a] = sets._or(table[a], {4: {5: 1 << 6}})
     # the first pair in UNION_PARTS order that shares a point names the least one
     assert sets.parts_overlap(NamedSet.RA, table) == ((a, d), (4, 5, 6, 6))
 
@@ -501,7 +519,7 @@ def test_union_rows_join_overlapping_and_touching_rows_of_one_prefix(monkeypatch
     for j, part in enumerate(sets.UNION_PARTS[NamedSet.CWDD]):
         masks = {}
         for (a,), lo, hi in rows[j::3]:
-            masks = sets._or_masks([masks, {a: (2 << hi) - (1 << lo)}])
+            masks = sets._or(masks, {a: (2 << hi) - (1 << lo)})
         monkeypatch.setitem(sets.MASK_SOURCES, part, lambda n, masks=masks: masks)
     table = sets.MaskTable(12)
     assert {a: sets._runs(mask) for a, mask in table[NamedSet.CWDD].items()} == {
