@@ -265,6 +265,22 @@ def test_and_or_xor_are_the_set_operations_on_the_points(tables):
             assert (xs, ys) == before, op
 
 
+@pytest.mark.parametrize("n", [10, 11, 40, 41])
+def test_or_masks_writes_into_no_table_passed_in(n):
+    # the planted points of the census fault tests: a new last depth, and
+    # ra-d's first depth grown, once by a new r and once at an r it holds;
+    # ORed as MaskTable ORs a union's parts
+    parts = [sets.MASK_SOURCES[part](n) for part in sets.UNION_PARTS[NamedSet.RA]]
+    first = min(parts[3])
+    tables = [{n: {1: 1 << n}}, *parts, {first: {1: 1 << n}},
+              {first: {first + 1: 1 << n}}, {first: dict(parts[3].get(first, {}))}]
+    before = copy.deepcopy(tables)
+    union = functools.reduce(sets._or, tables)
+    assert tables == before
+    assert all(mask for inner in union.values() for mask in inner.values())
+    assert _point_set(union) == {p for table in tables for p in _point_set(table)}
+
+
 def test_cw_sets_empty_below_five():
     for n in range(-3, 5):
         assert enumerate_cwdd_a(n) == []
