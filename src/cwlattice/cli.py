@@ -5,10 +5,13 @@ Exit codes: 0 success, 1 failed census/verification records, 2 argument or
 input errors, 3 unsupported realization, 4 graph over the search cap.
 
 Every JSON document is byte for byte json.dumps(payload, indent=2) and a
-newline.  recognize's verdict and the list-valued documents (enumerate,
-realize --emit-graph, ideal) skip that call: with indent set, CPython
-encodes in pure Python, which cost more than recognize's graph work.
-Their strings are escaped by the C function json.dumps(str) calls.
+newline, with two more keyword arguments in two commands: census passes
+sort_keys=True, and bounds a default hook that writes each Fraction as
+{"num": ..., "den": ...}.  recognize's verdict and the list-valued
+documents (enumerate, realize --emit-graph, ideal) skip that call: with
+indent set, CPython encodes in pure Python, which cost more than
+recognize's graph work.  Their strings are escaped by the C function
+json.dumps(str) calls.
 
 main() parses argv once.  When argv[0] names a subcommand, argv[1:] goes
 straight to that subcommand's parser: the top-level parser would only have

@@ -430,7 +430,7 @@ def realize(n: int, point: tuple[int, int]) -> RealizationResult:
         return RealizationResult(
             RealizationKind.DEPTH2_DIM_N_MINUS_3, CwStructure(1, 1, (n - 4,), (1,))
         )
-    if a == 2 and n % 2 == 1 and 2 * b == n - 1 and n >= 7:
+    if a == 2 and n % 2 == 1 and 2 * b == n - 1:
         return RealizationResult(
             RealizationKind.DEPTH2_DIM_HALF, CwStructure(1, 1, (1,), ((n - 3) // 2,))
         )

@@ -21,12 +21,14 @@ either (_or) or exactly one (_xor), writing into neither.  A union is
 its parts folded with _or; MaskTable.overlaps ANDs each pair of a
 union's parts once per table, and a union whose parts share no point is
 counted from its parts, so a census record builds the ORed ``ra`` union
-only where parts overlap.  parts_overlap and ra_projection_mismatch
-take their witness as the least point of an _xor of what they expect and
-what they find.  The points themselves are derived: points_by_depth
-lists a set's points one ascending list per depth, expanding each mask's
-runs of set bits, and the enumerators join those lists.  The membership predicates behind ``contains`` test the
-inequalities directly, an oracle independent of the masks.
+only where parts overlap.  Every relation names its witness one way:
+parts_overlap, points_outside and ra_projection_mismatch each take the
+least point of an _xor of what the check expects and what it finds.  The
+points themselves are derived: points_by_depth lists a set's points one
+ascending list per depth, expanding each mask's runs of set bits, and
+the enumerators join those lists.  The membership predicates behind
+``contains`` test the inequalities directly, an oracle independent of
+the masks.
 
 Two-coordinate sets, points (depth, dim):
 
@@ -368,15 +370,14 @@ def parts_overlap(union: NamedSet, table: MaskTable):
 def points_outside(sub: NamedSet, sup: NamedSet, table: MaskTable):
     """None when the pair set sub lies in sup at the table's n: no mask of
     sub has a bit outside sup's mask of its prefix, which one AND per prefix
-    decides.  Else ((sub, sup), witness), the witness being the least point
-    of sub outside sup, built only on failure: the lowest bit outside sup
-    at the least failing prefix."""
+    decides.  Else ((sub, sup), witness), built only on failure.  As for
+    every relation, the witness is the least point of an _xor, here of
+    sub's points and those it shares with sup: the least point of sub
+    outside sup."""
     inner, outer = table[sub], table[sup]
-    if not (failing := [a for a, mask in inner.items() if (mask & outer.get(a, 0)) != mask]):
+    if not [a for a, mask in inner.items() if (mask & outer.get(a, 0)) != mask]:
         return None
-    a = min(failing)
-    extra = inner[a] & ~outer.get(a, 0)
-    return (sub, sup), (a, (extra & -extra).bit_length() - 1)
+    return (sub, sup), next(_points(_xor(_and(inner, outer), inner)))[0]
 
 
 def ra_projection_mismatch(table: MaskTable):

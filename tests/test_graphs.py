@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import random
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -410,6 +411,48 @@ def test_search_size_on_the_tail_shapes(monkeypatch):
         expanded = 0
         assert number(g) == value
         assert 0 < expanded <= most, (number.__name__, g.vertex_count, expanded)
+
+
+def _search_calls(number, g: Graph) -> int:
+    """The calls of _largest_matching's nested grow, the root call included,
+    that number(g) makes."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "grow":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        number(g)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_search_calls_on_the_golden_graphs_and_sparse_graphs():
+    # exact counts, so a change that slows the search but keeps every value
+    # fails here, such as a post-scan prune that needs both of its tests
+    # (`and` for `or`) or a matching search that also drops v (`2 << pick`
+    # in the drop test); the sparse graphs show both
+    data = Path(__file__).resolve().parent / "data"
+    graphs_and_calls = [
+        (parse_edge_list((data / f"{name}.edges").read_text(encoding="utf-8"))[0], calls)
+        for name, calls in [("triangles-22", (9, 13)), ("triangles-23", (9, 14)),
+                            ("cycle-31", (17, 30))]]
+    graphs_and_calls.append((Graph.from_edges(33, [(i, i + 1) for i in range(32)]), (17, 12)))
+    rng = random.Random(7)
+    for calls in [(7, 16), (10, 36), (10, 18), (12, 46), (7, 16), (12, 30)]:
+        n = rng.randint(12, 24)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}  # a spanning tree
+        extra = rng.randint(0, MAX_BRUTE_FORCE_EDGES - len(edges))
+        edges |= set(rng.sample(sorted(set(combinations(range(n), 2)) - edges), extra))
+        graphs_and_calls.append((Graph.from_edges(n, edges), calls))
+    for g, calls in graphs_and_calls:
+        assert len(g.edges) <= MAX_BRUTE_FORCE_EDGES and is_connected(g)
+        assert (_search_calls(matching_number, g),
+                _search_calls(induced_matching_number, g)) == calls, sorted(g.edges)
 
 
 def test_matching_size_cap():

@@ -5,7 +5,7 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cwlattice import (
     ArityMismatchError,
@@ -263,6 +263,23 @@ def test_and_or_xor_are_the_set_operations_on_the_points(tables):
             assert _point_set(result) == points(_point_set(xs), _point_set(ys)), op
             assert _no_empty_entry(result), op
             assert (xs, ys) == before, op
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAIR_TABLES, _PAIR_TABLES, st.booleans())
+@example({2: 0b10, 3: 1}, {2: 0b110}, False)
+def test_points_outside_names_the_least_point_of_sub_outside_sup(sub, sup, widen):
+    # sup widened by sub holds all of sub, so both answers are drawn often.
+    # No lattice set holds b = 0, so only such tables show a pass test that
+    # reads a prefix sup lacks as the mask 1, not 0: the example's one point
+    # outside sup is (3, 0)
+    if widen:
+        sup = sets._or(sup, sub)
+    table = sets.MaskTable(12)
+    table[NamedSet.CWDD], table[NamedSet.C_PLUS] = sub, sup
+    outside = _point_set(sub) - _point_set(sup)
+    assert sets.points_outside(NamedSet.CWDD, NamedSet.C_PLUS, table) == (
+        ((NamedSet.CWDD, NamedSet.C_PLUS), min(outside)) if outside else None)
 
 
 @pytest.mark.parametrize("n", [10, 11, 40, 41])
