@@ -15,8 +15,10 @@ InternalInconsistencyError because the counts are integers by construction.
 
 Each polynomial branch is pinned to the enumerations in
 :mod:`cwlattice.sets`: the test suite checks size_x(n) == len(enumerate_x(n))
-for every n up to 300, which over-determines a degree-3 polynomial per
-residue many times over.
+for every n up to 120 (test_sizes_match_enumeration), and size_x(n) against
+the census's mask counts for every n from 5 to 300 (acceptance criterion 2,
+test_criterion_2_oracle_equivalence).  Either range over-determines a
+degree-3 polynomial per residue many times over.
 
 Each size function registers itself in SIZE_BY_SET through the decorator
 _closed_form, which states its domain once: the size raises TypeError
@@ -225,8 +227,9 @@ def size_ra_d(n: int) -> int:
     2r <= n - a + 1 and n - 2r - 1 beyond; both the r-sum and the outer
     a-sum must be clipped to r >= a + 1 before telescoping, and after that
     clipping the total depends only on the residue of n mod 6, not on the
-    parity of k.  The branches are verified against the enumeration for
-    every n <= 300 in the tests.
+    parity of k.  The tests check the branches against the enumeration for
+    every n <= 120 (test_sizes_match_enumeration) and against the census's
+    mask counts for every n <= 300 (test_criterion_2_oracle_equivalence).
     """
     return _evaluate(_RA_D, n)
 

@@ -530,12 +530,3 @@ def test_census_deterministic():
     assert a == b
     assert a.to_csv() == b.to_csv()
     assert a.to_json() == b.to_json()
-
-
-def test_csv_shape():
-    report = run_census(5, 7, "ra")
-    lines = report.to_csv().splitlines()
-    assert lines[0].startswith("n,k,i,ra-a_enum,ra-a_closed,")
-    assert lines[0].endswith("disjointness_ok,sandwich_ok,containment_ok")
-    assert len(lines) == 4
-    assert lines[1].split(",")[:3] == ["5", "0", "5"]

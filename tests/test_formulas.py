@@ -94,17 +94,6 @@ def test_additivity(n):
     assert size_ra(n) == size_ra_a(n) + size_ra_b(n) + size_ra_c(n) + size_ra_d(n)
 
 
-def test_size_ra_d_same_on_both_k_parities():
-    # consecutive k of opposite parity within one residue class follow the
-    # same cubic; the count depends on n mod 6 only
-    for i in range(6):
-        for k in range(1, 8):
-            n_even_k = 6 * (2 * k) + i
-            n_odd_k = 6 * (2 * k + 1) + i
-            assert size_ra_d(n_even_k) == len(enumerate_set(NamedSet.RA_D, n_even_k))
-            assert size_ra_d(n_odd_k) == len(enumerate_set(NamedSet.RA_D, n_odd_k))
-
-
 def test_sandwich_frozen_values():
     assert sandwich_bounds_cwdd(12) == (Fraction(14), Fraction(95, 6))
     assert sandwich_bounds_cwdd(6) == (Fraction(2), Fraction(23, 6))

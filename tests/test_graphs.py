@@ -8,7 +8,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cwlattice import (
@@ -189,18 +189,6 @@ def test_matching_examples(chorded_hexagon):
     assert matching_number(p4) == 2
 
 
-def test_matching_on_assorted_small_graphs():
-    cases = [
-        Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]),
-        Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
-        Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
-        Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6)]),
-    ]
-    for g in cases:
-        assert matching_number(g) == oracle_matching(g)
-        assert induced_matching_number(g) == oracle_induced_matching(g)
-
-
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(min_value=2, max_value=7))
@@ -210,6 +198,10 @@ def small_graphs(draw):
 
 
 @given(small_graphs())
+@example(Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]))
+@example(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
+@example(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
+@example(Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6)]))
 @settings(max_examples=120, deadline=None)
 def test_matching_matches_subset_oracle(g):
     m = matching_number(g)
@@ -378,41 +370,6 @@ def test_matching_numbers_match_the_subset_recursion_at_the_cap():
         assert induced_matching_number(g) == oracle_by_subsets(g, True), sorted(g.edges)
 
 
-def test_search_size_on_the_tail_shapes(monkeypatch):
-    # grow calls _bits once for each node it expands.  Without the exchange
-    # rules the 23-vertex skeleton's matching search expands 487 nodes and
-    # the 31-cycle's and 33-path's induced searches 198 and 144.  Without
-    # the triangle rule the diagonal skeletons at n = 23, 20 and 22 expand
-    # 65, 33 and 34 nodes (matching) and 61, 24 and 10 (induced), and the
-    # triangle on a 29-cycle 32 (induced); a triangle rule that also tried
-    # dropping v and w when z has two other live neighbours would expand 30
-    expanded = 0
-    bits = graphs._bits
-
-    def counting_bits(mask):
-        nonlocal expanded
-        expanded += 1
-        return bits(mask)
-
-    monkeypatch.setattr(graphs, "_bits", counting_bits)
-    cycle = Graph.from_edges(31, [(i, (i + 1) % 31) for i in range(31)])
-    path = Graph.from_edges(33, [(i, i + 1) for i in range(32)])
-    # v, w = 0, 1 come first, so the search picks v before any cycle vertex
-    triangle_on_cycle = Graph.from_edges(
-        31, [(0, 1), (0, 2), (1, 2)] + [(2 + i, 2 + (i + 1) % 29) for i in range(29)])
-    cases = [(induced_matching_number, cycle, 10, 27),
-             (induced_matching_number, path, 11, 11),
-             (induced_matching_number, triangle_on_cycle, 10, 10)]
-    for n, b, matching_most, induced_most in [(23, 8, 8, 12), (20, 7, 7, 10), (22, 8, 8, 10)]:
-        skeleton = build_graph(realize(n, (b, b)).structure)
-        cases += [(matching_number, skeleton, b, matching_most),
-                  (induced_matching_number, skeleton, b, induced_most)]
-    for number, g, value, most in cases:
-        expanded = 0
-        assert number(g) == value
-        assert 0 < expanded <= most, (number.__name__, g.vertex_count, expanded)
-
-
 def _search_calls(number, g: Graph) -> int:
     """The calls of _largest_matching's nested grow, the root call included,
     that number(g) makes."""
@@ -434,25 +391,36 @@ def _search_calls(number, g: Graph) -> int:
 def test_search_calls_on_the_golden_graphs_and_sparse_graphs():
     # exact counts, so a change that slows the search but keeps every value
     # fails here, such as a post-scan prune that needs both of its tests
-    # (`and` for `or`) or a matching search that also drops v (`2 << pick`
-    # in the drop test); the sparse graphs show both
+    # (`and` for `or`), a matching search that also drops v (`2 << pick`
+    # in the drop test) or a search without the pendant-triangle rule; the
+    # sparse graphs show the first two, the skeletons and the triangle on a
+    # cycle the third
     data = Path(__file__).resolve().parent / "data"
-    graphs_and_calls = [
-        (parse_edge_list((data / f"{name}.edges").read_text(encoding="utf-8"))[0], calls)
-        for name, calls in [("triangles-22", (9, 13)), ("triangles-23", (9, 14)),
-                            ("cycle-31", (17, 30))]]
-    graphs_and_calls.append((Graph.from_edges(33, [(i, i + 1) for i in range(32)]), (17, 12)))
+    # (graph, (matching, induced) values, (matching, induced) calls)
+    cases = [
+        (parse_edge_list((data / f"{name}.edges").read_text(encoding="utf-8"))[0], values, calls)
+        for name, values, calls in [("triangles-22", (8, 8), (9, 13)),
+                                    ("triangles-23", (8, 8), (9, 14)),
+                                    ("cycle-31", (15, 10), (17, 30))]]
+    # v, w = 0, 1 come first, so the search picks v before any cycle vertex
+    triangle_on_cycle = Graph.from_edges(
+        31, [(0, 1), (0, 2), (1, 2)] + [(2 + i, 2 + (i + 1) % 29) for i in range(29)])
+    cases += [(Graph.from_edges(33, [(i, i + 1) for i in range(32)]), (16, 11), (17, 12)),
+              (triangle_on_cycle, (15, 10), (17, 11)),
+              (build_graph(realize(20, (7, 7)).structure), (7, 7), (8, 12))]
     rng = random.Random(7)
-    for calls in [(7, 16), (10, 36), (10, 18), (12, 46), (7, 16), (12, 30)]:
+    for values, calls in [((6, 4), (7, 16)), ((7, 3), (10, 36)), ((6, 4), (10, 18)),
+                          ((8, 4), (12, 46)), ((6, 3), (7, 16)), ((11, 6), (12, 30))]:
         n = rng.randint(12, 24)
         edges = {(rng.randrange(v), v) for v in range(1, n)}  # a spanning tree
         extra = rng.randint(0, MAX_BRUTE_FORCE_EDGES - len(edges))
         edges |= set(rng.sample(sorted(set(combinations(range(n), 2)) - edges), extra))
-        graphs_and_calls.append((Graph.from_edges(n, edges), calls))
-    for g, calls in graphs_and_calls:
+        cases.append((Graph.from_edges(n, edges), values, calls))
+    for g, values, calls in cases:
         assert len(g.edges) <= MAX_BRUTE_FORCE_EDGES and is_connected(g)
         assert (_search_calls(matching_number, g),
                 _search_calls(induced_matching_number, g)) == calls, sorted(g.edges)
+        assert (matching_number(g), induced_matching_number(g)) == values, sorted(g.edges)
 
 
 def test_matching_size_cap():

@@ -81,16 +81,6 @@ def naive_ra_c(n):
     }
 
 
-def naive_ra_d(n):
-    return {
-        (a, r, d, d)
-        for a in range(1, n + 1)
-        for r in range(1, n + 1)
-        for d in range(1, n + 1)
-        if 3 <= a < r < d < n - r and n + 2 <= a + r + d
-    }
-
-
 # ---------------------------------------------------------------------------
 # frozen examples
 # ---------------------------------------------------------------------------
@@ -150,25 +140,10 @@ def test_bound_polytope_examples():
 # oracle equivalence against the naive scans
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", range(1, 81))
-def test_pair_sets_match_naive_scan(n):
-    assert enumerate_cwdd_a(n) == sorted(naive_cwdd_a(n))
-    assert enumerate_cwdd_b(n) == sorted(naive_cwdd_b(n))
-    assert enumerate_cwdd_c(n) == sorted(naive_cwdd_c(n))
-    assert enumerate_cwdd(n) == sorted(
-        naive_cwdd_a(n) | naive_cwdd_b(n) | naive_cwdd_c(n)
-    )
-
-
 @pytest.mark.parametrize("n", range(5, 61))
 def test_tuple_sets_match_naive_scan(n):
     assert enumerate_ra_b(n) == sorted(naive_ra_b(n))
     assert enumerate_ra_c(n) == sorted(naive_ra_c(n))
-
-
-@pytest.mark.parametrize("n", range(5, 37))
-def test_ra_d_matches_full_cube_scan(n):
-    assert enumerate_ra_d(n) == sorted(naive_ra_d(n))
 
 
 # the census cap's last n, one per residue mod 6
@@ -178,8 +153,8 @@ CAP_RANGE = range(295, 301)
 @pytest.mark.parametrize("n", [*range(5, 151), *CAP_RANGE])
 def test_ra_d_rows_split_at_the_turn_equal_the_per_row_max(n):
     # the masks split at each depth's turn (n - a + 2) // 2 are the per-row
-    # max() form, to n = 150 and at the census cap, past the cube scan's
-    # n = 36, and so are the points enumerated from them
+    # max() form, to n = 150 and at the census cap, past criterion 8's cube
+    # scan at n = 40, and so are the points enumerated from them
     half = n // 2
     rows = [((a, r), max(r + 1, n - a - r + 2), n - r - 1)
             for a in range(3, half - 1)
@@ -577,7 +552,7 @@ def naive_ra_a(n):
 
 def naive_ra_d_pruned(n):
     # the box [1, n]^3, leaving a depth or an r as soon as it breaks one of
-    # the raw inequalities; the full cube scan above stops at n = 36
+    # the raw inequalities; criterion 8's full cube scan stops at n = 40
     return {
         (a, r, d, d)
         for a in range(1, n + 1) if a >= 3
