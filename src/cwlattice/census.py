@@ -19,13 +19,18 @@ diagnostic map across residues instead of a single abort.
 Reports serialize to CSV (one row per n; the diffable golden format) and
 JSON, with one boolean per kind of check.  Each family's CSV header line
 is built once, from FAMILY_SETS, in _HEADER.
+
+CensusRecord, CensusReport, Failure and Check are named tuples: immutable,
+compared and hashed by value (a record's counts dict makes it unhashable),
+iterable in field order, and equal to a plain tuple of the same values.  A
+namedtuple class costs a small fraction of what a frozen dataclass costs to
+define, since the dataclass writes and compiles its methods at every import.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import sets
 from .errors import DomainError, require_int
@@ -48,20 +53,18 @@ _HEADER = {
 }
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(namedtuple("CensusRecord", "n counts failures", defaults=((),))):
     """Verification results for a single n.
 
     counts maps each set tag to (enumerated size, closed-form size); a
     (None, None) pair marks a set undefined at this n (see sets.FIRST_N;
     the census starts at n = 3, so only beta at n = 3).  failures holds the
-    structural checks that failed.  The reports write, beside n, the k and i
-    of n = 6k + i, and ok(kind) for each kind of KINDS.
+    structural checks that failed, a tuple of Failure.  The reports write,
+    beside n, the k and i of n = 6k + i, and ok(kind) for each kind of
+    KINDS.
     """
 
-    n: int
-    counts: dict[str, tuple[int | None, int | None]]
-    failures: tuple[Failure, ...] = ()
+    __slots__ = ()
 
     def ok(self, kind: str) -> bool:
         """No check of this kind failed: the census boolean of the kind."""
@@ -72,13 +75,11 @@ class CensusRecord:
         return not self.failures and all(e == c for e, c in self.counts.values())
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    """The records of one family, one per n in ascending order; run_census
-    always builds at least one."""
+class CensusReport(namedtuple("CensusReport", "family records")):
+    """The records of one family, a list of CensusRecord, one per n in
+    ascending order; run_census always builds at least one."""
 
-    family: str
-    records: list[CensusRecord]
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:
@@ -123,34 +124,26 @@ class CensusReport:
 # structural checks, on the sets' masks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(namedtuple("Failure", "check kind sets witness residue")):
     """A structural check that failed at one n: its name and kind, the sets
-    involved, a witness point that breaks it (for the sandwich, the
-    one-tuple (|cwdd|,) outside the envelope) and the residue n mod 6."""
+    involved (a tuple of NamedSet), a witness point that breaks it (for the
+    sandwich, the one-tuple (|cwdd|,) outside the envelope) and the residue
+    n mod 6."""
 
-    check: str
-    kind: str
-    sets: tuple[NamedSet, ...]
-    witness: tuple[int, ...]
-    residue: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         tags = ", ".join(s.value for s in self.sets)
         return f"{self.check} on {tags}: witness {self.witness}, n mod 6 = {self.residue}"
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(namedtuple("Check", "kind on first_n find")):
     """An entry of CHECKS: its kind (the census boolean it feeds), the family
     sets that switch it on, the first n it applies to, and find(table),
     which reads the sets from a sets.MaskTable and returns None when the
     check holds at the table's n, else (sets involved, witness)."""
 
-    kind: str
-    on: tuple[NamedSet, ...]
-    first_n: int
-    find: Callable[[sets.MaskTable], tuple[tuple[NamedSet, ...], tuple[int, ...]] | None]
+    __slots__ = ()
 
 
 def _parts_disjoint(union: NamedSet) -> Check:

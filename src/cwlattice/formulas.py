@@ -25,13 +25,16 @@ _closed_form, which states its domain once: the size raises TypeError
 unless n is an int, and below the set's first n it is 0 for a CW set and
 raises DomainError for a bounding polytope, whose first n is its entry in
 sets.FIRST_N.  The function bodies hold only the formulas.
+
+ratio_report returns a RatioReport, a named tuple: immutable, compared and
+hashed by value, and iterable in field order (n and the three ratios).
 """
 
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalInconsistencyError, require_int
@@ -310,14 +313,11 @@ def sandwich_bounds_cwdd(n: int) -> tuple[Fraction, Fraction]:
     return Fraction(s + 3, 6), Fraction(s + 14, 6)
 
 
-@dataclass(frozen=True)
-class RatioReport:
-    """Exact rationals comparing the pair census to its bounding polytopes."""
+class RatioReport(namedtuple("RatioReport", "n cwdd_over_cplus cwdd_over_cminus cwdd_over_nsq")):
+    """Exact rationals comparing the pair census to its bounding polytopes:
+    n and three Fractions."""
 
-    n: int
-    cwdd_over_cplus: Fraction
-    cwdd_over_cminus: Fraction
-    cwdd_over_nsq: Fraction
+    __slots__ = ()
 
 
 def ratio_report(n: int) -> RatioReport:

@@ -32,10 +32,19 @@ exchange rules, proved in _largest_matching, skip branches that cannot
 hold the only optimum.  The search is capped at MAX_BRUTE_FORCE_EDGES
 edges; beyond the cap a GraphTooLargeError asks the caller to shrink the
 instance.
+
+CwStructure and RealizationResult are named tuples: immutable, compared and
+hashed by value, and iterable in field order.  Each checks its fields in
+__new__ and again in _make, which _replace calls and which skips __new__,
+so no way of building one skips the checks.  Graph stays a frozen
+dataclass: its neighbour_masks, a cached_property, is kept in an instance
+dict, which the named tuples' empty __slots__ leave out, and it is no
+field, so equality, hashing and repr ignore it.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -278,33 +287,35 @@ def is_cameron_walker(g: Graph) -> bool:
 # skeletons and construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CwStructure:
+class CwStructure(namedtuple("CwStructure", "m p s t")):
     """Skeleton of a Cameron-Walker graph.
 
     m, p are the bipartite part sizes; s[i] >= 1 counts the leaves on u_i;
     t[j] >= 0 counts the pendant triangles on v_j.  The built graph has
     m + p + sum(s) + 2 sum(t) vertices and mp + sum(s) + 3 sum(t) edges.
+    s and t are kept as tuples, whatever sequences are passed.
     """
 
-    m: int
-    p: int
-    s: tuple[int, ...]
-    t: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", tuple(self.s))
-        object.__setattr__(self, "t", tuple(self.t))
-        if self.m < 1 or self.p < 1:
+    def __new__(cls, m: int, p: int, s: tuple[int, ...], t: tuple[int, ...]) -> CwStructure:
+        return cls._make((m, p, s, t))
+
+    @classmethod
+    def _make(cls, fields) -> CwStructure:
+        m, p, s, t = fields
+        s, t = tuple(s), tuple(t)
+        if m < 1 or p < 1:
             raise ValueError("both bipartite parts need at least one vertex")
-        if len(self.s) != self.m:
-            raise ValueError(f"need {self.m} leaf counts, got {len(self.s)}")
-        if len(self.t) != self.p:
-            raise ValueError(f"need {self.p} triangle counts, got {len(self.t)}")
-        if any(si < 1 for si in self.s):
+        if len(s) != m:
+            raise ValueError(f"need {m} leaf counts, got {len(s)}")
+        if len(t) != p:
+            raise ValueError(f"need {p} triangle counts, got {len(t)}")
+        if any(si < 1 for si in s):
             raise ValueError("every u-vertex needs at least one leaf (s_i >= 1)")
-        if any(tj < 0 for tj in self.t):
+        if any(tj < 0 for tj in t):
             raise ValueError("triangle counts must be nonnegative")
+        return tuple.__new__(cls, (m, p, s, t))
 
     @property
     def vertex_count(self) -> int:
@@ -377,14 +388,21 @@ class RealizationKind(Enum):
     UNSUPPORTED = "unsupported"
 
 
-@dataclass(frozen=True)
-class RealizationResult:
-    kind: RealizationKind
-    structure: CwStructure | None
+class RealizationResult(namedtuple("RealizationResult", "kind structure")):
+    """A RealizationKind and its CwStructure, which is None exactly when the
+    kind is UNSUPPORTED."""
 
-    def __post_init__(self):
-        if (self.structure is None) != (self.kind is RealizationKind.UNSUPPORTED):
+    __slots__ = ()
+
+    def __new__(cls, kind: RealizationKind, structure: CwStructure | None) -> RealizationResult:
+        return cls._make((kind, structure))
+
+    @classmethod
+    def _make(cls, fields) -> RealizationResult:
+        kind, structure = fields
+        if (structure is None) != (kind is RealizationKind.UNSUPPORTED):
             raise ValueError("structure must be present exactly when supported")
+        return tuple.__new__(cls, (kind, structure))
 
 
 def realize(n: int, point: tuple[int, int]) -> RealizationResult:

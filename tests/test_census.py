@@ -8,9 +8,14 @@ import pytest
 
 from cwlattice import (
     CHECKS,
+    CensusRecord,
+    CensusReport,
+    CwStructure,
     DomainError,
     Failure,
     NamedSet,
+    RealizationKind,
+    RealizationResult,
     census,
     check,
     enumerate_ra_d,
@@ -23,7 +28,7 @@ from cwlattice import (
     size_ra,
     size_ra_d,
 )
-from cwlattice.census import FAMILY_SETS, KINDS
+from cwlattice.census import FAMILY_SETS, KINDS, Check
 from cwlattice.cli import main
 
 from conftest import first_mask, without_point
@@ -530,3 +535,30 @@ def test_census_deterministic():
     assert a == b
     assert a.to_csv() == b.to_csv()
     assert a.to_json() == b.to_json()
+
+
+# the record classes: immutable, equal by value, repr in field order
+_COUNTS = {"cwdd": (2, 2)}
+_SKELETON = CwStructure(1, 1, (1,), (1,))
+_RECORDS = [
+    (CensusRecord, {"n": 5, "counts": _COUNTS, "failures": ()}),
+    (CensusReport, {"family": "cwdd", "records": [CensusRecord(5, _COUNTS)]}),
+    (Failure, {"check": "cwdd in c-plus", "kind": "containment",
+               "sets": (NamedSet.CWDD, NamedSet.C_PLUS), "witness": (2, 9), "residue": 0}),
+    (Check, {"kind": "containment", "on": (NamedSet.CWDD,), "first_n": 3, "find": len}),
+    (CwStructure, {"m": 1, "p": 1, "s": (1,), "t": (1,)}),
+    (RealizationResult, {"kind": RealizationKind.CM_DIAGONAL, "structure": _SKELETON}),
+]
+
+
+@pytest.mark.parametrize("cls, fields", _RECORDS, ids=[cls.__name__ for cls, _ in _RECORDS])
+def test_records_are_immutable_values_with_a_field_order_repr(cls, fields):
+    record = cls(*fields.values())
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert record == cls(**fields)
+    body = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(record) == f"{cls.__name__}({body})"
+    assert CensusRecord(5, _COUNTS) == CensusRecord(5, _COUNTS, ())
+    assert CwStructure(1, 1, [1], [1]).s == (1,)

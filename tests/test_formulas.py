@@ -134,6 +134,8 @@ def test_sandwich_domain_error():
 
 def test_ratio_report_frozen():
     rep = ratio_report(6)
+    with pytest.raises(AttributeError):
+        rep.n = 7
     assert rep.cwdd_over_nsq == Fraction(2, 36)
     assert rep.cwdd_over_cplus == Fraction(2, 15)
     assert rep.cwdd_over_cminus == Fraction(2, 10)

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 import random
 import sys
 from itertools import combinations
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cwlattice
 from cwlattice import (
     ArityMismatchError,
     CwStructure,
@@ -145,6 +147,18 @@ def test_neighbour_masks_are_built_on_first_use_and_are_not_a_field():
     format_edge_list(parsed, names)
     format_edge_list(built, structure_vertex_names(cw))
     assert "neighbour_masks" not in vars(parsed) and "neighbour_masks" not in vars(built)
+
+
+def test_graph_is_the_only_dataclass_among_the_public_names():
+    # a dataclass writes and compiles its methods at every import, so the
+    # records are named tuples; Graph's cached neighbour_masks is kept in an
+    # instance dict, which their empty __slots__ leave out
+    package = Path(graphs.__file__).parent
+    modules = [cwlattice] + [importlib.import_module(f"cwlattice.{path.stem}")
+                             for path in package.glob("*.py") if not path.stem.startswith("_")]
+    found = {name for module in modules for name, value in vars(module).items()
+             if not name.startswith("_") and dataclasses.is_dataclass(value)}
+    assert found == {"Graph"}
 
 
 def test_graphs_imports_only_errors_and_private_require_int_is_gone():
@@ -581,6 +595,22 @@ def test_structure_invariants_rejected():
         CwStructure(1, 2, (1,), (0,))
     with pytest.raises(ValueError):
         CwStructure(1, 1, (1,), (-1,))
+
+
+def test_structure_and_realization_checks_hold_through_replace_and_make():
+    cw = CwStructure(1, 1, (1,), (1,))
+    for bad in ({"s": (0,)}, {"m": 2}, {"t": (1, 1)}, {"p": 0}):
+        with pytest.raises(ValueError):
+            cw._replace(**bad)
+        with pytest.raises(ValueError):
+            CwStructure._make({**cw._asdict(), **bad}.values())
+    assert cw._replace(s=[2]).s == (2,) and CwStructure._make((1, 1, [1], [0])).t == (0,)
+    supported = RealizationResult(RealizationKind.CM_DIAGONAL, cw)
+    for bad in ({"structure": None}, {"kind": RealizationKind.UNSUPPORTED}):
+        with pytest.raises(ValueError):
+            supported._replace(**bad)
+        with pytest.raises(ValueError):
+            RealizationResult._make({**supported._asdict(), **bad}.values())
 
 
 def test_realization_result_has_a_structure_exactly_when_supported():
