@@ -36,10 +36,17 @@ instance.
 CwStructure and RealizationResult are named tuples: immutable, compared and
 hashed by value, and iterable in field order.  Each checks its fields in
 __new__ and again in _make, which _replace calls and which skips __new__,
-so no way of building one skips the checks.  Graph stays a frozen
-dataclass: its neighbour_masks, a cached_property, is kept in an instance
-dict, which the named tuples' empty __slots__ leave out, and it is no
-field, so equality, hashing and repr ignore it.
+so no way of building one skips the checks.
+
+Graph stays a frozen dataclass, because its neighbour_masks are built
+lazily.  Eager masks grow quadratically with the vertex count: for a path
+on 40,000 vertices they took 0.26 s and held 103 MiB (Python 3.11, 2-core
+x86-64).  ideal reads inputs of up to 16 MB, over a million edges, and
+realize --emit-graph writes up to 500,000, and neither reads the masks.
+A named tuple could keep a lazy cache only in an instance dict, where any
+caller could overwrite it; the frozen dataclass refuses the write.  The
+masks are a cached_property, not a field, so equality, hashing and repr
+ignore them.
 """
 
 from __future__ import annotations
@@ -59,8 +66,10 @@ MAX_BRUTE_FORCE_EDGES = 32
 class Graph:
     """A finite simple graph: a vertex count and a set of unordered pairs.
 
-    Edges are stored as (u, v) with u < v; loops and multi-edges cannot be
-    represented.  Vertices are 0 .. vertex_count - 1.
+    Graph(vertex_count, edges) takes any iterable of vertex pairs: it orders
+    each pair, collapses duplicates and stores the edges as a frozenset of
+    (u, v) with u < v.  A loop or a vertex outside 0 .. vertex_count - 1 is
+    a ValueError, so loops and multi-edges cannot be represented.
 
     neighbour_masks is built on first use, by the first graph algorithm
     run on the graph, and kept: bit w of entry v is set when vw is an edge.
@@ -75,9 +84,12 @@ class Graph:
     def __post_init__(self):
         if self.vertex_count < 1:
             raise ValueError("a graph needs at least one vertex")
-        for u, v in self.edges:
+        edges = {(u, v) if u < v else (v, u) for u, v in self.edges}
+        for u, v in edges:
             if not 0 <= u < v < self.vertex_count:
-                raise ValueError(f"bad edge ({u}, {v}) for {self.vertex_count} vertices")
+                raise ValueError(f"loop edge at vertex {u}" if u == v else
+                                 f"bad edge ({u}, {v}) for {self.vertex_count} vertices")
+        object.__setattr__(self, "edges", frozenset(edges))
 
     @cached_property
     def neighbour_masks(self) -> tuple[int, ...]:
@@ -87,17 +99,6 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
-
-    @classmethod
-    def from_edges(cls, vertex_count: int, edges) -> "Graph":
-        """Build a graph from any iterable of vertex pairs, normalizing order
-        and collapsing duplicates; loops are rejected."""
-        normalized = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop edge at vertex {u}")
-            normalized.add((u, v) if u < v else (v, u))
-        return cls(vertex_count=vertex_count, edges=frozenset(normalized))
 
 
 def _bits(mask: int):
@@ -333,8 +334,7 @@ def build_graph(cw: CwStructure) -> Graph:
     connected core would do; the complete one guarantees connectivity with
     no case analysis).  Vertex labels: u-vertices 0..m-1, v-vertices
     m..m+p-1, then the leaves grouped by u_i in index order, then the
-    triangle vertex pairs grouped by v_j.  Each edge is built as (u, v)
-    with u < v, once, so the Graph takes the edges as they are.
+    triangle vertex pairs grouped by v_j.
     """
     m, p = cw.m, cw.p
     edges: list[tuple[int, int]] = [(ui, vj) for ui in range(m) for vj in range(m, m + p)]
@@ -349,7 +349,7 @@ def build_graph(cw: CwStructure) -> Graph:
             w0, w1 = nxt, nxt + 1
             edges.extend([(vj, w0), (vj, w1), (w0, w1)])
             nxt += 2
-    return Graph(nxt, frozenset(edges))
+    return Graph(nxt, edges)
 
 
 def structure_vertex_names(cw: CwStructure) -> list[str]:
@@ -468,7 +468,7 @@ def parse_edge_list(text: str) -> tuple[Graph, list[str]]:
     loop line is an error.
     """
     index: dict[str, int] = {}
-    edges: set[tuple[int, int]] = set()
+    edges = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
@@ -480,11 +480,10 @@ def parse_edge_list(text: str) -> tuple[Graph, list[str]]:
         a, b = tokens
         if a == b:
             raise EdgeListParseError(f"loop edge at vertex {a!r}", line=lineno)
-        u, v = index.setdefault(a, len(index)), index.setdefault(b, len(index))
-        edges.add((u, v) if u < v else (v, u))
+        edges.add((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
     if not index:
         raise EdgeListParseError("no edges found in input")
-    return Graph(len(index), frozenset(edges)), list(index)
+    return Graph(len(index), edges), list(index)
 
 
 def format_edge_list(g: Graph, names: list[str]) -> str:

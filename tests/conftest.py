@@ -14,7 +14,7 @@ CHORDED_HEXAGON_EDGES = [
 @pytest.fixture
 def chorded_hexagon() -> Graph:
     idx = {name: i for i, name in enumerate(CHORDED_HEXAGON_NAMES)}
-    return Graph.from_edges(6, [(idx[a], idx[b]) for a, b in CHORDED_HEXAGON_EDGES])
+    return Graph(6, [(idx[a], idx[b]) for a, b in CHORDED_HEXAGON_EDGES])
 
 
 # Faults planted in mask form: a set's table is {a: mask over b} for a pair

@@ -121,7 +121,7 @@ def test_criterion_5_asymptotics():
 def test_criterion_6_example_graph():
     start = time.monotonic()
     idx = {name: i for i, name in enumerate(CHORDED_HEXAGON_NAMES)}
-    graph = Graph.from_edges(6, [(idx[a], idx[b]) for a, b in CHORDED_HEXAGON_EDGES])
+    graph = Graph(6, [(idx[a], idx[b]) for a, b in CHORDED_HEXAGON_EDGES])
     m = matching_number(graph)
     im = induced_matching_number(graph)
     generators = edge_ideal_generators(graph, CHORDED_HEXAGON_NAMES)

@@ -1,6 +1,5 @@
 """CLI tests: outputs, exit codes, determinism."""
 
-import hashlib
 import json
 import os
 import random
@@ -19,17 +18,11 @@ from cwlattice import (NamedSet, __version__, build_graph, census, cli, edge_ide
 from cwlattice.cli import main
 from cwlattice.formulas import SIZE_BY_SET
 
+import cli_pins
 from conftest import CHORDED_HEXAGON_EDGES, first_mask
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 DATA_DIR = Path(__file__).resolve().parent / "data"
-
-
-@pytest.fixture
-def hexagon_file(tmp_path) -> str:
-    path = tmp_path / "hexagon.edges"
-    path.write_text("".join(f"{a} {b}\n" for a, b in CHORDED_HEXAGON_EDGES), encoding="utf-8")
-    return str(path)
 
 
 def run_cli(capsys, *argv):
@@ -44,41 +37,30 @@ def test_census_matches_the_golden_files(capsys):
     js = (DATA_DIR / "census-all-3-8.json").read_bytes().decode("utf-8")
     assert run_census(3, 40, "all").to_csv() == csv
     assert run_census(3, 8, "all").to_json() == js
-    assert run_cli(capsys, "census", "--from", "3", "--to", "40", "--family", "all") == (
-        0, csv, "")
-    assert run_cli(capsys, "census", "--from", "3", "--to", "8", "--family", "all",
-                   "--format", "json") == (0, js, "")
 
 
-# the sha256 of the single-command outputs the CI workflow pins on the
-# installed console script
-PINNED_SHA256 = {
-    "census --from 5 --to 300 --family all":
-        "706055bd5b3b6430972e7a6835c1c2a47096a4d4abdc1b3bba3203de61144002",
-    "census --from 5 --to 300 --family all --format json":
-        "27040441086f70ffae07cbdde9a5bc77623b834129fcf51b0d84c3aa2f68aa99",
-    "census --from 5 --to 300 --family ra":
-        "930c596c9addef0404329bfd6714a1c51fcdf6c2bd2769cf43822a2dc73b2fb0",
-    "census --from 5 --to 300 --family cwdd":
-        "b95732e7af156185922fb2addfa211bf309c6b4dc4802e1df47d53c4b4d0281a",
-    "census --from 5 --to 300 --family bounds":
-        "5abbc6f76bd6bbd74dc88e39c850ea8964ec594d7cd517da59bc9fc710c74aab",
-    "enumerate --n 300 --set ra":
-        "080847948e7e998f7aea2dd6d9ab0b27269d5297f2d968f1a4a06255280cbf05",
-    "enumerate --n 299 --set ra":
-        "ca843d8cd7bddee7ec864a577b20628c2bc254c7ff0dd0a0d8ac4318ce245d1e",
-    "enumerate --n 300 --set cwdd --format json":
-        "38592dc2dff0078bf4d1f8276b38f969e972c96cf7606826f3f6efc2093a885b",
-    "enumerate --n 300 --set ra --format json":
-        "5a48dd88eda389d63dd703f14e68229dd416a62a09e02b173be2d549793aa883",
-}
+@pytest.mark.parametrize("pin", cli_pins.PINS, ids=[pin.command for pin in cli_pins.PINS])
+def test_pinned_command(capsys, monkeypatch, pin):
+    monkeypatch.chdir(cli_pins.ROOT)
+    runs = []
+    for argv in pin.argvs:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        runs.append((code, out.encode("utf-8"), err.encode("utf-8")))
+    assert pin.observed(runs) == pin.expected()
 
 
-@pytest.mark.parametrize("command", list(PINNED_SHA256))
-def test_output_bytes_match_the_pinned_sha256(capsys, command):
-    code, out, err = run_cli(capsys, *command.split())
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_SHA256[command]
+def test_module_entry_point(capsys, monkeypatch):
+    # python -m cwlattice, through the pin runner that CI points at the
+    # installed console script
+    monkeypatch.setenv("PYTHONPATH", str(SRC_DIR))
+    pins = {pin.command: pin for pin in cli_pins.PINS}
+    cheap = [pins["bounds --n 12"], pins["realize --n 12 --depth 3 --dim 5"]]
+    command = [sys.executable, "-m", "cwlattice"]
+    assert cli_pins.main(command, cheap) == 0
+    assert capsys.readouterr().out == "2 of 2 pinned commands pass\n"
+    assert cli_pins.main(command, [cheap[0]._replace(golden="bounds-1000000007.json")]) == 1
+    assert capsys.readouterr().out == "FAIL: 'bounds --n 12'\n0 of 1 pinned commands pass\n"
 
 
 def test_census_bad_range_exits_2(capsys):
@@ -307,22 +289,6 @@ def test_enumerate_invalid_inputs(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--n", "2", "--set", "beta")
     assert code == 2
     assert "error" in err
-
-
-def test_verify_text_is_the_golden_file(capsys):
-    # at n = 3 beta is undefined, and verify says so in its line
-    for n in (3, 12):
-        expected = (DATA_DIR / f"verify-{n}.txt").read_bytes().decode("utf-8")
-        assert run_cli(capsys, "verify", "--n", str(n)) == (0, expected, "")
-
-
-@pytest.mark.parametrize("name, argv", [
-    ("bounds-12.txt", ["--n", "12"]),
-    ("bounds-1000000007.json", ["--n", "1000000007", "--format", "json"]),
-])
-def test_bounds_output_is_the_golden_file(capsys, name, argv):
-    expected = (DATA_DIR / name).read_bytes().decode("utf-8")
-    assert run_cli(capsys, "bounds", *argv) == (0, expected, "")
 
 
 def test_verify_refuses_n_above_the_census_cap(capsys, monkeypatch):
@@ -587,29 +553,10 @@ def test_realize_unsupported_exit_3(capsys):
     assert "no supported realization" in err
 
 
-def test_recognize_chorded_hexagon(capsys, hexagon_file):
-    code, out, _ = run_cli(capsys, "recognize", "--input", hexagon_file)
-    assert code == 0
-    assert out == "not CW: m=3 im=2 (m≠im)\n"
-
-
-def test_readme_example_file(capsys):
-    path = str(DATA_DIR / "chorded-hexagon.edges")
-    assert run_cli(capsys, "recognize", "--input", path) == (0, "not CW: m=3 im=2 (m≠im)\n", "")
+def test_readme_example_file():
+    # the README's eight generators; test_pinned_command runs ideal on the file
     ideal = "a b\na f\nb c\nb f\nc d\nc e\nd e\ne f\n"
-    assert run_cli(capsys, "ideal", "--input", path) == (0, ideal, "")
     assert (DATA_DIR / "chorded-hexagon-ideal.txt").read_bytes().decode("utf-8") == ideal
-
-
-@pytest.mark.parametrize("name", ["chorded-hexagon", "cycle-31", "cw-skeleton", "triangles-22",
-                                  "triangles-23"])
-def test_recognize_json_matches_the_golden_files(capsys, name):
-    # the JSON bytes; the 31-cycle and the skeletons with six and seven
-    # pendant triangles (22 vertices and 32 edges, 23 vertices and 29) are
-    # among the slowest searches near the 32-edge cap
-    expected = (DATA_DIR / f"{name}.json").read_bytes().decode("utf-8")
-    assert run_cli(capsys, "recognize", "--input", str(DATA_DIR / f"{name}.edges"),
-                   "--format", "json") == (0, expected, "")
 
 
 # labels that JSON escapes: a quote, a backslash, non-ASCII and DEL
@@ -752,25 +699,11 @@ def test_recognize_oversized_graph_exit_4(capsys, tmp_path):
     assert "cap" in err
 
 
-def test_ideal_output(capsys, hexagon_file):
-    code, out, _ = run_cli(capsys, "ideal", "--input", hexagon_file)
-    assert code == 0
-    assert out.splitlines() == ["a b", "a f", "b c", "b f", "c d", "c e", "d e", "e f"]
-
-
 def test_ideal_text_keeps_distinct_generators_apart(capsys, tmp_path):
     # with the labels run together, a bc and ab c would both print abc
     path = tmp_path / "g.edges"
     path.write_text("a bc\nab c\nc a\n", encoding="utf-8")
     assert run_cli(capsys, "ideal", "--input", str(path)) == (0, "a bc\na c\nab c\n", "")
-
-
-def test_ideal_json(capsys, hexagon_file):
-    code, out, _ = run_cli(capsys, "ideal", "--input", hexagon_file, "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert ["a", "b"] in payload["generators"]
-    assert len(payload["generators"]) == 8
 
 
 def test_loop_edge_exit_2(capsys, tmp_path):
@@ -808,7 +741,8 @@ def test_byte_deterministic_output(capsys):
     assert first == second
 
 
-def test_parser_reuse_keeps_no_state(capsys, hexagon_file):
+def test_parser_reuse_keeps_no_state(capsys):
+    hexagon_file = str(DATA_DIR / "chorded-hexagon.edges")
     code, out, _ = run_cli(capsys, "census", "--from", "5", "--to", "6", "--format", "json")
     assert code == 0 and out.startswith("{")
     code, out, _ = run_cli(capsys, "census", "--from", "5", "--to", "6")
@@ -841,13 +775,3 @@ def test_enumerate_csv_to_file_equals_stdout(capsys, tmp_path):
                                "--out", str(out_file))
     assert code == 0 and printed == ""
     assert out_file.read_text(encoding="utf-8") == out
-
-
-def test_module_entry_point():
-    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cwlattice", "enumerate", "--n", "12", "--set", "cwdd-b"],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "5,5\n"

@@ -112,20 +112,14 @@ def oracle_by_subsets(g: Graph, induced: bool) -> int:
 # Graph basics
 # ---------------------------------------------------------------------------
 
-def test_from_edges_normalizes_and_deduplicates():
-    g = Graph.from_edges(3, [(1, 0), (0, 1), (1, 2)])
-    assert g.edges == frozenset({(0, 1), (1, 2)})
-
-
-def test_from_edges_rejects_loops_and_bad_vertices():
-    with pytest.raises(ValueError):
-        Graph.from_edges(3, [(1, 1)])
-    with pytest.raises(ValueError):
-        Graph(3, frozenset({(1, 1)}))
-    with pytest.raises(ValueError):
-        Graph.from_edges(2, [(0, 2)])
-    with pytest.raises(ValueError):
-        Graph(vertex_count=0, edges=frozenset())
+def test_graph_orders_pairs_collapses_duplicates_and_rejects_bad_edges():
+    assert Graph(3, [(1, 0), (0, 1), (1, 2)]).edges == frozenset({(0, 1), (1, 2)})
+    for n, edges, message in [(3, [(1, 1)], "loop edge at vertex 1"),
+                              (2, [(2, 0)], r"bad edge \(0, 2\) for 2 vertices"),
+                              (2, [(-1, 1)], r"bad edge \(-1, 1\) for 2 vertices"),
+                              (0, [], "a graph needs at least one vertex")]:
+        with pytest.raises(ValueError, match=message):
+            Graph(n, edges)
 
 
 def test_neighbour_masks_are_built_on_first_use_and_are_not_a_field():
@@ -135,7 +129,7 @@ def test_neighbour_masks_are_built_on_first_use_and_are_not_a_field():
     assert vars(g)["neighbour_masks"] is g.neighbour_masks
     assert "neighbour_masks" not in {field.name for field in dataclasses.fields(Graph)}
     assert "neighbour_masks" not in repr(g)
-    twin = Graph.from_edges(4, [(3, 1), (2, 1), (1, 0)])
+    twin = Graph(4, [(3, 1), (2, 1), (1, 0)])
     assert twin == g and hash(twin) == hash(g)
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.neighbour_masks = ()
@@ -180,10 +174,10 @@ def test_graphs_imports_only_errors_and_private_require_int_is_gone():
 
 
 def test_connectivity():
-    assert is_connected(Graph.from_edges(1, []))
-    assert not is_connected(Graph.from_edges(2, []))
-    assert is_connected(Graph.from_edges(3, [(0, 1), (1, 2)]))
-    assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    assert is_connected(Graph(1, []))
+    assert not is_connected(Graph(2, []))
+    assert is_connected(Graph(3, [(0, 1), (1, 2)]))
+    assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +187,12 @@ def test_connectivity():
 def test_matching_examples(chorded_hexagon):
     assert matching_number(chorded_hexagon) == 3
     assert induced_matching_number(chorded_hexagon) == 2
-    single = Graph.from_edges(2, [(0, 1)])
+    single = Graph(2, [(0, 1)])
     assert matching_number(single) == 1
     assert induced_matching_number(single) == 1
-    star4 = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
+    star4 = Graph(5, [(0, i) for i in range(1, 5)])
     assert matching_number(star4) == 1
-    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert induced_matching_number(p4) == 1
     assert matching_number(p4) == 2
 
@@ -208,14 +202,14 @@ def small_graphs(draw):
     n = draw(st.integers(min_value=2, max_value=7))
     pairs = list(combinations(range(n), 2))
     edges = draw(st.sets(st.sampled_from(pairs), max_size=9))
-    return Graph.from_edges(n, edges)
+    return Graph(n, edges)
 
 
 @given(small_graphs())
-@example(Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]))
-@example(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
-@example(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
-@example(Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6)]))
+@example(Graph(6, [(0, 1), (2, 3), (4, 5)]))
+@example(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
+@example(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
+@example(Graph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6)]))
 @settings(max_examples=120, deadline=None)
 def test_matching_matches_subset_oracle(g):
     m = matching_number(g)
@@ -230,15 +224,15 @@ def test_matching_matches_subset_oracle_up_to_14_edges():
     for _ in range(120):
         n = rng.randint(4, 16)
         pairs = list(combinations(range(n), 2))
-        g = Graph.from_edges(n, rng.sample(pairs, rng.randint(1, min(14, len(pairs)))))
+        g = Graph(n, rng.sample(pairs, rng.randint(1, min(14, len(pairs)))))
         assert matching_number(g) == oracle_matching(g)
         assert induced_matching_number(g) == oracle_induced_matching(g)
 
 
 def test_matching_numbers_at_the_cap():
-    cycle = Graph.from_edges(31, [(i, (i + 1) % 31) for i in range(31)])
+    cycle = Graph(31, [(i, (i + 1) % 31) for i in range(31)])
     assert (matching_number(cycle), induced_matching_number(cycle)) == (15, 10)
-    path = Graph.from_edges(33, [(i, i + 1) for i in range(32)])
+    path = Graph(33, [(i, i + 1) for i in range(32)])
     assert (matching_number(path), induced_matching_number(path)) == (16, 11)
     cw = CwStructure(2, 2, (3, 4), (3, 4))
     skeleton = build_graph(cw)
@@ -248,7 +242,7 @@ def test_matching_numbers_at_the_cap():
     # a forest: a comb (spine 0..15, tooth 16 + i on spine vertex i) and one
     # more edge; every tooth is a leaf, so the search matches it outright
     comb = [(i, i + 1) for i in range(15)] + [(i, 16 + i) for i in range(16)]
-    forest = Graph.from_edges(34, comb + [(32, 33)])
+    forest = Graph(34, comb + [(32, 33)])
     assert len(forest.edges) == MAX_BRUTE_FORCE_EDGES
     assert (matching_number(forest), induced_matching_number(forest)) == (17, 9)
 
@@ -257,11 +251,11 @@ def test_leaf_rule_examples():
     # the search takes a leaf's edge, and also tries dropping both its ends
     # when the leaf's neighbour has two other live neighbours: here 1 has
     # 2 and 3, and taking 0-1 outright would give im = 1
-    spider = Graph.from_edges(6, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 5)])
+    spider = Graph(6, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 5)])
     assert (matching_number(spider), induced_matching_number(spider)) == (3, 2)
-    edge_and_square = Graph.from_edges(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)])
+    edge_and_square = Graph(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)])
     assert (matching_number(edge_and_square), induced_matching_number(edge_and_square)) == (3, 2)
-    stars = Graph.from_edges(40, [(5 * s, 5 * s + j) for s in range(8) for j in range(1, 5)])
+    stars = Graph(40, [(5 * s, 5 * s + j) for s in range(8) for j in range(1, 5)])
     assert len(stars.edges) == MAX_BRUTE_FORCE_EDGES
     assert (matching_number(stars), induced_matching_number(stars)) == (8, 8)
 
@@ -270,7 +264,7 @@ def test_pendant_triangle_rule_examples():
     # v = 0 and w = 1 have live neighbourhoods {w, z} and {v, z}, z = 2: the
     # search takes vw alone, in both searches
     def numbers(edges):
-        g = Graph.from_edges(1 + max(v for e in edges for v in e), edges)
+        g = Graph(1 + max(v for e in edges for v in e), edges)
         assert matching_number(g) == oracle_by_subsets(g, False)
         assert induced_matching_number(g) == oracle_by_subsets(g, True)
         return matching_number(g), induced_matching_number(g)
@@ -286,7 +280,7 @@ def test_pendant_triangle_rule_examples():
     # and 2, keeps it induced
     chain = triangle + [(2, 3), (2, 6), (3, 6), (3, 4), (3, 5), (4, 5)]
     assert numbers(chain) == (3, 2)
-    outward = Graph.from_edges(7, [e for e in chain if not {0, 1, 2, 3, 6} & set(e)])
+    outward = Graph(7, [e for e in chain if not {0, 1, 2, 3, 6} & set(e)])
     assert 1 + oracle_by_subsets(outward, True) == 2
 
 
@@ -311,7 +305,7 @@ def test_matching_numbers_match_the_subset_recursion_with_pendant_triangles():
         edges, triangles = _triangle_edges(rng)
         n = 1 + max(v for e in edges for v in e)
         label = rng.sample(range(n), n)  # so the search meets v, w and z in any order
-        g = Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+        g = Graph(n, [(label[u], label[v]) for u, v in edges])
         assert len(g.edges) <= MAX_BRUTE_FORCE_EDGES
         m, im = oracle_by_subsets(g, False), oracle_by_subsets(g, True)
         assert (matching_number(g), induced_matching_number(g)) == (m, im), sorted(g.edges)
@@ -352,7 +346,7 @@ def test_matching_matches_subset_oracle_on_leafy_graphs():
         edges = _leafy_edges(rng)
         n = 1 + max((v for e in edges for v in e), default=0)
         label = rng.sample(range(n), n)  # so the search meets leaves in any order
-        g = Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+        g = Graph(n, [(label[u], label[v]) for u, v in edges])
         assert len(g.edges) <= 14
         assert matching_number(g) == oracle_matching(g), sorted(g.edges)
         assert induced_matching_number(g) == oracle_induced_matching(g), sorted(g.edges)
@@ -363,7 +357,7 @@ def test_matching_numbers_match_the_subset_recursion_on_every_graph_up_to_6_vert
     for n in range(1, 7):
         pairs = list(combinations(range(n), 2))
         for chosen in range(1 << len(pairs)):
-            g = Graph.from_edges(n, [pair for i, pair in enumerate(pairs) if chosen >> i & 1])
+            g = Graph(n, [pair for i, pair in enumerate(pairs) if chosen >> i & 1])
             assert matching_number(g) == oracle_by_subsets(g, False), sorted(g.edges)
             assert induced_matching_number(g) == oracle_by_subsets(g, True), sorted(g.edges)
             count += 1
@@ -378,7 +372,7 @@ def test_matching_numbers_match_the_subset_recursion_at_the_cap():
         edges |= set(rng.sample(sorted(set(combinations(range(n), 2)) - edges),
                                 MAX_BRUTE_FORCE_EDGES - len(edges)))
         label = rng.sample(range(n), n)  # so the search meets vertices in any order
-        g = Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+        g = Graph(n, [(label[u], label[v]) for u, v in edges])
         assert is_connected(g) and len(g.edges) == MAX_BRUTE_FORCE_EDGES
         assert matching_number(g) == oracle_by_subsets(g, False), sorted(g.edges)
         assert induced_matching_number(g) == oracle_by_subsets(g, True), sorted(g.edges)
@@ -417,9 +411,9 @@ def test_search_calls_on_the_golden_graphs_and_sparse_graphs():
                                     ("triangles-23", (8, 8), (9, 14)),
                                     ("cycle-31", (15, 10), (17, 30))]]
     # v, w = 0, 1 come first, so the search picks v before any cycle vertex
-    triangle_on_cycle = Graph.from_edges(
+    triangle_on_cycle = Graph(
         31, [(0, 1), (0, 2), (1, 2)] + [(2 + i, 2 + (i + 1) % 29) for i in range(29)])
-    cases += [(Graph.from_edges(33, [(i, i + 1) for i in range(32)]), (16, 11), (17, 12)),
+    cases += [(Graph(33, [(i, i + 1) for i in range(32)]), (16, 11), (17, 12)),
               (triangle_on_cycle, (15, 10), (17, 11)),
               (build_graph(realize(20, (7, 7)).structure), (7, 7), (8, 12))]
     rng = random.Random(7)
@@ -429,7 +423,7 @@ def test_search_calls_on_the_golden_graphs_and_sparse_graphs():
         edges = {(rng.randrange(v), v) for v in range(1, n)}  # a spanning tree
         extra = rng.randint(0, MAX_BRUTE_FORCE_EDGES - len(edges))
         edges |= set(rng.sample(sorted(set(combinations(range(n), 2)) - edges), extra))
-        cases.append((Graph.from_edges(n, edges), values, calls))
+        cases.append((Graph(n, edges), values, calls))
     for g, values, calls in cases:
         assert len(g.edges) <= MAX_BRUTE_FORCE_EDGES and is_connected(g)
         assert (_search_calls(matching_number, g),
@@ -438,7 +432,7 @@ def test_search_calls_on_the_golden_graphs_and_sparse_graphs():
 
 
 def test_matching_size_cap():
-    g = Graph.from_edges(34, [(i, i + 1) for i in range(33)])
+    g = Graph(34, [(i, i + 1) for i in range(33)])
     assert len(g.edges) == MAX_BRUTE_FORCE_EDGES + 1
     with pytest.raises(GraphTooLargeError):
         matching_number(g)
@@ -451,17 +445,17 @@ def test_matching_size_cap():
 # ---------------------------------------------------------------------------
 
 def test_star_and_star_triangle_shapes():
-    star4 = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
+    star4 = Graph(5, [(0, i) for i in range(1, 5)])
     assert is_star(star4)
     assert not is_star_triangle(star4)
-    triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
     assert is_star_triangle(triangle)
     assert not is_star(triangle)
     # two triangles glued at vertex 0
-    bouquet = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+    bouquet = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     assert is_star_triangle(bouquet)
     # triangle with one extra leaf is neither
-    lollipop = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    lollipop = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     assert not is_star(lollipop)
     assert not is_star_triangle(lollipop)
 
@@ -509,7 +503,7 @@ def _graphs_for_predicates():
     for n in range(1, 6):
         pairs = list(combinations(range(n), 2))
         for bits in range(1 << len(pairs)):
-            yield Graph.from_edges(n, [pair for i, pair in enumerate(pairs) if bits >> i & 1])
+            yield Graph(n, [pair for i, pair in enumerate(pairs) if bits >> i & 1])
     rng = random.Random(20240607)
     for index in range(2000):
         n = rng.randint(6, 9)
@@ -524,7 +518,7 @@ def _graphs_for_predicates():
             edges = {tuple(sorted((label[u], label[v]))) for u, v in edges}
             if rng.random() < 0.5:
                 edges ^= {tuple(sorted(rng.sample(range(n), 2)))}
-        yield Graph.from_edges(n, edges)
+        yield Graph(n, edges)
 
 
 def test_connectivity_and_star_tests_match_definitional_oracles():
@@ -542,16 +536,16 @@ def test_connectivity_and_star_tests_match_definitional_oracles():
 
 def test_is_cameron_walker_examples(chorded_hexagon):
     assert is_cameron_walker(build_graph(CwStructure(1, 1, (1,), (1,))))
-    assert not is_cameron_walker(Graph.from_edges(5, [(0, i) for i in range(1, 5)]))
-    assert not is_cameron_walker(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
+    assert not is_cameron_walker(Graph(5, [(0, i) for i in range(1, 5)]))
+    assert not is_cameron_walker(Graph(3, [(0, 1), (1, 2), (0, 2)]))
     assert not is_cameron_walker(chorded_hexagon)  # m=3 vs im=2
-    assert not is_cameron_walker(Graph.from_edges(4, [(0, 1), (2, 3)]))  # disconnected
+    assert not is_cameron_walker(Graph(4, [(0, 1), (2, 3)]))  # disconnected
 
 
 def test_disconnected_graph_over_the_search_cap_is_not_cw_without_a_search():
     # two 17-edge paths on vertices 0-17 and 18-35, and four isolated vertices
     edges = [(i, i + 1) for start in (0, 18) for i in range(start, start + 17)]
-    g = Graph.from_edges(40, edges)
+    g = Graph(40, edges)
     assert len(g.edges) == 34 > MAX_BRUTE_FORCE_EDGES
     assert not is_cameron_walker(g)
     with pytest.raises(GraphTooLargeError):
@@ -563,10 +557,10 @@ def test_not_cw_reasons(chorded_hexagon):
         return not_cw_reason(g, matching_number(g), induced_matching_number(g))
 
     assert reason(build_graph(CwStructure(1, 1, (1,), (1,)))) == ""
-    assert reason(Graph.from_edges(4, [(0, 1), (2, 3)])) == "disconnected"
+    assert reason(Graph(4, [(0, 1), (2, 3)])) == "disconnected"
     assert reason(chorded_hexagon) == "m≠im"
-    assert reason(Graph.from_edges(5, [(0, i) for i in range(1, 5)])) == "star"
-    assert reason(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])) == "star triangle"
+    assert reason(Graph(5, [(0, i) for i in range(1, 5)])) == "star"
+    assert reason(Graph(3, [(0, 1), (1, 2), (0, 2)])) == "star triangle"
 
 
 # ---------------------------------------------------------------------------
@@ -662,12 +656,12 @@ def test_edge_ideal_generators_chorded_hexagon(chorded_hexagon):
 
 
 def test_edge_ideal_generators_needs_one_label_per_vertex():
-    single = Graph.from_edges(2, [(0, 1)])
+    single = Graph(2, [(0, 1)])
     with pytest.raises(TypeError):
         edge_ideal_generators(single)
     with pytest.raises(ValueError):
         edge_ideal_generators(single, ["only-one"])
-    assert edge_ideal_generators(Graph.from_edges(3, []), list("abc")) == []
+    assert edge_ideal_generators(Graph(3, []), list("abc")) == []
 
 
 def test_generators_round_trip_to_edges(chorded_hexagon):
@@ -675,7 +669,7 @@ def test_generators_round_trip_to_edges(chorded_hexagon):
     gens = edge_ideal_generators(chorded_hexagon, names)
     assert len(gens) == len(chorded_hexagon.edges)
     idx = {name: i for i, name in enumerate(names)}
-    rebuilt = Graph.from_edges(6, [(idx[a], idx[b]) for a, b in gens])
+    rebuilt = Graph(6, [(idx[a], idx[b]) for a, b in gens])
     assert rebuilt.edges == chorded_hexagon.edges
 
 
