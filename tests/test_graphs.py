@@ -112,8 +112,11 @@ def oracle_by_subsets(g: Graph, induced: bool) -> int:
 # Graph basics
 # ---------------------------------------------------------------------------
 
-def test_graph_orders_pairs_collapses_duplicates_and_rejects_bad_edges():
+def test_from_edges_normalizes_and_deduplicates():
     assert Graph(3, [(1, 0), (0, 1), (1, 2)]).edges == frozenset({(0, 1), (1, 2)})
+
+
+def test_from_edges_rejects_loops_and_bad_vertices():
     for n, edges, message in [(3, [(1, 1)], "loop edge at vertex 1"),
                               (2, [(2, 0)], r"bad edge \(0, 2\) for 2 vertices"),
                               (2, [(-1, 1)], r"bad edge \(-1, 1\) for 2 vertices"),
