@@ -50,6 +50,7 @@ from .graphs import (
     RealizationKind,
     RealizationResult,
     build_graph,
+    cw_matching_number,
     edge_ideal_generators,
     format_edge_list,
     induced_matching_number,

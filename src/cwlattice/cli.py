@@ -2,7 +2,9 @@
 
 Subcommands: census, enumerate, verify, bounds, realize, recognize, ideal.
 Exit codes: 0 success, 1 failed census/verification records, 2 argument or
-input errors, 3 unsupported realization, 4 graph over the search cap.
+input errors, 3 unsupported realization, 4 graph over the search cap, 141
+the reader of the output closed it early (as a shell reports a writer
+killed by SIGPIPE).
 
 Every JSON document is byte for byte json.dumps(payload, indent=2) and a
 newline, with two more keyword arguments in two commands: census passes
@@ -27,6 +29,7 @@ import contextlib
 import functools
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
@@ -38,6 +41,7 @@ from .formulas import SIZE_BY_SET, ratio_report, sandwich_bounds_cwdd, size_cwdd
 from .graphs import (
     RealizationKind,
     build_graph,
+    cw_matching_number,
     edge_ideal_generators,
     induced_matching_number,
     matching_number,
@@ -245,9 +249,13 @@ def cmd_realize(args: argparse.Namespace) -> int:
 
 def cmd_recognize(args: argparse.Namespace) -> int:
     graph, _ = parse_edge_list(_read_input(args.input))
-    m = matching_number(graph)
-    im = induced_matching_number(graph)
-    reason = not_cw_reason(graph, m, im)
+    # the searches run only on a graph that the linear structural test refuses
+    m = im = cw_matching_number(graph)
+    reason = ""
+    if m is None:
+        m = matching_number(graph)
+        im = induced_matching_number(graph)
+        reason = not_cw_reason(graph, m, im)
     if args.format == "json":
         sys.stdout.write(RECOGNIZE_JSON.format("false" if reason else "true", m, im,
                                                _json_str(reason) if reason else "null"))
@@ -359,7 +367,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()  # so a reader that closed the pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at the null device, or the interpreter's last flush of
+        # what is still buffered fails again and prints "Exception ignored".
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except GraphTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

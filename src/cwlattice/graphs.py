@@ -12,6 +12,17 @@ graphs from it, decides matching invariants by exhaustive search, checks
 the Cameron-Walker property, emits edge-ideal generators, and realizes
 achievable (depth, dim) lattice points as skeletons.
 
+The Cameron-Walker property is decided from that structure, in time
+linear in the edges, by cw_matching_number: it finds U, V, the leaves and
+the triangles from the degrees, and returns m(G) = im(G) = |U| + T, T the
+number of triangles, or None.  It is sound by the proof in its
+docstring: the leaf edges and one base edge per triangle form an induced
+matching of that size, and no matching is larger, since every edge meets
+U or lies in one v's bouquet of triangles.  It is complete by Cameron and
+Walker's theorem (Discrete Math. 299, 2005; cited from memory).  The
+exhaustive searches stay as library functions, as the path for graphs the
+test refuses, and as the oracles the tests compare it with.
+
 Every graph algorithm here reads one table per graph,
 ``Graph.neighbour_masks``, built on first use: bit w of entry v is set
 when vw is an edge, and a vertex's degree is its entry's bit count.
@@ -109,17 +120,23 @@ def _bits(mask: int):
         yield low.bit_length() - 1
 
 
-def is_connected(g: Graph) -> bool:
-    """A flood fill from vertex 0 over the neighbour masks reaches every vertex."""
-    nbrs = g.neighbour_masks
-    reached = frontier = 1
+def _reached(nbrs: tuple[int, ...], start: int, within: int) -> int:
+    """The vertices of within that a flood fill from the vertices of start
+    reaches, stepping only onto vertices of within; start lies in within."""
+    reached = frontier = start
     while frontier:
         grown = 0
         for v in _bits(frontier):
             grown |= nbrs[v]
-        frontier = grown & ~reached
+        frontier = grown & within & ~reached
         reached |= frontier
-    return reached == (1 << g.vertex_count) - 1
+    return reached
+
+
+def is_connected(g: Graph) -> bool:
+    """A flood fill from vertex 0 over the neighbour masks reaches every vertex."""
+    every = (1 << g.vertex_count) - 1
+    return _reached(g.neighbour_masks, 1, every) == every
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +293,84 @@ def not_cw_reason(g: Graph, m: int, im: int) -> str:
     return ""
 
 
+def cw_matching_number(g: Graph) -> int | None:
+    """m(G) = im(G) = |U| + T when g has the Cameron-Walker structure, found
+    from the neighbour masks in linear time; None when it has not.
+
+    Classification: the degree-1 vertices are leaves, and their neighbours
+    form U.  A degree-2 vertex x whose neighbours are a partner y of degree
+    2 and an anchor a is a triangle vertex when y's neighbours are x and a,
+    and a is outside U with degree above 2; y is then one too, and T counts
+    the pairs.  Every other vertex is in V.
+
+    Acceptance: U and V are non-empty and no leaf is in U; each u's
+    neighbours lie in V or are leaves, one at least; each v's neighbours
+    lie in U or are triangle vertices; and the flood fill over U and V
+    from one u reaches all of U and V.  A triangle vertex's neighbours are
+    its partner and its anchor, so one next to v hangs on v; an anchor is
+    in V, being neither in U, a leaf nor of degree 2.
+
+    Soundness: the leaf edges, one per u, and the base edge yz of each
+    triangle vyz are pairwise unjoined, so im >= |U| + T.  Every edge
+    meets U or lies in one v's bouquet of t_v triangles, whose 2 t_v + 1
+    vertices hold at most t_v disjoint edges, so m <= |U| + T.  As
+    im <= m, both equal |U| + T.  Every leaf and triangle vertex hangs on
+    the connected core, so g is connected.  A star K_{1,r} is refused: for
+    r >= 2 its leaves put the centre alone in U and leave V empty, K_2's
+    two leaves are each other's u, and K_1 has no leaf.  A star triangle
+    has no leaf, so U is empty.  Completeness, that every Cameron-Walker
+    graph passes, is Cameron and Walker's theorem (Discrete Math. 299,
+    2005; cited from memory); a v of degree 1 is then read as one more
+    leaf of its u, which keeps |U| + T.
+
+    Raises GraphTooLargeError above MAX_BRUTE_FORCE_EDGES edges, as the
+    searches do.
+    """
+    _check_size(g)
+    adj = g.neighbour_masks
+    leaves = core_u = twos = 0
+    for v, mask in enumerate(adj):
+        degree = mask.bit_count()
+        if degree == 1:
+            leaves |= 1 << v
+            core_u |= mask
+        elif degree == 2:
+            twos |= 1 << v
+    if not core_u or leaves & core_u:
+        return None
+    hanging = 0
+    todo = twos
+    while todo:
+        x = todo & -todo
+        todo ^= x
+        nbrs = adj[x.bit_length() - 1]
+        low = nbrs & -nbrs
+        for y in (low, nbrs ^ low):
+            # x and y have the same closed neighbourhood, {x, y, anchor}, and
+            # the anchor, outside U, has degree above 2, as it is no leaf
+            if adj[y.bit_length() - 1] | y == nbrs | x and not (nbrs ^ y) & (core_u | twos):
+                hanging |= x | y
+                todo &= ~y
+    core_v = (1 << g.vertex_count) - 1 & ~(leaves | core_u | hanging)
+    if not core_v:
+        return None
+    u_may_meet, v_may_meet = core_v | leaves, core_u | hanging
+    for u in _bits(core_u):
+        if adj[u] & ~u_may_meet:
+            return None
+    for v in _bits(core_v):
+        if adj[v] & ~v_may_meet:
+            return None
+    core = core_u | core_v
+    if _reached(adj, core_u & -core_u, core) != core:
+        return None
+    return core_u.bit_count() + hanging.bit_count() // 2
+
+
 def is_cameron_walker(g: Graph) -> bool:
     """Connected, matching number equals induced matching number, and
-    neither a star nor a star triangle."""
-    if not is_connected(g):
-        return False
-    return not not_cw_reason(g, matching_number(g), induced_matching_number(g))
+    neither a star nor a star triangle: decided by cw_matching_number."""
+    return is_connected(g) and cw_matching_number(g) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -661,12 +661,13 @@ def test_recognize_reasons_text_and_json(capsys, tmp_path, text, m, im, reason):
                                "induced_matching_number": im, "reason": reason}
 
 
-@pytest.mark.parametrize("text", [
-    "u0 v0\nu0 l0\nv0 w0\nv0 w1\nw0 w1\n",  # CW
-    "a b\nc d\n",                            # disconnected
-    "c a\nc b\nc d\n",                        # star
-])
-def test_recognize_runs_each_search_once(capsys, monkeypatch, tmp_path, text):
+@pytest.mark.parametrize("text, searches", [
+    ("u0 v0\nu0 l0\nv0 w0\nv0 w1\nw0 w1\n", []),
+    ("a b\nc d\n", ["induced_matching_number", "matching_number"]),
+    ("c a\nc b\nc d\n", ["induced_matching_number", "matching_number"]),
+], ids=["CW", "disconnected", "star"])
+def test_recognize_searches_only_graphs_the_structural_test_refuses(capsys, monkeypatch,
+                                                                     tmp_path, text, searches):
     path = tmp_path / "g.edges"
     path.write_text(text, encoding="utf-8")
     calls = []
@@ -683,7 +684,7 @@ def test_recognize_runs_each_search_once(capsys, monkeypatch, tmp_path, text):
         calls.clear()
         code, _, _ = run_cli(capsys, "recognize", "--input", str(path), "--format", fmt)
         assert code == 0
-        assert sorted(calls) == ["induced_matching_number", "matching_number"]
+        assert sorted(calls) == searches
 
 
 def test_recognize_missing_file_exit_2(capsys, tmp_path):
@@ -733,6 +734,18 @@ def test_endless_input_exits_2(capsys, command):
     code, out, err = run_cli(capsys, command, "--input", "/dev/zero")
     assert (code, out) == (2, "")
     assert err == f"error: /dev/zero is over the input limit of {cli.INPUT_BYTE_LIMIT} bytes\n"
+
+
+def test_a_reader_closing_the_pipe_ends_the_command_quietly_with_status_141():
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    with subprocess.Popen([sys.executable, "-m", "cwlattice", "enumerate", "--n", "300",
+                           "--set", "ra"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline() == b"2,2,297,297\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_byte_deterministic_output(capsys):

@@ -9,7 +9,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cwlattice
@@ -24,6 +24,7 @@ from cwlattice import (
     RealizationKind,
     RealizationResult,
     build_graph,
+    cw_matching_number,
     edge_ideal_generators,
     enumerate_cwdd_a,
     enumerate_cwdd_b,
@@ -355,12 +356,17 @@ def test_matching_matches_subset_oracle_on_leafy_graphs():
         assert induced_matching_number(g) == oracle_induced_matching(g), sorted(g.edges)
 
 
+def _every_graph(n: int):
+    """Every labelled graph on the vertices 0 .. n - 1."""
+    pairs = list(combinations(range(n), 2))
+    for chosen in range(1 << len(pairs)):
+        yield Graph(n, [pair for i, pair in enumerate(pairs) if chosen >> i & 1])
+
+
 def test_matching_numbers_match_the_subset_recursion_on_every_graph_up_to_6_vertices():
     count = 0
     for n in range(1, 7):
-        pairs = list(combinations(range(n), 2))
-        for chosen in range(1 << len(pairs)):
-            g = Graph(n, [pair for i, pair in enumerate(pairs) if chosen >> i & 1])
+        for g in _every_graph(n):
             assert matching_number(g) == oracle_by_subsets(g, False), sorted(g.edges)
             assert induced_matching_number(g) == oracle_by_subsets(g, True), sorted(g.edges)
             count += 1
@@ -441,6 +447,10 @@ def test_matching_size_cap():
         matching_number(g)
     with pytest.raises(GraphTooLargeError):
         induced_matching_number(g)
+    with pytest.raises(GraphTooLargeError):
+        cw_matching_number(g)
+    with pytest.raises(GraphTooLargeError):
+        is_cameron_walker(g)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +563,84 @@ def test_disconnected_graph_over_the_search_cap_is_not_cw_without_a_search():
     assert not is_cameron_walker(g)
     with pytest.raises(GraphTooLargeError):
         matching_number(g)
+
+
+def oracle_cw(g: Graph) -> int | None:
+    """m(G) when G is Cameron-Walker by the definition, None otherwise:
+    connected, neither a star nor a star triangle, and m = im by the searches."""
+    if not is_connected(g) or is_star(g) or is_star_triangle(g):
+        return None
+    m = matching_number(g)
+    return m if m == induced_matching_number(g) else None
+
+
+def _assert_structural_test_matches_the_definition(g: Graph) -> bool:
+    """Assert that cw_matching_number and is_cameron_walker agree with the
+    definition on g; return whether g is Cameron-Walker."""
+    value = oracle_cw(g)
+    assert cw_matching_number(g) == value, sorted(g.edges)
+    assert is_cameron_walker(g) == (value is not None), sorted(g.edges)
+    return value is not None
+
+
+def test_structural_test_matches_the_definition_on_every_graph_up_to_6_vertices():
+    accepted = sum(_assert_structural_test_matches_the_definition(g)
+                   for n in range(1, 7) for g in _every_graph(n))
+    assert accepted == 840
+
+
+@pytest.mark.exhaustive
+def test_structural_test_matches_the_definition_on_every_graph_on_7_vertices():
+    accepted = sum(map(_assert_structural_test_matches_the_definition, _every_graph(7)))
+    assert accepted == 6300
+
+
+@st.composite
+def skeleton_graphs(draw):
+    """A relabelled Cameron-Walker skeleton on a random connected bipartite
+    core, as built or with one edge added or removed."""
+    m, p = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    core_u, core_v = [0], [m]
+    edges = {(0, m)}
+    for x in draw(st.permutations(list(range(1, m)) + list(range(m + 1, m + p)))):
+        # each core vertex joins an earlier one on the other side: a spanning tree
+        side, other = (core_u, core_v) if x < m else (core_v, core_u)
+        edges.add((x, draw(st.sampled_from(other))))
+        side.append(x)
+    edges |= draw(st.sets(st.sampled_from([(u, v) for u in range(m) for v in range(m, m + p)])))
+    n = m + p
+    for u in range(m):
+        for _ in range(draw(st.integers(1, 3))):
+            edges.add((u, n))
+            n += 1
+    for v in range(m, m + p):
+        for _ in range(draw(st.integers(0, 2))):
+            edges |= {(v, n), (v, n + 1), (n, n + 1)}
+            n += 2
+    label = draw(st.permutations(range(n)))
+    edges = {tuple(sorted((label[a], label[b]))) for a, b in edges}
+    change = draw(st.sampled_from(["none", "add", "remove"]))
+    if change == "add" and len(edges) < n * (n - 1) // 2:
+        edges.add(draw(st.sampled_from(sorted(set(combinations(range(n), 2)) - edges))))
+    elif change == "remove":
+        edges.remove(draw(st.sampled_from(sorted(edges))))
+    assume(len(edges) <= MAX_BRUTE_FORCE_EDGES)
+    return Graph(n, edges)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A graph on 2..16 vertices with at most n + 4 edges, connected or not."""
+    n = draw(st.integers(2, 16))
+    pairs = list(combinations(range(n), 2))
+    return Graph(n, draw(st.sets(st.sampled_from(pairs), max_size=n + 4)))
+
+
+@given(st.one_of(skeleton_graphs(), sparse_graphs()))
+@example(build_graph(CwStructure(1, 1, (1,), (1,))))  # the smallest with a triangle
+@settings(max_examples=300, deadline=None)
+def test_structural_test_matches_the_definition_on_skeletons_and_sparse_graphs(g):
+    _assert_structural_test_matches_the_definition(g)
 
 
 def test_not_cw_reasons(chorded_hexagon):
