@@ -26,6 +26,13 @@ unless n is an int, and below the set's first n it is 0 for a CW set and
 raises DomainError for a bounding polytope, whose first n is its entry in
 sets.FIRST_N.  The function bodies hold only the formulas.
 
+A public call tests each argument once, inline, where it arrives
+(isinstance, n < first, n <= 5); the shared checks errors.require_int and
+sets._require_defined run only past a failed test, to raise their one
+message, so a valid call runs neither.  Internal callers (size_ra_a,
+ratio_report) call the unchecked bodies, each size's __wrapped__ as
+functools.wraps leaves it, not the checked sizes.
+
 ratio_report returns a RatioReport, a named tuple: immutable, compared and
 hashed by value, and iterable in field order (n and the three ratios).
 """
@@ -73,16 +80,18 @@ def _closed_form(set_id: NamedSet, first: int | None = None):
     raises TypeError unless n is an int; below first (by default the n from
     which FIRST_N defines the set) it raises DomainError where the set is
     undefined and is 0 elsewhere; from first on it is the value of the
-    decorated function."""
+    decorated function, which stays the size's __wrapped__."""
     if first is None:
         first = FIRST_N[set_id]
 
     def register(body: Callable[[int], int]) -> Callable[[int], int]:
         @functools.wraps(body)
         def size(n: int) -> int:
-            require_int(n)
+            if not isinstance(n, int):
+                require_int(n)
             if n < first:
-                _require_defined(set_id, n)
+                if set_id in FIRST_N:  # a bounding polytope, undefined here
+                    _require_defined(set_id, n)
                 return 0
             return body(n)
 
@@ -161,7 +170,7 @@ def size_cwdd(n: int) -> int:
 @_closed_form(NamedSet.RA_A, 5)
 def size_ra_a(n: int) -> int:
     """|ra-a|: same count as |cwdd-a| (the tuples project onto those pairs)."""
-    return size_cwdd_a(n)
+    return size_cwdd_a.__wrapped__(n)
 
 
 # (3k^2 + c1*k + c0) / 2 per residue i
@@ -306,7 +315,8 @@ def sandwich_bounds_cwdd(n: int) -> tuple[Fraction, Fraction]:
     fractions ((n-3)^2 + 3)/6 and ((n-3)^2 + 14)/6, since 1/2 = 3/6 and
     7/3 = 14/6; each is built as one Fraction, with no Fraction addition.
     """
-    require_int(n)
+    if not isinstance(n, int):
+        require_int(n)
     if n <= 5:
         raise DomainError(f"sandwich bounds are defined only for n > 5, got {n}")
     s = (n - 3) ** 2
@@ -326,13 +336,10 @@ def ratio_report(n: int) -> RatioReport:
     As n grows the first two tend to the envelope ends 1/3 and 4/9 and the
     third tends to 1/6.  Callers render decimals; nothing is rounded here.
     """
-    require_int(n)
+    if not isinstance(n, int):
+        require_int(n)
     if n <= 5:
         raise DomainError(f"ratio report is defined only for n > 5, got {n}")
-    cw = size_cwdd(n)
-    return RatioReport(
-        n=n,
-        cwdd_over_cplus=Fraction(cw, size_c_plus(n)),
-        cwdd_over_cminus=Fraction(cw, size_c_minus(n)),
-        cwdd_over_nsq=Fraction(cw, n * n),
-    )
+    cw = size_cwdd.__wrapped__(n)
+    return RatioReport(n, Fraction(cw, size_c_plus.__wrapped__(n)),
+                       Fraction(cw, size_c_minus.__wrapped__(n)), Fraction(cw, n * n))

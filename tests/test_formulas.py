@@ -1,5 +1,6 @@
 """Closed-form tests: frozen values, enumeration oracles, envelope facts."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,18 @@ def test_ratio_report_near_limits_at_600():
     assert abs(rep.cwdd_over_nsq - Fraction(1, 6)) <= Fraction(1, 100)
     assert abs(rep.cwdd_over_cplus - Fraction(1, 3)) <= Fraction(1, 50)
     assert abs(rep.cwdd_over_cminus - Fraction(4, 9)) <= Fraction(1, 25)
+
+
+def test_ratio_report_is_built_from_the_public_closed_forms():
+    # ratio_report reads the unchecked size bodies; the checked sizes are the oracle
+    rng = random.Random(6)
+    large = [n + (residue - n) % 6 for residue in range(6)
+             for n in [rng.randrange(6, 10**9 - 5) for _ in range(10)]]
+    for n in [*range(6, 301), *large]:
+        cw = size_cwdd(n)
+        assert ratio_report(n) == (n, Fraction(cw, size_c_plus(n)), Fraction(cw, size_c_minus(n)),
+                                   Fraction(cw, n * n)), n
+    assert max(large) <= 10**9 and sorted(n % 6 for n in large) == sorted([*range(6)] * 10)
 
 
 def test_census_density_converges_to_one_sixth():

@@ -30,7 +30,7 @@ from cwlattice import (
     realize,
     sandwich_bounds_cwdd,
 )
-from cwlattice import sets
+from cwlattice import formulas, sets
 from cwlattice.cli import main
 from cwlattice.formulas import SIZE_BY_SET
 
@@ -409,20 +409,52 @@ def test_enumerate_ra_lists_a_point_of_two_parts_once(capsys, monkeypatch):
     assert (failure.sets, failure.witness) == ((NamedSet.RA_B, NamedSet.RA_D), (3, 4, 7, 7))
 
 
+def _spy(called, name, check, *args):
+    called.append(name)
+    return check(*args)
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The names of the shared checks errors.require_int and
+    sets._require_defined called, as sets and formulas bind them, in order."""
+    called = []
+    for module in (sets, formulas):
+        for name in ("require_int", "_require_defined"):
+            monkeypatch.setattr(module, name,
+                                functools.partial(_spy, called, name, getattr(module, name)))
+    return called
+
+
 @pytest.mark.parametrize("n", [12.0, 13.5, "12", None, Fraction(12)])
-def test_non_integer_n_is_rejected(n):
+def test_non_integer_n_is_rejected(n, checks):
+    # each rejection raises from one call of errors.require_int
     message = "n must be an int"
-    for size in SIZE_BY_SET.values():
-        with pytest.raises(TypeError, match=message):
-            size(n)
+    calls = [*SIZE_BY_SET.values(), sandwich_bounds_cwdd, ratio_report]
     for set_id in NamedSet:
-        with pytest.raises(TypeError, match=message):
-            enumerate_set(set_id, n)
-        with pytest.raises(TypeError, match=message):
-            contains(set_id, n, (5,) * set_id.arity)
-    for call in (sandwich_bounds_cwdd, ratio_report, lambda n: realize(n, (5, 5))):
+        calls += [functools.partial(enumerate_set, set_id),
+                  lambda n, set_id=set_id: contains(set_id, n, (5,) * set_id.arity)]
+    for call in calls:
+        checks.clear()
         with pytest.raises(TypeError, match=message):
             call(n)
+        assert checks == ["require_int"], call
+    with pytest.raises(TypeError, match=message):
+        realize(n, (5, 5))
+
+
+def test_a_valid_o1_call_runs_no_shared_check(checks):
+    # contains, the sizes, the sandwich and the ratio report test each
+    # argument inline and call a shared check only to raise
+    for n in [*range(4, 13), 300]:
+        for set_id in NamedSet:
+            contains(set_id, n, (5,) * set_id.arity)
+    for set_id, size in SIZE_BY_SET.items():
+        for n in [*range(sets.FIRST_N.get(set_id, 0), 13), 300, 10**9]:
+            size(n)
+    sandwich_bounds_cwdd(6)
+    ratio_report(6)
+    assert checks == []
 
 
 @pytest.mark.parametrize("n", range(3, 61))
@@ -466,14 +498,18 @@ def test_ra_b_projects_into_pair_census(n):
 
 
 @pytest.mark.parametrize("set_id, first", list(sets.FIRST_N.items()))
-def test_polytope_domain_from_one_table(set_id, first):
+def test_polytope_domain_from_one_table(set_id, first, checks):
     message = f"{set_id.value} is defined only for n >= {first}, got {first - 1}"
-    # points_by_depth raises when called, before its first point is asked for
-    for call in (lambda n: sets.points_by_depth(set_id, n),
-                 lambda n: contains(set_id, n, (1, 1)), SIZE_BY_SET[set_id]):
+    # points_by_depth raises when called, before its first point is asked
+    # for; each call raises from one call of _require_defined
+    for call, called in [(lambda n: sets.points_by_depth(set_id, n), ["require_int"]),
+                         (lambda n: contains(set_id, n, (1, 1)), []),
+                         (SIZE_BY_SET[set_id], [])]:
+        checks.clear()
         with pytest.raises(DomainError) as raised:
             call(first - 1)
         assert str(raised.value) == message
+        assert checks == [*called, "_require_defined"]
         call(first)
     assert not sets.is_defined(set_id, first - 1) and sets.is_defined(set_id, first)
 
@@ -483,6 +519,10 @@ def test_every_other_set_is_defined_everywhere():
         for n in (-3, 0, 2):
             assert sets.is_defined(set_id, n)
             sets._require_defined(set_id, n)
+
+
+class IntSub(int):
+    """An int subclass, which every n and coordinate check accepts."""
 
 
 def test_contains_error_order():
@@ -495,6 +535,16 @@ def test_contains_error_order():
         contains(NamedSet.BETA, 3, (1.0, 2))
     with pytest.raises(DomainError):
         contains(NamedSet.BETA, 3, (1, 2))
+    # each type test is an isinstance test: an int subclass as n and bools
+    # as coordinates pass it, in contains and in the closed forms alike
+    n = IntSub(12)
+    with pytest.raises(DomainError):
+        contains(NamedSet.BETA, IntSub(3), (True, 2))
+    assert contains(NamedSet.C_PLUS, n, (True, 5)) and not contains(NamedSet.C_PLUS, n, (False, 5))
+    assert contains(NamedSet.CWDD, n, (2, 10)) and not contains(NamedSet.RA, n, (True,) * 4)
+    assert [size(n) for size in SIZE_BY_SET.values()] == [size(12) for size in SIZE_BY_SET.values()]
+    assert sandwich_bounds_cwdd(n) == sandwich_bounds_cwdd(12)
+    assert ratio_report(n) == ratio_report(12)
 
 
 def test_parts_overlap_labels_the_part_pairs():
