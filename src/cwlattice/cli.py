@@ -66,6 +66,11 @@ EMIT_EDGE_LIMIT = 500_000
 # the most bytes `recognize` and `ideal` read from --input; the largest
 # `realize --emit-graph` text (depth 2 at n = 500,000) is 5.4 MB
 INPUT_BYTE_LIMIT = 16_000_000
+# the most characters in the --n of `enumerate` and `bounds`: every number
+# they print is at most cubic in n, so it stays under the 4,300 digits that
+# Python 3.11 (and 3.10 from 3.10.7) converts to text, and the same n is
+# refused on a Python without that limit
+N_DIGIT_LIMIT = 1000
 
 
 def _output(out_path: str | None):
@@ -129,6 +134,16 @@ def _write_edges(graph, names: list[str], frame: list[str] | None) -> None:
         sys.stdout.writelines(f"{a} {b}\n" for a, b in edges)
     else:
         _write_json(sys.stdout, frame, (map(_json_str, edge) for edge in edges), 2)
+
+
+def _bounded_int(text: str) -> int:
+    """The int that text writes, refused past N_DIGIT_LIMIT characters."""
+    if len(text) > N_DIGIT_LIMIT:
+        raise argparse.ArgumentTypeError(f"n is over the limit of {N_DIGIT_LIMIT} characters")
+    return int(text)
+
+
+_bounded_int.__name__ = "int"  # so argparse still calls a bad --n an "invalid int value"
 
 
 def _frac_json(value: Fraction) -> dict[str, int]:
@@ -314,7 +329,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
 
     p = sub.add_parser("enumerate", help="list the points of one lattice set")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_bounded_int, required=True)
     p.add_argument("--set", required=True, choices=[s.value for s in NamedSet])
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="FILE")
@@ -323,7 +338,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("bounds", help="sandwich envelope and census ratios at n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_bounded_int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("realize", help="realize a (depth, dim) point as a skeleton")

@@ -38,7 +38,7 @@ holds, for each vertex v, ``1 << v`` for the matching number and v's
 closed neighbourhood for the induced matching number, and taking vw
 rules out ``reach[v] | reach[w]``.  A live vertex of least live degree
 is matched to each live neighbour or dropped, pruned when the live
-vertices cannot add enough pairs to beat the best so far, and three
+vertices cannot add enough pairs to beat the best so far, and two
 exchange rules, proved in _largest_matching, skip branches that cannot
 hold the only optimum.  The search is capped at MAX_BRUTE_FORCE_EDGES
 edges; beyond the cap a GraphTooLargeError asks the caller to shrink the
@@ -160,7 +160,7 @@ def _largest_matching(g: Graph, reach: list[int]) -> int:
     and either takes each edge from v to a live neighbour w in turn, or
     drops v.  A node is pruned when even pairing off every live vertex
     cannot beat the incumbent, both before and after the scan for v drops
-    the live vertices with no live neighbour.  Three exchange rules skip
+    the live vertices with no live neighbour.  Two exchange rules skip
     branches that cannot hold the only optimum.
 
     A matching (reach[v] == 1 << v) never drops v: if a largest matching
@@ -176,15 +176,6 @@ def _largest_matching(g: Graph, reach: list[int]) -> int:
     largest induced matching M meets {v, w, x}, since each such edge ends
     at x; swapping it for vw keeps M induced and its size, and if none
     does, M + vw is larger.
-
-    When v has two live neighbours, w and z, and w's are v and z, the
-    three form a pendant triangle, and the search takes vw and nothing
-    else: it neither takes vz nor drops v, in either search.  The only live
-    vertices joined to v or w are v, w and z, so a chosen edge other than
-    vw meets {v, w, z} only at z, and a largest matching M of either kind
-    without vw has at most one edge meeting {v, w, z}.  Swapping that edge
-    for vw keeps M a matching of its kind and its size, however many other
-    neighbours z has, and if there is none, M + vw is larger.
     """
     adj = g.neighbour_masks
     n = g.vertex_count  # more than any degree
@@ -213,24 +204,13 @@ def _largest_matching(g: Graph, reach: list[int]) -> int:
                     break
         if pick < 0 or size + live.bit_count() // 2 <= best:
             return
-        triangle = False
-        if least == 2:
-            low = pick_nbrs & -pick_nbrs
-            low_nbrs = adj[low.bit_length() - 1] & live
-            if low_nbrs & pick_nbrs:  # v and its two live neighbours form a triangle
-                high = pick_nbrs ^ low
-                # pendant at the third when one of the two has no other live neighbour
-                if low_nbrs.bit_count() == 2:
-                    pick_nbrs, triangle = low, True
-                elif (adj[high.bit_length() - 1] & live).bit_count() == 2:
-                    pick_nbrs, triangle = high, True
         for w in _bits(pick_nbrs):
             ruled = reach[pick] | reach[w]
             grow(live & ~ruled, size + 1)
         if least == 1:
             if (live & ruled).bit_count() > 3:  # w has two other live neighbours
                 grow(live & ~((1 << pick) | pick_nbrs), size)
-        elif not triangle and reach[pick] != 1 << pick:  # a largest matching matches v
+        elif reach[pick] != 1 << pick:  # a largest matching matches v
             grow(live ^ (1 << pick), size)
 
     grow((1 << n) - 1, 0)

@@ -426,6 +426,27 @@ def test_bounds_domain_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("bounds",), ("bounds", "--format", "json"),
+                                  ("enumerate", "--set", "c-plus"), ("enumerate", "--set", "ra")])
+def test_bounds_and_enumerate_refuse_an_n_over_the_digit_limit(capsys, argv):
+    # the square of a 2,200-digit n is over the 4,300 digits that Python 3.11
+    # (and 3.10 from 3.10.7) converts to text; the limit refuses it before a
+    # line is written, on every Python
+    limit = cli.N_DIGIT_LIMIT
+    for n in ("9" * (limit + 1), "-" + "9" * limit, "9" * 2200, "9" * 5000):
+        code, out, err = run_cli(capsys, *argv, "--n", n)
+        assert (code, out) == (2, "")
+        assert f"argument --n: n is over the limit of {limit} characters\n" in err
+    code, out, err = run_cli(capsys, *argv, "--n", "12x")
+    assert (code, out) == (2, "") and "argument --n: invalid int value: '12x'\n" in err
+    # at the limit, every number printed, at most cubic in n, converts
+    code, out, err = run_cli(capsys, *argv, "--n", "9" * limit)
+    if argv[0] == "bounds":
+        assert (code, err) == (0, "") and "9" * limit in out
+    else:
+        assert (code, out) == (2, "") and "over the enumerate limit of 2000000\n" in err
+
+
 def test_realize_text(capsys):
     code, out, _ = run_cli(capsys, "realize", "--n", "10", "--depth", "4", "--dim", "4")
     assert code == 0
