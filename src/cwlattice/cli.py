@@ -66,9 +66,9 @@ EMIT_EDGE_LIMIT = 500_000
 # the most bytes `recognize` and `ideal` read from --input; the largest
 # `realize --emit-graph` text (depth 2 at n = 500,000) is 5.4 MB
 INPUT_BYTE_LIMIT = 16_000_000
-# the most characters in the --n of `enumerate` and `bounds`: every number
-# they print is at most cubic in n, so it stays under the 4,300 digits that
-# Python 3.11 (and 3.10 from 3.10.7) converts to text, and the same n is
+# the most characters in any integer option: every number a command prints
+# is at most cubic in its integers, so it stays under the 4,300 digits that
+# Python 3.11 (and 3.10 from 3.10.7) converts to text, and the same value is
 # refused on a Python without that limit
 N_DIGIT_LIMIT = 1000
 
@@ -112,38 +112,47 @@ def _write_json(handle, frame: list[str], items, arity: int) -> None:
 
 def _read_input(path: str) -> str:
     """The UTF-8 text of path, less one leading byte-order mark, refused
-    past INPUT_BYTE_LIMIT bytes.  It is read in 64 KiB blocks, no more than
-    one block past the limit.  A single read of the limit and one byte
-    would hold no more memory, and less on a large file, but the blocks are
-    faster on the small files that recognize and ideal mostly read."""
-    block = 1 << 16
-    with open(path, "rb") as handle:
-        blocks = iter(functools.partial(handle.read, block), b"")
-        data = b"".join(itertools.islice(blocks, INPUT_BYTE_LIMIT // block + 1))
-    if len(data) > INPUT_BYTE_LIMIT:
+    past INPUT_BYTE_LIMIT bytes.  The file is read unbuffered, in raw 64 KiB
+    blocks: each block is asked for whole, so a buffered reader would save
+    no system call and only add its own object, buffer and bookkeeping to
+    every call; the small files that recognize and ideal mostly read take
+    one read, and a second that finds the end.  A raw read of a pipe or a
+    terminal may return fewer bytes than asked, so the loop counts bytes,
+    not blocks: it stops once it is past the limit, at most one block past
+    it, and a short block never cuts the input off.  A single read of the
+    limit and one byte would allocate a 16 MB buffer on every call."""
+    block, size, chunks = 1 << 16, 0, []
+    with open(path, "rb", buffering=0) as handle:
+        while size <= INPUT_BYTE_LIMIT and (chunk := handle.read(block)):
+            chunks.append(chunk)
+            size += len(chunk)
+    if size > INPUT_BYTE_LIMIT:
         raise DomainError(f"{path} is over the input limit of {INPUT_BYTE_LIMIT} bytes")
-    return data.decode("utf-8-sig")
+    return b"".join(chunks).decode("utf-8-sig")
 
 
 def _write_edges(graph, names: list[str], frame: list[str] | None) -> None:
     """Write the labelled graph's edge-ideal generators to stdout: in JSON
-    through _write_json in frame, or, with no frame, one "a b" line each.
-    The lines are written as they are made, never joined into one text."""
+    through _write_json in frame, each label escaped once, or, with no
+    frame, one "a b" line each.  The lines are written as they are made,
+    never joined into one text."""
     edges = edge_ideal_generators(graph, names)
     if frame is None:
         sys.stdout.writelines(f"{a} {b}\n" for a, b in edges)
     else:
-        _write_json(sys.stdout, frame, (map(_json_str, edge) for edge in edges), 2)
+        escaped = dict(zip(names, map(_json_str, names)))
+        _write_json(sys.stdout, frame, ((escaped[a], escaped[b]) for a, b in edges), 2)
 
 
 def _bounded_int(text: str) -> int:
     """The int that text writes, refused past N_DIGIT_LIMIT characters."""
     if len(text) > N_DIGIT_LIMIT:
-        raise argparse.ArgumentTypeError(f"n is over the limit of {N_DIGIT_LIMIT} characters")
+        raise argparse.ArgumentTypeError(
+            f"the value is over the limit of {N_DIGIT_LIMIT} characters")
     return int(text)
 
 
-_bounded_int.__name__ = "int"  # so argparse still calls a bad --n an "invalid int value"
+_bounded_int.__name__ = "int"  # so argparse still calls a bad value an "invalid int value"
 
 
 def _frac_json(value: Fraction) -> dict[str, int]:
@@ -322,8 +331,8 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     p = sub.add_parser("census", help="cross-verify enumerations against closed forms")
-    p.add_argument("--from", dest="n_lo", type=int, required=True, metavar="N")
-    p.add_argument("--to", dest="n_hi", type=int, required=True, metavar="M")
+    p.add_argument("--from", dest="n_lo", type=_bounded_int, required=True, metavar="N")
+    p.add_argument("--to", dest="n_hi", type=_bounded_int, required=True, metavar="M")
     p.add_argument("--family", choices=sorted(FAMILY_SETS), default="all")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
@@ -335,16 +344,16 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("verify", help="run every check at a single n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_bounded_int, required=True)
 
     p = sub.add_parser("bounds", help="sandwich envelope and census ratios at n")
     p.add_argument("--n", type=_bounded_int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("realize", help="realize a (depth, dim) point as a skeleton")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--n", type=_bounded_int, required=True)
+    p.add_argument("--depth", type=_bounded_int, required=True)
+    p.add_argument("--dim", type=_bounded_int, required=True)
     p.add_argument("--emit-graph", action="store_true",
                    help="also print the built graph's edge list")
     p.add_argument("--format", choices=("text", "json"), default="text")

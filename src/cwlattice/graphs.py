@@ -77,10 +77,11 @@ MAX_BRUTE_FORCE_EDGES = 32
 class Graph:
     """A finite simple graph: a vertex count and a set of unordered pairs.
 
-    Graph(vertex_count, edges) takes any iterable of vertex pairs: it orders
-    each pair, collapses duplicates and stores the edges as a frozenset of
-    (u, v) with u < v.  A loop or a vertex outside 0 .. vertex_count - 1 is
-    a ValueError, so loops and multi-edges cannot be represented.
+    Graph(vertex_count, edges) takes any iterable of vertex pairs: in one
+    pass it orders each pair and collapses duplicates into the frozenset of
+    (u, v) with u < v that it stores, then checks those edges.  A loop or a
+    vertex outside 0 .. vertex_count - 1 is a ValueError, so loops and
+    multi-edges cannot be represented.
 
     neighbour_masks is built on first use, by the first graph algorithm
     run on the graph, and kept: bit w of entry v is set when vw is an edge.
@@ -95,12 +96,12 @@ class Graph:
     def __post_init__(self):
         if self.vertex_count < 1:
             raise ValueError("a graph needs at least one vertex")
-        edges = {(u, v) if u < v else (v, u) for u, v in self.edges}
+        edges = frozenset([(u, v) if u < v else (v, u) for u, v in self.edges])
         for u, v in edges:
             if not 0 <= u < v < self.vertex_count:
                 raise ValueError(f"loop edge at vertex {u}" if u == v else
                                  f"bad edge ({u}, {v}) for {self.vertex_count} vertices")
-        object.__setattr__(self, "edges", frozenset(edges))
+        object.__setattr__(self, "edges", edges)
 
     @cached_property
     def neighbour_masks(self) -> tuple[int, ...]:
@@ -441,8 +442,8 @@ def edge_ideal_generators(g: Graph, names: list[str]) -> list[tuple[str, str]]:
         raise ValueError(
             f"got {len(names)} labels for {g.vertex_count} vertices"
         )
-    gens = [tuple(sorted((names[u], names[v]))) for u, v in g.edges]
-    return sorted(gens)
+    return sorted([(a, b) if (a := names[u]) < (b := names[v]) else (b, a)
+                   for u, v in g.edges])
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +534,11 @@ def parse_edge_list(text: str) -> tuple[Graph, list[str]]:
 
     Format: UTF-8, one edge per line as two whitespace-separated vertex
     tokens; lines starting with '#' and blank lines are ignored.  Vertices
-    are numbered in first-appearance order; duplicate edges collapse; a
-    loop line is an error.
+    are numbered in first-appearance order; duplicate edges collapse, in
+    Graph; a loop line is an error.
     """
     index: dict[str, int] = {}
-    edges = set()
+    edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
@@ -549,7 +550,7 @@ def parse_edge_list(text: str) -> tuple[Graph, list[str]]:
         a, b = tokens
         if a == b:
             raise EdgeListParseError(f"loop edge at vertex {a!r}", line=lineno)
-        edges.add((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
+        edges.append((index.setdefault(a, len(index)), index.setdefault(b, len(index))))
     if not index:
         raise EdgeListParseError("no edges found in input")
     return Graph(len(index), edges), list(index)

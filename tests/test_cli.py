@@ -1,10 +1,13 @@
 """CLI tests: outputs, exit codes, determinism."""
 
+import contextlib
 import json
 import os
 import random
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -436,7 +439,7 @@ def test_bounds_and_enumerate_refuse_an_n_over_the_digit_limit(capsys, argv):
     for n in ("9" * (limit + 1), "-" + "9" * limit, "9" * 2200, "9" * 5000):
         code, out, err = run_cli(capsys, *argv, "--n", n)
         assert (code, out) == (2, "")
-        assert f"argument --n: n is over the limit of {limit} characters\n" in err
+        assert f"argument --n: the value is over the limit of {limit} characters\n" in err
     code, out, err = run_cli(capsys, *argv, "--n", "12x")
     assert (code, out) == (2, "") and "argument --n: invalid int value: '12x'\n" in err
     # at the limit, every number printed, at most cubic in n, converts
@@ -445,6 +448,25 @@ def test_bounds_and_enumerate_refuse_an_n_over_the_digit_limit(capsys, argv):
         assert (code, err) == (0, "") and "9" * limit in out
     else:
         assert (code, out) == (2, "") and "over the enumerate limit of 2000000\n" in err
+
+
+@pytest.mark.parametrize("argv", [("census", "--from", "{}", "--to", "5"),
+                                  ("census", "--from", "5", "--to", "{}"),
+                                  ("verify", "--n", "{}"),
+                                  ("realize", "--n", "{}", "--depth", "2", "--dim", "3"),
+                                  ("realize", "--n", "10", "--depth", "{}", "--dim", "3"),
+                                  ("realize", "--n", "10", "--depth", "2", "--dim", "{}")])
+def test_every_integer_option_refuses_a_value_over_the_digit_limit(capsys, argv):
+    # without the limit, a 4,200-digit value was echoed whole in the refusal,
+    # and past 4,300 digits Python 3.11 called it an invalid int instead
+    option = argv[argv.index("{}") - 1]
+    usage = cli._parsers()[1][argv[0]].format_usage()
+    for value in ("9" * (cli.N_DIGIT_LIMIT + 1), "-" + "9" * cli.N_DIGIT_LIMIT, "9" * 5000):
+        code, out, err = run_cli(capsys, *[value if token == "{}" else token for token in argv])
+        assert (code, out) == (2, "")
+        # argparse's usage, then one line
+        assert err == usage + (f"cwlattice {argv[0]}: error: argument {option}: the value is "
+                               f"over the limit of {cli.N_DIGIT_LIMIT} characters\n")
 
 
 def test_realize_text(capsys):
@@ -755,6 +777,67 @@ def test_endless_input_exits_2(capsys, command):
     code, out, err = run_cli(capsys, command, "--input", "/dev/zero")
     assert (code, out) == (2, "")
     assert err == f"error: /dev/zero is over the input limit of {cli.INPUT_BYTE_LIMIT} bytes\n"
+
+
+def _feed_pipe(path, data: bytes):
+    """A started thread that writes data to the named pipe at path in 1,000-byte
+    writes, pausing after each, so that most raw reads of the pipe come back
+    short.  A reader that closes the pipe early ends the writing."""
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb", buffering=0) as pipe:
+            for start in range(0, len(data), 1000):
+                pipe.write(data[start:start + 1000])
+                time.sleep(0.0005)
+
+    thread = threading.Thread(target=write, daemon=True)
+    thread.start()
+    return thread
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("command", ["recognize", "ideal"])
+def test_input_from_a_pipe_reads_as_from_a_file(capsys, monkeypatch, tmp_path, command):
+    # the edges come after 100 KB of comments, so input cut off after a count
+    # of short reads would lose them
+    padding = ("#" + "." * 99 + "\n") * 1000
+    data = (padding + (DATA_DIR / "triangles-22.edges").read_text(encoding="utf-8")).encode()
+    path, pipe = tmp_path / "g.edges", tmp_path / "g.pipe"
+    path.write_bytes(data)
+    os.mkfifo(pipe)
+    for fmt in ("text", "json"):
+        expected = run_cli(capsys, command, "--input", str(path), "--format", fmt)
+        assert expected[0] == 0
+        # under the usual limit, and with the limit at the input's last byte
+        for limit in (cli.INPUT_BYTE_LIMIT, len(data)):
+            monkeypatch.setattr(cli, "INPUT_BYTE_LIMIT", limit)
+            writer = _feed_pipe(pipe, data)
+            assert run_cli(capsys, command, "--input", str(pipe), "--format", fmt) == expected
+            writer.join(timeout=60)
+            assert not writer.is_alive()
+            monkeypatch.undo()
+    # one byte under the input's length, the pipe is refused as a file is
+    monkeypatch.setattr(cli, "INPUT_BYTE_LIMIT", len(data) - 1)
+    writer = _feed_pipe(pipe, data)
+    assert run_cli(capsys, command, "--input", str(pipe)) == (
+        2, "", f"error: {pipe} is over the input limit of {len(data) - 1} bytes\n")
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("name", ["chorded-hexagon", "cw-skeleton", "cycle-31", "triangles-22",
+                                  "triangles-23"])
+def test_edges_given_twice_read_as_given_once(capsys, tmp_path, name):
+    # each edge once in each orientation, collapsed by Graph, not the parser
+    graph, names = parse_edge_list((DATA_DIR / f"{name}.edges").read_text(encoding="utf-8"))
+    once, twice = tmp_path / "once.edges", tmp_path / "twice.edges"
+    once.write_text(format_edge_list(graph, names), encoding="utf-8")
+    lines = [f"{a} {b}\n{b} {a}\n" for a, b in edge_ideal_generators(graph, names)]
+    twice.write_text("".join(lines), encoding="utf-8")
+    for command in ("recognize", "ideal"):
+        for fmt in ("text", "json"):
+            expected = run_cli(capsys, command, "--input", str(once), "--format", fmt)
+            assert expected[0] == 0
+            assert run_cli(capsys, command, "--input", str(twice), "--format", fmt) == expected
 
 
 def test_a_reader_closing_the_pipe_ends_the_command_quietly_with_status_141():

@@ -6,8 +6,9 @@ lines of zero to three tokens drawn from a few vertex names, so that
 valid edges, loops, comments and malformed lines all occur.  ``main``
 gets either a subcommand with its required options and a random subset
 of its other options, in random order, or an arbitrary list of subcommands, options and values.
-Integer values are small (-5..64) or past the work guards (301 and up,
-or hugely negative); the others are set, family and format names (some
+Integer values are small (-5..64), past the work guards (301 and up,
+or hugely negative) or past the 1,000-character limit of every integer
+option (10**1000); the others are set, family and format names (some
 invalid), file names and arbitrary text.  Each example runs in a fresh
 temporary directory that holds two edge-list files, and no token
 contains "/", so ``--out`` and ``--input`` only ever name files in that
@@ -101,8 +102,9 @@ def test_ideal_text_parses_back_to_the_same_generators(pairs):
 
 
 FREE_TEXT = st.text(st.characters(exclude_characters="/\x00"), max_size=8)
+# 10**1000 has 1,001 digits, one over the limit of every integer option
 INTS = st.one_of(st.integers(-5, 64),
-                 st.sampled_from([301, 2_000_001, 10**9, 10**18, -10**18])).map(str)
+                 st.sampled_from([301, 2_000_001, 10**9, 10**18, -10**18, 10**1000])).map(str)
 FORMATS = st.sampled_from(["csv", "json", "text"])
 FILES = st.sampled_from(["g.edges", "hexagon.edges", "out.txt", "absent.edges", ".", ""])
 REQUIRED = {"census": ("--from", "--to"), "enumerate": ("--n", "--set"), "verify": ("--n",),

@@ -115,6 +115,15 @@ def oracle_by_subsets(g: Graph, induced: bool) -> int:
 
 def test_from_edges_normalizes_and_deduplicates():
     assert Graph(3, [(1, 0), (0, 1), (1, 2)]).edges == frozenset({(0, 1), (1, 2)})
+    # the same graph whatever iterable carries its pairs: every edge of a
+    # 5-cycle with a chord, once in each orientation
+    ordered = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]
+    doubled = ordered + [(v, u) for u, v in reversed(ordered)]
+    same = [Graph(5, doubled), Graph(5, (pair for pair in doubled)), Graph(5, frozenset(doubled)),
+            Graph(5, tuple(ordered))]
+    for g in same:
+        assert g.edges == frozenset(ordered) and type(g.edges) is frozenset
+        assert g == same[0] and hash(g) == hash(same[0])
 
 
 def test_from_edges_rejects_loops_and_bad_vertices():
